@@ -18,17 +18,9 @@ from .blackbox import (
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, FieldIsomorphism, explicit_isomorphism
 from .frobenius import FrobeniusMap, ShiftedBlackBox, build_shift_blackbox, frobenius_on_sl2
-from .involutions import bray_centralizer, bray_element, conjugating_involution, to_involution
+from .involutions import bray_centralizer, bray_element, to_involution
 from .sl2char2 import Char2Field, recover_char2
-from .sl2odd import (
-    PrimeFieldOnU,
-    StandardFrame,
-    SteinbergMorphism,
-    find_standard_generators,
-    recover_psl2,
-    steinberg_embed,
-    streamlined_sl2p,
-)
+from .sl2odd import StandardFrame, SteinbergMorphism, find_standard_generators, recover_psl2
 from .stages import RecognitionResult, StageInfo, StageRecorder
 
 __all__ = [
@@ -45,7 +37,6 @@ __all__ = [
     "MatrixBackend",
     "MatrixBlackBox",
     "MonteCarloFailure",
-    "PrimeFieldOnU",
     "RecognitionResult",
     "ShiftedBlackBox",
     "StageInfo",
@@ -57,7 +48,6 @@ __all__ = [
     "bray_element",
     "build_field_on_U",
     "build_shift_blackbox",
-    "conjugating_involution",
     "element_order",
     "explicit_isomorphism",
     "find_standard_generators",
@@ -67,7 +57,5 @@ __all__ = [
     "ppd_prime",
     "recover_char2",
     "recover_psl2",
-    "steinberg_embed",
-    "streamlined_sl2p",
     "to_involution",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from . import modp
-from .arith import factorint, p_part
+from .arith import factorint
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError
 from .field import ExplicitField
@@ -44,32 +44,6 @@ def ppd_prime(p: int, n: int) -> int | None:
         if _mult_order(p, r) == n and (best is None or r > best):
             best = r
     return best
-
-
-def power_to_ppd(box: BlackBoxGroup, h: ElementString, p: int, k: int) -> tuple[ElementString, int]:
-    """Power h down to the primitive-prime part of its order.
-
-    Precondition: a primitive prime divisor r of p^k - 1 exists and
-    divides the order of h. The result has odd prime-power order r^a.
-    """
-    r = ppd_prime(p, k)
-    if r is None:
-        raise InputError(f"no primitive prime divisor for p={p}, k={k}")
-    o = element_order(box, h)
-    rp = p_part(o, r)
-    if rp == 1:
-        raise ContractViolation("torus element misses the primitive part of the torus order")
-    return box.power(h, o // rp), r
-
-
-def read_prime_field(box: BlackBoxGroup, unity: ElementString, x: ElementString, p: int) -> int:
-    """The integer j < p with x = unity^j, if there is one."""
-    acc = box.identity
-    for j in range(p):
-        if box.compare(x, acc):
-            return j
-        acc = box.mul(acc, unity)
-    raise ContractViolation("element is not a prime-field multiple of the unity")
 
 
 class BlackBoxField:
@@ -252,10 +226,6 @@ class BlackBoxField:
 
     def to_explicit(self) -> ExplicitField:
         return ExplicitField(self.p, self.k, self.structure)
-
-
-def structure_constants(field: BlackBoxField):
-    return field.structure
 
 
 def build_field_on_U(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .arith import factorint
-from .errors import ContractViolation, InputError, MonteCarloFailure
+from .errors import ContractViolation, InputError
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -142,14 +142,6 @@ class ProductReplacer:
         return self.acc
 
 
-def nontrivial_sample(box: BlackBoxGroup, rng: random.Random, budget: int = 200) -> ElementString:
-    for _ in range(budget):
-        x = box.sample(rng)
-        if not box.is_identity(x):
-            return x
-    raise MonteCarloFailure("nontrivial sample", "every sample compared equal to the identity")
-
-
 def element_order(box: BlackBoxGroup, x: ElementString) -> int:
     """Exact order of x, by peeling primes off the box exponent."""
     o = box.exponent
@@ -247,35 +239,3 @@ class SubgroupBox(BlackBoxGroup):
 
     def _compare(self, a, b):
         return self.parent._compare(a, b)
-
-
-def generated_subbox(box: BlackBoxGroup, gens, rng: random.Random) -> SubgroupBox:
-    return SubgroupBox(box, gens, rng)
-
-
-@dataclass
-class MorphismGraph:
-    """A morphism f: G -> H materialized as its graph subgroup of G x H.
-
-    f cannot be evaluated on externally supplied strings (that would need
-    membership and rewriting), but the graph can be sampled, which yields
-    matched pairs (x, f(x)); that is exactly what downstream randomized
-    verification needs.
-    """
-
-    product: DirectProductBox
-    graph: SubgroupBox
-
-    def sample_pair(self, rng: random.Random) -> tuple[ElementString, ElementString]:
-        a, b = self.product.split(self.graph.sample(rng))
-        return a, b
-
-    def pair(self, g: ElementString, h: ElementString) -> ElementString:
-        return self.product.join((g, h))
-
-
-def graph_morphism(gbox: BlackBoxGroup, hbox: BlackBoxGroup, gen_pairs, rng: random.Random) -> MorphismGraph:
-    """Build the graph subgroup from generator-image pairs."""
-    product = DirectProductBox((gbox, hbox))
-    gens = [product.join(pair) for pair in gen_pairs]
-    return MorphismGraph(product, SubgroupBox(product, gens, rng))

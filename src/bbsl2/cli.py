@@ -199,8 +199,7 @@ def _mode_frobenius(args, params: dict) -> dict:
         raise InputError("the Frobenius pipeline here wants odd characteristic")
     rng = random.Random(args.seed)
     rec = StageRecorder(box)
-    with rec.stage("frame"):
-        frame = find_standard_generators(box, p, k, rng)
+    frame = find_standard_generators(box, p, k, rng, rec)
     with rec.stage("frobenius"):
         fro = frobenius_on_sl2(box, frame.u, frame.h, frame.weyl, p, k, rng)
     with rec.stage("verify"):

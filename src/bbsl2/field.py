@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from . import modp
+from .arith import is_prime
 from .errors import ContractViolation, InputError
 
 _TABLE_LIMIT = 400  # build order^2 lookup tables below this order
@@ -24,7 +25,7 @@ _TABLE_LIMIT = 400  # build order^2 lookup tables below this order
 
 class ExplicitField:
     def __init__(self, p: int, k: int, c):
-        if p < 2 or k < 1:
+        if not is_prime(p) or k < 1:
             raise InputError("need a prime p and k >= 1")
         c = tuple(tuple(tuple(int(x) % p for x in row) for row in plane) for plane in c)
         if len(c) != k or any(len(pl) != k or any(len(r) != k for r in pl) for pl in c):
@@ -232,6 +233,8 @@ class ExplicitField:
     @classmethod
     def polynomial_field(cls, p: int, k: int) -> "ExplicitField":
         """Standard presentation on the power basis of the smallest irreducible."""
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not a prime")
         f = modp.smallest_irreducible(p, k)
         basis = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
         c = []

@@ -1,9 +1,9 @@
 """Involution machinery for black box groups.
 
-Two classical tools: Bray's construction, which turns random group
-elements into centralizer elements of a given involution, and the
-dihedral square-root trick, which conjugates one involution onto
-another once a connecting involution with odd-order products is found.
+Random involutions by powering, Bray's construction, which turns random
+group elements into centralizer elements of a given involution, and the
+search for an order-3 element inverted by an involution, which closes
+the dihedral frame in characteristic 2.
 """
 from __future__ import annotations
 
@@ -84,35 +84,3 @@ def find_order3_inverted(
             continue
         return box.power(s, o // 3)
     raise MonteCarloFailure("order-3 companion", "no conjugate product with order divisible by 3")
-
-
-def conjugating_involution(
-    box: BlackBoxGroup,
-    a: ElementString,
-    b: ElementString,
-    rng: random.Random,
-    budget: int = 64,
-) -> ElementString:
-    """An element x with a^x = b, for conjugate involutions a, b.
-
-    Bridges through a random conjugate r of a, retried until both a*r
-    and r*b have odd order; odd-order dihedral groups contain the
-    conjugator as an explicit power (the square root of the product).
-    """
-    if box.compare(a, b):
-        return box.identity
-    for _ in range(budget):
-        r = box.conj(a, box.sample(rng))
-        z1 = box.mul(a, r)
-        o1 = element_order(box, z1)
-        if o1 % 2 == 0:
-            continue
-        z2 = box.mul(r, b)
-        o2 = element_order(box, z2)
-        if o2 % 2 == 0:
-            continue
-        x = box.mul(box.power(z1, (o1 + 1) // 2), box.power(z2, (o2 + 1) // 2))
-        if not box.compare(box.conj(a, x), b):
-            raise ContractViolation("dihedral conjugator failed its defining identity")
-        return x
-    raise MonteCarloFailure("conjugating involution", "no bridge with odd-order products")

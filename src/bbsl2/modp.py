@@ -63,12 +63,6 @@ def mat_inv(a: Mat, p: int) -> Mat:
     return tuple(tuple(row[k:]) for row in m)
 
 
-def solve_right(a: Mat, b: Vec, p: int) -> Vec:
-    """Solve a @ x = b for column vector x (a square, invertible)."""
-    ai = mat_inv(a, p)
-    return tuple(sum(ai[i][j] * b[j] for j in range(len(b))) % p for i in range(len(ai)))
-
-
 def solve_rectangular(rows, rhs, p: int) -> Vec | None:
     """One solution of rows @ x = rhs for any shape, or None if inconsistent.
 

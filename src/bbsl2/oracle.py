@@ -88,10 +88,6 @@ def unipotent_lower_set(F: ExplicitField):
     return {v_mat(F, t) for t in F.elements()}
 
 
-def torus_set(F: ExplicitField):
-    return {h_mat(F, t) for t in range(1, F.order) }
-
-
 def random_sl2(F: ExplicitField, rng: random.Random) -> Matrix:
     """Uniform over SL2: uniform nonzero top row, uniform fiber below."""
     while True:
@@ -105,15 +101,6 @@ def random_sl2(F: ExplicitField, rng: random.Random) -> Matrix:
         c = F.neg(F.inv(b))
         d = rng.randrange(F.order)
     return ((a, b), (c, d))
-
-
-def random_gl2(F: ExplicitField, rng: random.Random) -> Matrix:
-    while True:
-        m = tuple(
-            tuple(rng.randrange(F.order) for _ in range(2)) for _ in range(2)
-        )
-        if F.sub(F.mul(m[0][0], m[1][1]), F.mul(m[0][1], m[1][0])) != 0:
-            return m
 
 
 def conj_mat(F: ExplicitField, x: Matrix, g: Matrix) -> Matrix:

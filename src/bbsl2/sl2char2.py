@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import ExplicitField, explicit_isomorphism
+from .field import ExplicitField
 from .involutions import bray_centralizer, find_order3_inverted, is_involution
-from .sl2odd import SteinbergMorphism, _verify_multiplicative
+from .sl2odd import finish_recognition
 from .stages import RecognitionResult, StageRecorder
 
 
@@ -252,34 +252,5 @@ def recover_char2(
 
     with rec.stage("field"):
         field = Char2Field(box, frame, elements, basis, n)
-    with rec.stage("structure-constants"):
-        explicit = field.to_explicit()
-        explicit.validate(random.Random(rng.getrandbits(32)))
-        standard = ExplicitField.polynomial_field(2, n)
-        iso = explicit_isomorphism(explicit, standard, rng)
-
-    with rec.stage("steinberg"):
-        morphism = SteinbergMorphism(
-            box, field, frame.weyl, project=lambda a: a[1], explicit=explicit
-        )
-
-    with rec.stage("verify"):
-        mult = _verify_multiplicative(box, morphism, explicit, rng, trials)
-        verification = {
-            "phi_homomorphism_checks": mult,
-            "carrier_size": len(elements),
-            "ring_iso_to_standard": True,
-            "is_center_quotient": False,
-        }
-
-    return RecognitionResult(
-        params={"p": 2, "k": n, "q": q},
-        frame=frame,
-        field=field,
-        explicit=explicit,
-        morphism=morphism,
-        stages=rec.stages,
-        verification=verification,
-        structure=explicit.c,
-        extras={"iso_matrix": iso.matrix},
-    )
+    checks = {"carrier_size": len(elements), "is_center_quotient": False}
+    return finish_recognition(box, rec, rng, field, frame, lambda a: a[1], trials, checks)

@@ -8,16 +8,17 @@ normalizing the unipotent subgroup through u; sweep torus translates of
 an opposite unipotent to pin the Weyl element matched to u; carry a
 Frobenius map on the shifted copy; recover the field on the unipotent
 subgroup; and assemble the explicit isomorphism from 2x2 matrices over
-the recovered field into the box via Bruhat decomposition.
+the recovered field into the box via Bruhat decomposition. The last
+three stages, from structure constants to verification, are
+``finish_recognition``, which characteristic 2 shares.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from . import oracle
-from .arith import coprime_part, p_part
+from .arith import coprime_part, is_prime, p_part
 from .backend import mat_mul
 from .bbfield import build_field_on_U, ppd_prime
 from .blackbox import (
@@ -29,7 +30,7 @@ from .blackbox import (
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, explicit_isomorphism
 from .frobenius import frobenius_on_sl2
-from .involutions import bray_centralizer, to_involution
+from .involutions import bray_centralizer, random_involution
 from .stages import RecognitionResult, StageRecorder
 
 
@@ -67,13 +68,8 @@ def classify_center(
     box: BlackBoxGroup, rng: random.Random, budget: int = 600
 ) -> tuple[bool, ElementString]:
     """(True, i) if the box is a center quotient, judged by involution centrality."""
-    for _ in range(budget):
-        i = to_involution(box, box.sample(rng))
-        if i is None:
-            continue
-        central = all(box.commutes(i, g) for g in box.generators)
-        return not central, i
-    raise MonteCarloFailure("involution classification", "no even-order element found")
+    i = random_involution(box, rng, budget=budget)
+    return not all(box.commutes(i, g) for g in box.generators), i
 
 
 def torus_element(
@@ -218,6 +214,8 @@ def weyl_element(
 def _check_odd_params(p: int, k: int) -> int:
     if p == 2 or p < 2:
         raise InputError("this pipeline wants odd characteristic")
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not a prime")
     if k < 1:
         raise InputError("need k >= 1")
     q = p**k
@@ -227,14 +225,19 @@ def _check_odd_params(p: int, k: int) -> int:
 
 
 def find_standard_generators(
-    box: BlackBoxGroup, p: int, k: int, rng: random.Random
+    box: BlackBoxGroup, p: int, k: int, rng: random.Random, rec: StageRecorder
 ) -> StandardFrame:
+    """The frame (u, h, weyl), one recorded stage per step."""
     q = _check_odd_params(p, k)
-    u = unipotent_element(box, p, rng)
-    is_psl, _ = classify_center(box, rng)
-    torus_order = (q - 1) // (2 if is_psl else 1)
-    h = torus_element(box, u, p, torus_order, rng)
-    weyl = weyl_element(box, u, h, torus_order, is_psl, rng)
+    with rec.stage("unipotent"):
+        u = unipotent_element(box, p, rng)
+    with rec.stage("classify"):
+        is_psl, _ = classify_center(box, rng)
+        torus_order = (q - 1) // (2 if is_psl else 1)
+    with rec.stage("torus"):
+        h = torus_element(box, u, p, torus_order, rng)
+    with rec.stage("weyl"):
+        weyl = weyl_element(box, u, h, torus_order, is_psl, rng)
     return StandardFrame(u=u, h=h, weyl=weyl, is_psl=is_psl, torus_order=torus_order)
 
 
@@ -245,6 +248,9 @@ class SteinbergMorphism:
     carrier (unipotent images), the matched Weyl element, and torus
     words derived from both. ``project`` maps field carriers to box
     strings; the identity when the carrier already lives in the box.
+    The Bruhat bookkeeping runs in the explicit presentation and only
+    the final entries get lifted, which keeps carrier arithmetic
+    (expensive on a black box field) off the per-matrix path.
     """
 
     def __init__(self, box, field, weyl, project=None, explicit=None):
@@ -253,38 +259,13 @@ class SteinbergMorphism:
         self.weyl = weyl
         self.project = project if project is not None else (lambda s: s)
         self.explicit = explicit if explicit is not None else field.to_explicit()
-        if not box.compare(self.n_img(field.one), weyl):
+        # n(1) = u(1) v(-1) u(1) from the carriers themselves, so the check
+        # also exercises the recovered field's own inversion
+        a = self.project(field.one)
+        mid = box.conj(self.project(field.inv(field.one)), weyl)
+        if not box.compare(box.mul(box.mul(a, mid), a), weyl):
             raise ContractViolation("Weyl element is not matched to the field unity")
 
-    def u_img(self, t) -> ElementString:
-        return self.project(t)
-
-    def v_img(self, t) -> ElementString:
-        return self.box.conj(self.u_img(self.field.neg(t)), self.weyl)
-
-    def n_img(self, t) -> ElementString:
-        a = self.u_img(t)
-        mid = self.box.conj(self.u_img(self.field.inv(t)), self.weyl)
-        return self.box.mul(self.box.mul(a, mid), a)
-
-    def h_img(self, t) -> ElementString:
-        return self.box.mul(self.n_img(t), self.box.inv(self.weyl))
-
-    def apply_carriers(self, a, b, c, d) -> ElementString:
-        F = self.field
-        det = F.sub(F.mul(a, d), F.mul(b, c))
-        if not F.eq(det, F.one):
-            raise InputError("matrix does not have determinant 1 over the recovered field")
-        if not F.is_zero(c):
-            ci = F.inv(c)
-            word = self.box.mul(self.u_img(F.mul(a, ci)), self.n_img(F.neg(ci)))
-            return self.box.mul(word, self.u_img(F.mul(d, ci)))
-        return self.box.mul(self.h_img(a), self.u_img(F.mul(F.inv(a), b)))
-
-    # int-level twins of the image maps: the Bruhat bookkeeping runs in
-    # the explicit presentation and only the final entries get lifted,
-    # which keeps carrier arithmetic (expensive on a black box field)
-    # off the per-matrix path
     def _u_int(self, t: int) -> ElementString:
         return self.project(self.field.lift_int(t))
 
@@ -311,51 +292,59 @@ class SteinbergMorphism:
         return self.box.mul(self._h_int(a), self._u_int(E.mul(E.inv(a), b)))
 
 
-def smallest_primitive_root(p: int) -> int:
-    for cand in range(2, p):
-        order = 1
-        x = cand % p
-        while x != 1 and order < p:  # bounded: composite p has no unit of order p-1
-            x = x * cand % p
-            order += 1
-        if x == 1 and order == p - 1:
-            return cand
-    raise InputError("no primitive root: p is not an odd prime")
+def finish_recognition(
+    box: BlackBoxGroup,
+    rec: StageRecorder,
+    rng: random.Random,
+    field,
+    frame,
+    project,
+    trials: int,
+    checks: dict,
+    frobenius=None,
+) -> RecognitionResult:
+    """The tail both characteristics share, from a recovered field to the result.
 
-
-def _normalize_torus(box, morphism, u, h, p: int, torus_order: int) -> tuple[ElementString, int]:
-    """Replace h by the power equal to the torus word h(t), t a primitive root.
-
-    Candidate exponents are prefiltered by their action on u (h(t) must
-    act as the t^(-2) power map there) and settled by direct comparison
-    against the Bruhat word for h(t); the winning exponent is
-    automatically coprime to the torus order, which the caller may rely
-    on for h keeping full order.
+    Reads the field's structure constants and matches them to the
+    standard presentation, builds the Steinberg morphism on
+    ``frame.weyl``, and verifies it as a homomorphism on ``trials``
+    random pairs; ``checks`` joins the verification record.
     """
-    t = smallest_primitive_root(p)
-    kappa = pow(t, -2, p)
-    target = box.power(u, kappa)
-    hw = morphism.h_img(morphism.field.lift_int(morphism.explicit.scalar(t)))
-    hj = box.identity
-    for ell in range(1, torus_order + 1):
-        hj = box.mul(hj, h)
-        if not box.compare(box.conj(u, hj), target):
-            continue
-        if box.compare(hj, hw):
-            return hj, ell
-    raise ContractViolation("no power of the sampled torus element matches the torus word")
+    with rec.stage("structure-constants"):
+        explicit = field.to_explicit()
+        explicit.validate(random.Random(rng.getrandbits(32)))
+        standard = ExplicitField.polynomial_field(field.p, field.k)
+        iso = explicit_isomorphism(explicit, standard, rng)
 
+    with rec.stage("steinberg"):
+        morphism = SteinbergMorphism(box, field, frame.weyl, project=project, explicit=explicit)
 
-def _verify_multiplicative(box, morphism, explicit, rng, trials: int) -> dict:
-    passes = 0
-    for _ in range(trials):
-        m1 = oracle.random_sl2(explicit, rng)
-        m2 = oracle.random_sl2(explicit, rng)
-        lhs = morphism(mat_mul(explicit, m1, m2))
-        rhs = box.mul(morphism(m1), morphism(m2))
-        if box.compare(lhs, rhs):
-            passes += 1
-    return {"trials": trials, "passes": passes}
+    with rec.stage("verify"):
+        passes = 0
+        for _ in range(trials):
+            m1 = oracle.random_sl2(explicit, rng)
+            m2 = oracle.random_sl2(explicit, rng)
+            lhs = morphism(mat_mul(explicit, m1, m2))
+            if box.compare(lhs, box.mul(morphism(m1), morphism(m2))):
+                passes += 1
+        verification = {
+            "phi_homomorphism_checks": {"trials": trials, "passes": passes},
+            "ring_iso_to_standard": True,
+            **checks,
+        }
+
+    return RecognitionResult(
+        params={"p": field.p, "k": field.k, "q": explicit.order},
+        frame=frame,
+        field=field,
+        explicit=explicit,
+        morphism=morphism,
+        stages=rec.stages,
+        verification=verification,
+        frobenius=frobenius,
+        structure=explicit.c,
+        extras={"iso_matrix": iso.matrix},
+    )
 
 
 def recover_psl2(
@@ -366,22 +355,12 @@ def recover_psl2(
     trials: int = 200,
 ) -> RecognitionResult:
     """Full recognition run; see the module docstring for the stages."""
-    q = _check_odd_params(p, k)
     rec = StageRecorder(box)
-
-    with rec.stage("unipotent"):
-        u = unipotent_element(box, p, rng)
-    with rec.stage("classify"):
-        is_psl, _ = classify_center(box, rng)
-        torus_order = (q - 1) // (2 if is_psl else 1)
-    with rec.stage("torus"):
-        h = torus_element(box, u, p, torus_order, rng)
-    with rec.stage("weyl"):
-        weyl = weyl_element(box, u, h, torus_order, is_psl, rng)
-    frame = StandardFrame(u=u, h=h, weyl=weyl, is_psl=is_psl, torus_order=torus_order)
+    frame = find_standard_generators(box, p, k, rng, rec)
+    torus_order = frame.torus_order
 
     with rec.stage("frobenius"):
-        fro = frobenius_on_sl2(box, u, h, weyl, p, k, rng)
+        fro = frobenius_on_sl2(box, frame.u, frame.h, frame.weyl, p, k, rng)
 
     with rec.stage("field"):
         h_tilde = None
@@ -399,151 +378,11 @@ def recover_psl2(
                 sqrt_override = fro.h_bar
         field = build_field_on_U(fro.box, fro.u_bar, h_tilde, fro, p, k, sqrt_override)
 
-    with rec.stage("structure-constants"):
-        explicit = field.to_explicit()
-        explicit.validate(random.Random(rng.getrandbits(32)))
-        standard = ExplicitField.polynomial_field(p, k)
-        iso = explicit_isomorphism(explicit, standard, rng)
-
-    with rec.stage("steinberg"):
-        morphism = SteinbergMorphism(box, field, weyl, project=fro.project, explicit=explicit)
-
-    with rec.stage("verify"):
-        mult = _verify_multiplicative(box, morphism, explicit, rng, trials)
-        verification = {
-            "phi_homomorphism_checks": mult,
-            "gram_det_nonzero": field.gram_det != 0,
-            "ring_iso_to_standard": True,
-            "is_center_quotient": is_psl,
-            "torus_order": torus_order,
-        }
-
-    return RecognitionResult(
-        params={"p": p, "k": k, "q": q},
-        frame=frame,
-        field=field,
-        explicit=explicit,
-        morphism=morphism,
-        stages=rec.stages,
-        verification=verification,
-        frobenius=fro,
-        structure=field.structure,
-        extras={"iso_matrix": iso.matrix},
-    )
-
-
-def steinberg_embed(box, field, weyl, project=None, explicit=None) -> SteinbergMorphism:
-    """Construct the explicit morphism from an already recovered frame."""
-    return SteinbergMorphism(box, field, weyl, project=project, explicit=explicit)
-
-
-class PrimeFieldOnU:
-    """F_p carried on the unipotent subgroup through u: value j rides as u^j.
-
-    The degree-one shortcut. Arithmetic is plain integers mod p; only
-    the projection into the box touches strings, so no shifted copy and
-    no trace form is needed.
-    """
-
-    def __init__(self, box: BlackBoxGroup, u: ElementString, p: int):
-        self.box = box
-        self.u = u
-        self.p = p
-        self.k = 1
-        self.zero = 0
-        self.one = 1
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return pow(a, -1, self.p)
-
-    def lift_int(self, j: int):
-        return j % self.p
-
-    def read_int(self, a) -> int:
-        return a
-
-    def project(self, a) -> ElementString:
-        return self.box.power(self.u, a)
-
-    def random_element(self, rng: random.Random):
-        return rng.randrange(self.p)
-
-    def to_explicit(self) -> ExplicitField:
-        return ExplicitField(self.p, 1, (((1,),),))
-
-
-def streamlined_sl2p(
-    box: BlackBoxGroup, p: int, rng: random.Random, trials: int = 200
-) -> RecognitionResult:
-    """Prime-field recognition without the field-recovery machinery.
-
-    Degree one makes the Frobenius trivial and puts F_p on the unipotent
-    subgroup directly, so the pipeline reduces to frame finding, the
-    torus re-normalization settled against the Bruhat word for h(t), and
-    verification.
-    """
-    q = _check_odd_params(p, 1)
-    rec = StageRecorder(box)
-
-    with rec.stage("unipotent"):
-        u = unipotent_element(box, p, rng)
-    with rec.stage("classify"):
-        is_psl, _ = classify_center(box, rng)
-        torus_order = (q - 1) // (2 if is_psl else 1)
-    with rec.stage("torus"):
-        h = torus_element(box, u, p, torus_order, rng)
-    with rec.stage("weyl"):
-        weyl = weyl_element(box, u, h, torus_order, is_psl, rng)
-
-    with rec.stage("field"):
-        field = PrimeFieldOnU(box, u, p)
-        explicit = field.to_explicit()
-    with rec.stage("steinberg"):
-        morphism = SteinbergMorphism(box, field, weyl, project=field.project, explicit=explicit)
-    with rec.stage("torus-normalize"):
-        h, ell = _normalize_torus(box, morphism, u, h, p, torus_order)
-        if math.gcd(ell, torus_order) != 1:
-            raise ContractViolation("torus exponent shares a factor with the torus order")
-    frame = StandardFrame(u=u, h=h, weyl=weyl, is_psl=is_psl, torus_order=torus_order)
-
-    with rec.stage("verify"):
-        mult = _verify_multiplicative(box, morphism, explicit, rng, trials)
-        verification = {
-            "phi_homomorphism_checks": mult,
-            "torus_word_exponent": ell,
-            "ring_iso_to_standard": True,
-            "is_center_quotient": is_psl,
-            "torus_order": torus_order,
-        }
-
-    return RecognitionResult(
-        params={"p": p, "k": 1, "q": q},
-        frame=frame,
-        field=field,
-        explicit=explicit,
-        morphism=morphism,
-        stages=rec.stages,
-        verification=verification,
-        structure=explicit.c,
-        extras={"torus_word_exponent": ell},
+    checks = {
+        "gram_det_nonzero": field.gram_det != 0,
+        "is_center_quotient": frame.is_psl,
+        "torus_order": torus_order,
+    }
+    return finish_recognition(
+        box, rec, rng, field, frame, fro.project, trials, checks, frobenius=fro
     )

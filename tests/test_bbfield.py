@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsl2 import oracle
 from bbsl2.arith import factorint
 from bbsl2.backend import make_matrix_blackbox
-from bbsl2.bbfield import power_to_ppd, ppd_prime, read_prime_field
-from bbsl2.blackbox import element_order
-from bbsl2.errors import ContractViolation
+from bbsl2.bbfield import ppd_prime
 from bbsl2.sl2odd import recover_psl2
 
 
@@ -52,30 +49,6 @@ def test_ppd_is_largest_new_order_prime(p, n):
     else:
         assert r == max(qualifying)
         assert (p**n - 1) % r == 0
-
-
-def test_power_to_ppd_lands_on_ppd_order(rng):
-    box = make_matrix_blackbox(3, 4, opaque=True, seed=1)
-    be = box.backend
-    h = be.encode(oracle.h_mat(be.field, be.field.primitive_element()))
-    elt, r = power_to_ppd(box, h, 3, 4)
-    assert r == 5
-    assert element_order(box, elt) == 5
-
-
-def test_read_prime_field(sl2_13, rng):
-    be = sl2_13.backend
-    u = be.encode(oracle.u_mat(be.field, be.field.one))
-    for j in range(13):
-        assert read_prime_field(sl2_13, u, sl2_13.power(u, j), 13) == j
-
-
-def test_read_prime_field_rejects_outsiders(sl2_13, rng):
-    be = sl2_13.backend
-    u = be.encode(oracle.u_mat(be.field, be.field.one))
-    h = be.encode(oracle.h_mat(be.field, 2))
-    with pytest.raises(ContractViolation):
-        read_prime_field(sl2_13, u, h, 13)
 
 
 @pytest.fixture(scope="module", params=[(13, 1), (3, 2), (3, 4)], ids=lambda s: f"q={s[0]**s[1]}")

@@ -4,14 +4,7 @@ import random
 import pytest
 
 from bbsl2 import oracle
-from bbsl2.blackbox import (
-    DirectProductBox,
-    element_order,
-    generated_subbox,
-    global_exponent_gl,
-    graph_morphism,
-    nontrivial_sample,
-)
+from bbsl2.blackbox import DirectProductBox, SubgroupBox, element_order, global_exponent_gl
 from bbsl2.backend import MatrixBackend, make_matrix_blackbox
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
@@ -91,12 +84,6 @@ def test_element_order_vs_direct_powering(rng):
     assert element_order(box, box.identity) == 1
 
 
-def test_nontrivial_sample(rng):
-    box = make_matrix_blackbox(5, 1, opaque=True, seed=3)
-    for _ in range(10):
-        assert not box.is_identity(nontrivial_sample(box, rng))
-
-
 def test_commutes_and_conj(rng):
     box = make_matrix_blackbox(13, 1, opaque=True, seed=8)
     be = box.backend
@@ -132,24 +119,11 @@ def test_generated_subbox_stays_inside(rng):
     box = make_matrix_blackbox(13, 1, opaque=False, seed=5)
     be = box.backend
     u = be.encode(oracle.u_mat(be.field, 1))
-    sub = generated_subbox(box, [u], rng)
+    sub = SubgroupBox(box, [u], rng)
     uppers = oracle.unipotent_upper_set(be.field)
     for _ in range(60):
         assert be.decode(sub.sample(rng)) in uppers
     assert sub.exponent == box.exponent
-
-
-def test_graph_morphism_conjugation(rng):
-    box = make_matrix_blackbox(5, 1, opaque=True, seed=7)
-    g = box.sample(rng)
-    pairs = [(x, box.conj(x, g)) for x in box.generators]
-    graph = graph_morphism(box, box, pairs, rng)
-    for _ in range(40):
-        x, y = graph.sample_pair(rng)
-        assert box.compare(y, box.conj(x, g))
-    x, y = graph.sample_pair(rng)
-    a, b = graph.product.split(graph.pair(x, y))
-    assert a.data == x.data and b.data == y.data
 
 
 def test_backend_rejects_bad_generators():

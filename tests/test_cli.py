@@ -108,6 +108,16 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_composite_p_exit_1(tmp_path, capsys):
+    # a composite p is bad input, not a contract violation
+    assert main(["recognize-odd", "--p", "9", "--k", "1"]) == 1
+    assert "not a prime" in capsys.readouterr().err
+    path = tmp_path / "f9.json"
+    path.write_text(json.dumps({"p": 9, "k": 1, "c": [[[1]]]}))
+    assert main(["field-report", "--input", str(path)]) == 1
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as e:
         main(["bogus-mode"])

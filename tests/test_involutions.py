@@ -8,7 +8,6 @@ from bbsl2.errors import InputError
 from bbsl2.involutions import (
     bray_centralizer,
     bray_element,
-    conjugating_involution,
     find_order3_inverted,
     is_involution,
     random_involution,
@@ -106,21 +105,3 @@ def test_find_order3_inverted_span(rng):
 def test_find_order3_inverted_rejects_identity(sl2_8, rng):
     with pytest.raises(InputError):
         find_order3_inverted(sl2_8, sl2_8.identity, rng)
-
-
-def test_conjugating_involution_psl(psl2_13, rng):
-    for _ in range(8):
-        a = random_involution(psl2_13, rng)
-        b = random_involution(psl2_13, rng)
-        x = conjugating_involution(psl2_13, a, b, rng)
-        assert psl2_13.compare(psl2_13.conj(a, x), b)
-    x = conjugating_involution(psl2_13, a, a, rng)
-    assert psl2_13.compare(psl2_13.conj(a, x), a)
-
-
-def test_conjugating_involution_char2(sl2_8, rng):
-    for _ in range(8):
-        a = random_involution(sl2_8, rng)
-        b = random_involution(sl2_8, rng)
-        x = conjugating_involution(sl2_8, a, b, rng)
-        assert sl2_8.compare(sl2_8.conj(a, x), b)

@@ -36,18 +36,6 @@ def test_mat_inv_roundtrip(pm):
     assert modp.mat_mul(modp.mat_inv(m, p), m, p) == modp.mat_identity(k)
 
 
-@given(_invertible(), st.data())
-@settings(max_examples=100, deadline=None)
-def test_solve_right_solves(pm, data):
-    p, m = pm
-    k = len(m)
-    x = tuple(data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(k))
-    b = modp.vec_mat(x, m, p)
-    # vec_mat computes x*m, solve_right solves m*y = b for column vectors
-    y = modp.solve_right(tuple(zip(*m)), b, p)
-    assert tuple(y) == x
-
-
 def test_solve_rectangular_consistent_and_inconsistent():
     rows = [(1, 0), (0, 1), (1, 1)]
     assert modp.solve_rectangular(rows, [2, 3, 5], 7) == (2, 3)

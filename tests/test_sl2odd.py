@@ -4,19 +4,18 @@ import random
 import pytest
 
 from bbsl2 import oracle
-from bbsl2.backend import make_matrix_blackbox, mat_mul
+from bbsl2.backend import make_matrix_blackbox
+from bbsl2.bbfield import build_field_on_U
 from bbsl2.blackbox import element_order
 from bbsl2.errors import ContractViolation, InputError, MonteCarloFailure
 from bbsl2.field import ExplicitField
+from bbsl2.stages import StageRecorder
 from bbsl2.sl2odd import (
-    PrimeFieldOnU,
     SteinbergMorphism,
     classify_center,
     find_standard_generators,
     in_unipotent_of,
     recover_psl2,
-    smallest_primitive_root,
-    streamlined_sl2p,
     torus_element,
     unipotent_element,
     weyl_disambiguate,
@@ -90,13 +89,14 @@ def test_weyl_disambiguate_rejects_commuting_candidate(sl2_13, rng):
 
 
 def test_find_standard_generators_frame(rng):
-    frame = find_standard_generators(
-        make_matrix_blackbox(3, 2, opaque=True, seed=8), 3, 2, rng
-    )
+    box = make_matrix_blackbox(3, 2, opaque=True, seed=8)
+    rec = StageRecorder(box)
+    frame = find_standard_generators(box, 3, 2, rng, rec)
     assert not frame.is_psl and frame.torus_order == 8
-    frame = find_standard_generators(
-        make_matrix_blackbox(13, 1, center_quotient=True, opaque=True, seed=8), 13, 1, rng
-    )
+    assert [s.name for s in rec.stages] == ["unipotent", "classify", "torus", "weyl"]
+    assert sum(s.samples_used for s in rec.stages) == box.stats["samples"]
+    box = make_matrix_blackbox(13, 1, center_quotient=True, opaque=True, seed=8)
+    frame = find_standard_generators(box, 13, 1, rng, StageRecorder(box))
     assert frame.is_psl and frame.torus_order == 6
 
 
@@ -105,6 +105,14 @@ def test_rejects_q_equal_3_mod_4(p, k, rng):
     box = make_matrix_blackbox(p, k, opaque=True, seed=1)
     with pytest.raises(InputError):
         recover_psl2(box, p, k, rng)
+
+
+def test_rejects_composite_characteristic(rng):
+    # 21 = 1 mod 4, so only a primality check stops the frame search
+    box = make_matrix_blackbox(13, 1, opaque=True, seed=1)
+    with pytest.raises(InputError):
+        recover_psl2(box, 21, 1, rng)
+    assert box.stats["samples"] == 0
 
 
 def test_rejects_even_characteristic(rng):
@@ -121,8 +129,8 @@ def _standard_morphism(p, k, cq=False):
     assert k == 1, "helper only supports prime fields"
     u = be.encode(oracle.u_mat(F, F.one))
     n = be.encode(oracle.n_mat(F, F.one))
-    field = PrimeFieldOnU(box, u, p)
-    return box, be, SteinbergMorphism(box, field, n, project=field.project)
+    field = build_field_on_U(box, u, None, lambda x: x, p, 1)
+    return box, be, SteinbergMorphism(box, field, n)
 
 
 def test_steinberg_morphism_is_identity_on_standard_frame(rng):
@@ -165,37 +173,17 @@ def test_steinberg_build_check_rejects_mismatched_weyl():
     F = be.field
     u = be.encode(oracle.u_mat(F, F.one))
     wrong = be.encode(oracle.n_mat(F, 2))  # n(2) is not matched to u(1)
-    field = PrimeFieldOnU(box, u, 13)
+    field = build_field_on_U(box, u, None, lambda x: x, 13, 1)
     with pytest.raises(ContractViolation):
-        SteinbergMorphism(box, field, wrong, project=field.project)
+        SteinbergMorphism(box, field, wrong)
 
 
-def test_smallest_primitive_root():
-    assert smallest_primitive_root(13) == 2
-    assert smallest_primitive_root(29) == 2
-    assert smallest_primitive_root(5) == 2
-    with pytest.raises(InputError):
-        smallest_primitive_root(8)
-
-
-@pytest.mark.parametrize("p,cq", [(13, False), (13, True), (29, False)])
-def test_streamlined_sl2p(p, cq, rng):
-    box = make_matrix_blackbox(p, 1, center_quotient=cq, opaque=True, seed=6)
-    res = streamlined_sl2p(box, p, rng, trials=60)
-    v = res.verification
-    assert v["phi_homomorphism_checks"] == {"trials": 60, "passes": 60}
-    assert v["torus_word_exponent"] >= 1
-    import math
-
-    assert math.gcd(v["torus_word_exponent"], res.frame.torus_order) == 1
-
-
-def test_streamlined_image_generates_whole_group(rng):
+def test_recover_psl2_image_generates_whole_group(rng):
     # surjectivity at desk scale: images of a generating set generate
     box = make_matrix_blackbox(13, 1, opaque=False, seed=6)
     be = box.backend
     F = be.field
-    res = streamlined_sl2p(box, 13, rng, trials=10)
+    res = recover_psl2(box, 13, 1, rng, trials=10)
     phi = res.morphism
     imgs = [be.decode(phi(oracle.u_mat(F, 1))), be.decode(phi(oracle.n_mat(F, 1))),
             be.decode(phi(oracle.h_mat(F, 2)))]
