@@ -28,24 +28,17 @@ _ROUNDS = 4
 
 
 def mat_mul(F: ExplicitField, a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(
-            _dot(F, a[i], tuple(b[r][j] for r in range(n))) for j in range(n)
-        )
-        for i in range(n)
+    add, mul = F.add, F.mul
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (add(mul(a00, b00), mul(a01, b10)), add(mul(a00, b01), mul(a01, b11))),
+        (add(mul(a10, b00), mul(a11, b10)), add(mul(a10, b01), mul(a11, b11))),
     )
 
 
-def _dot(F: ExplicitField, row, col) -> int:
-    acc = 0
-    for x, y in zip(row, col):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
-
-
-def mat_identity(F: ExplicitField, n: int = 2) -> Matrix:
-    return tuple(tuple(F.one if i == j else 0 for j in range(n)) for i in range(n))
+def mat_identity(F: ExplicitField) -> Matrix:
+    return ((F.one, 0), (0, F.one))
 
 
 def mat_det2(F: ExplicitField, m: Matrix) -> int:
@@ -64,24 +57,9 @@ def mat_inv2(F: ExplicitField, m: Matrix) -> Matrix:
 
 
 def mat_neg(F: ExplicitField, m: Matrix) -> Matrix:
-    return tuple(tuple(F.neg(x) for x in row) for row in m)
-
-
-def mat_pow(F: ExplicitField, m: Matrix, e: int) -> Matrix:
-    if e < 0:
-        return mat_pow(F, mat_inv2(F, m), -e)
-    acc = mat_identity(F, len(m))
-    while e:
-        if e & 1:
-            acc = mat_mul(F, acc, m)
-        m = mat_mul(F, m, m)
-        e >>= 1
-    return acc
-
-
-def _xor_into(buf: bytearray, mask: bytes) -> None:
-    for i in range(len(buf)):
-        buf[i] ^= mask[i]
+    neg = F.neg
+    (a, b), (c, d) = m
+    return ((neg(a), neg(b)), (neg(c), neg(d)))
 
 
 class MatrixBackend:
@@ -103,9 +81,16 @@ class MatrixBackend:
         self.center_quotient = center_quotient
         self.opaque = opaque
         self.width = max(1, (field.order - 1).bit_length() + 7 >> 3)
-        self._plain_bytes = self.n * self.n * self.width
+        self._plain_bytes = 4 * self.width
         self.string_bytes = self._plain_bytes + (_NONCE_BYTES if opaque else 0)
-        self._key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
+        key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
+        # round r masks one half with the keyed hash of r and the other half;
+        # each round's state has absorbed the key and r already
+        half = self.string_bytes // 2
+        self._rounds = [
+            blake2b(bytes([r]), key=key, digest_size=self.string_bytes - half if r % 2 else half)
+            for r in range(_ROUNDS)
+        ]
         self._nonce_rng = random.Random(f"opacity-nonce:{seed}")
 
     # -- canonical form ---------------------------------------------------
@@ -115,37 +100,36 @@ class MatrixBackend:
         return m
 
     def canonical_bytes(self, m: Matrix) -> bytes:
-        m = self.canonical_matrix(m)
-        return b"".join(
-            int(x).to_bytes(self.width, "big") for row in m for x in row
-        )
+        """The four entries, row by row, as fixed-width big-endian integers."""
+        (a, b), (c, d) = self.canonical_matrix(m)
+        s = 8 * self.width
+        return (((a << s | b) << s | c) << s | d).to_bytes(self._plain_bytes, "big")
 
     def _parse(self, blob: bytes) -> Matrix:
-        it = [
-            int.from_bytes(blob[i : i + self.width], "big")
-            for i in range(0, self._plain_bytes, self.width)
-        ]
-        if any(x >= self.field.order for x in it):
+        s = 8 * self.width
+        x = int.from_bytes(blob[: self._plain_bytes], "big")
+        mask = (1 << s) - 1
+        a, b, c, d = x >> 3 * s, x >> 2 * s & mask, x >> s & mask, x & mask
+        q = self.field.order
+        if a >= q or b >= q or c >= q or d >= q:
             raise InputError("string does not decode to field entries")
-        return (tuple(it[:2]), tuple(it[2:]))
+        return ((a, b), (c, d))
 
     # -- the keyed permutation --------------------------------------------
     def _feistel(self, block: bytes, decrypt: bool) -> bytes:
         a = len(block) // 2
-        left, right = bytearray(block[:a]), bytearray(block[a:])
-        order = range(_ROUNDS - 1, -1, -1) if decrypt else range(_ROUNDS)
-        for r in order:
+        left, right = block[:a], block[a:]
+        for r in range(_ROUNDS - 1, -1, -1) if decrypt else range(_ROUNDS):
+            h = self._rounds[r].copy()
             if r % 2 == 0:
-                mask = blake2b(
-                    bytes([r]) + bytes(right), key=self._key, digest_size=len(left)
-                ).digest()
-                _xor_into(left, mask)
+                h.update(right)
+                x = int.from_bytes(left, "big") ^ int.from_bytes(h.digest(), "big")
+                left = x.to_bytes(a, "big")
             else:
-                mask = blake2b(
-                    bytes([r]) + bytes(left), key=self._key, digest_size=len(right)
-                ).digest()
-                _xor_into(right, mask)
-        return bytes(left + right)
+                h.update(left)
+                x = int.from_bytes(right, "big") ^ int.from_bytes(h.digest(), "big")
+                right = x.to_bytes(len(block) - a, "big")
+        return left + right
 
     # -- string codec -------------------------------------------------------
     def encode(self, m: Matrix) -> ElementString:
@@ -156,10 +140,10 @@ class MatrixBackend:
         return ElementString(self._feistel(blob + nonce, decrypt=False))
 
     def decode(self, s: ElementString) -> Matrix:
-        if len(s.data) != self.string_bytes:
+        data = s.data
+        if len(data) != self.string_bytes:
             raise InputError("string has the wrong length for this box")
-        blob = self._feistel(s.data, decrypt=True)[: self._plain_bytes] if self.opaque else s.data
-        return self._parse(blob)
+        return self._parse(self._feistel(data, decrypt=True) if self.opaque else data)
 
     # -- matrices of the standard frame -------------------------------------
     def standard_generators(self) -> list[Matrix]:

@@ -9,18 +9,23 @@ unity is recovered by linear algebra. Elements are plain ints in
 ``explicit_isomorphism`` connects two presentations of the same field by
 mapping a generator of the first onto a root of its minimal polynomial
 in the second.
+
+For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
+so the ring operations are integer arithmetic mod p. For k > 1 they are
+lookups in log, antilog and Zech tables built on first use from the
+definitions ``_mul_raw`` and ``_add_raw``; for p = 2 a sum is an XOR.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import zip_longest
 
 from . import modp
 from .arith import is_prime
 from .errors import ContractViolation, InputError
-
-_TABLE_LIMIT = 400  # build order^2 lookup tables below this order
 
 
 class ExplicitField:
@@ -34,10 +39,8 @@ class ExplicitField:
         self.k = k
         self.c = c
         self.order = p**k
+        self._c00 = c[0][0][0]
         self._one: int | None = None
-        self._primitive: int | None = None
-        self._mul_table: list[int] | None = None
-        self._inv_table: dict[int, int] = {}
 
     # -- coordinates ----------------------------------------------------
     def coords(self, a: int) -> tuple[int, ...]:
@@ -56,19 +59,9 @@ class ExplicitField:
     def elements(self):
         return range(self.order)
 
-    # -- ring operations ------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
+    # -- the definitions: coordinate-wise sum, product by structure constants
+    def _add_raw(self, a: int, b: int) -> int:
         return self.element(x + y for x, y in zip(self.coords(a), self.coords(b)))
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self.element(-x % self.p for x in self.coords(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         av, bv, c, p = self.coords(a), self.coords(b), self.c, self.p
@@ -86,13 +79,60 @@ class ExplicitField:
                     out[l] += f * row[l]
         return self.element(v % p for v in out)
 
+    @cached_property
+    def _tables(self) -> tuple[list[int], list[int], list[int] | None]:
+        """(log, exp, zech) on the powers of g, the first element of order q - 1.
+
+        exp[i] = g^i over two periods, so a sum of two logs needs no
+        reduction; log[0] = -1; for odd p and k > 1, zech[n] = log(1 + g^n).
+        k = 1 uses the tables only for g.
+        """
+        n, one = self.order - 1, self.one
+        for g in range(1, self.order):
+            log, exp, x = [-1] * self.order, [], one
+            while x and log[x] < 0:
+                log[x] = len(exp)
+                exp.append(x)
+                x = self._mul_raw(x, g)
+            if len(exp) == n and x == one:
+                break
+        else:
+            raise ContractViolation("no element of order q - 1: not a field")
+        zech = None if self.p == 2 or self.k == 1 else [log[self._add_raw(one, e)] for e in exp]
+        return log, exp + exp, zech
+
+    # -- ring operations ------------------------------------------------
+    def add(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        log, exp, zech = self._tables
+        la = log[a]
+        # a + b = g^la * (1 + g^(lb - la)); a negative index wraps mod q - 1
+        z = zech[log[b] - la]
+        return 0 if z < 0 else exp[la + z]
+
+    def neg(self, a: int) -> int:
+        if self.k == 1:
+            return -a % self.p
+        if self.p == 2 or not a:
+            return a
+        log, exp, _ = self._tables
+        return exp[log[a] + (self.order - 1) // 2]  # -1 = g^((q - 1) / 2)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
     def mul(self, a: int, b: int) -> int:
-        if self.order <= _TABLE_LIMIT:
-            if self._mul_table is None:
-                n = self.order
-                self._mul_table = [self._mul_raw(x, y) for x in range(n) for y in range(n)]
-            return self._mul_table[a * self.order + b]
-        return self._mul_raw(a, b)
+        if self.k == 1:
+            return a * b * self._c00 % self.p
+        if not a or not b:
+            return 0
+        log, exp, _ = self._tables
+        return exp[log[a] + log[b]]
 
     @property
     def one(self) -> int:
@@ -108,10 +148,6 @@ class ExplicitField:
                 raise ContractViolation("presentation has no unity")
             self._one = self.element(sol)
         return self._one
-
-    @property
-    def zero(self) -> int:
-        return 0
 
     def scalar(self, n: int) -> int:
         """Image of the integer n in the prime subfield."""
@@ -131,13 +167,11 @@ class ExplicitField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverting zero")
-        hit = self._inv_table.get(a)
-        if hit is None:
-            hit = self.pow(a, self.order - 2)
-            if self.mul(a, hit) != self.one:
-                raise ContractViolation("element with no inverse: not a field")
-            self._inv_table[a] = hit
-        return hit
+        if self.k == 1:
+            one = self.one  # 1 / c[0][0][0], so a * x * c = one at x = one^2 / a
+            return pow(a, -1, self.p) * one * one % self.p
+        log, exp, _ = self._tables
+        return exp[self.order - 1 - log[a]]
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
@@ -153,17 +187,6 @@ class ExplicitField:
             if self.scalar(n) == acc:
                 return n
         raise ContractViolation("trace not a prime-field multiple of unity")
-
-    def multiplicative_order(self, a: int) -> int:
-        from .arith import factorint
-
-        if a == 0:
-            raise InputError("zero has no multiplicative order")
-        o = self.order - 1
-        for q in factorint(o):
-            while o % q == 0 and self.pow(a, o // q) == self.one:
-                o //= q
-        return o
 
     def minimal_polynomial(self, a: int) -> modp.Poly:
         """Monic minimal polynomial of a over F_p, low degree first."""
@@ -187,36 +210,30 @@ class ExplicitField:
         raise ContractViolation("no generating element: not a degree-k field")
 
     def primitive_element(self) -> int:
-        """An element of multiplicative order p^k - 1."""
-        if self._primitive is None:
-            for a in range(1, self.order):
-                if a != self.one and self.multiplicative_order(a) == self.order - 1:
-                    self._primitive = a
-                    break
-            else:
-                if self.order == 2:
-                    self._primitive = self.one
-                else:
-                    raise ContractViolation("no primitive element: not a field")
-        return self._primitive
+        """The first element, in integer order, of multiplicative order p^k - 1."""
+        return self._tables[1][1]
 
     def validate(self, rng: random.Random, trials: int = 64) -> None:
-        """Spot-check the field axioms; raises ContractViolation."""
-        one = self.one
+        """Spot-check the field axioms on the definitions and the tables against
+        them; raises ContractViolation."""
+        one, add, mul = self.one, self._add_raw, self._mul_raw
         for _ in range(trials):
             a = rng.randrange(self.order)
             b = rng.randrange(self.order)
             c = rng.randrange(self.order)
-            if self.mul(a, b) != self.mul(b, a):
+            ab = mul(a, b)
+            if ab != mul(b, a):
                 raise ContractViolation("multiplication not commutative")
-            if self.mul(a, self.mul(b, c)) != self.mul(self.mul(a, b), c):
+            if mul(a, mul(b, c)) != mul(ab, c):
                 raise ContractViolation("multiplication not associative")
-            if self.mul(a, self.add(b, c)) != self.add(self.mul(a, b), self.mul(a, c)):
+            if mul(a, add(b, c)) != add(ab, mul(a, c)):
                 raise ContractViolation("multiplication not distributive")
-            if self.mul(one, a) != a:
+            if mul(one, a) != a:
                 raise ContractViolation("unity fails")
-            if a and b and self.mul(a, b) == 0:
+            if a and b and ab == 0:
                 raise ContractViolation("zero divisors present")
+            if self.mul(a, b) != ab or self.add(a, b) != add(a, b):
+                raise ContractViolation("field tables disagree with the structure constants")
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> str:
@@ -320,7 +337,7 @@ def _find_root(f_over_fp: modp.Poly, F: ExplicitField, rng: random.Random) -> in
     # Cantor-Zassenhaus equal-degree splitting, odd characteristic
     x = [0, F.one]
     xq = _fp_powmod(F, x, F.order, f)
-    f = _fp_gcd(F, [F.sub(a, b) for a, b in _zip_pad(xq, x, F)], f)
+    f = _fp_gcd(F, [F.sub(a, b) for a, b in zip_longest(xq, x, fillvalue=0)], f)
     if len(f) < 2:
         raise ContractViolation("polynomial has no root in target field")
     while len(f) > 2:
@@ -331,13 +348,6 @@ def _find_root(f_over_fp: modp.Poly, F: ExplicitField, rng: random.Random) -> in
         if 1 < len(g) < len(f):
             f = g
     return F.neg(F.mul(f[0], F.inv(f[1])))
-
-
-def _zip_pad(a, b, F: ExplicitField):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return list(zip(a, b))
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Black box group axioms over the matrix backend, opaque and transparent."""
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from bbsl2 import oracle
-from bbsl2.blackbox import DirectProductBox, SubgroupBox, element_order, global_exponent_gl
+from bbsl2.blackbox import DirectProductBox, ElementString, SubgroupBox, element_order, global_exponent_gl
 from bbsl2.backend import MatrixBackend, make_matrix_blackbox
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
@@ -143,3 +145,44 @@ def test_psl_canonicalization():
     m = oracle.h_mat(be.field, 2)
     neg = tuple(tuple(be.field.neg(x) for x in row) for row in m)
     assert box.compare(be.encode(m), be.encode(neg))
+
+
+def _codec_digest() -> str:
+    """sha256 over the strings and decoded matrices of a fixed sequence of box ops."""
+    h = hashlib.sha256()
+    # entry widths 1 (q = 13, 81) and 2 (q = 729, 2^10); SL and PSL; both codecs
+    for (p, k), cq, opaque in itertools.product(
+        [(13, 1), (3, 4), (3, 6), (2, 10)], (False, True), (True, False)
+    ):
+        box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=p**k + cq)
+        rng = random.Random(p * k)
+        xs = list(box.generators)
+        for _ in range(16):
+            x = box.mul(rng.choice(xs), rng.choice(xs))
+            xs.append(box.inv(x) if rng.random() < 0.25 else x)
+        for x in xs:
+            h.update(x.data)
+            h.update(repr(box.backend.decode(x)).encode())
+    return h.hexdigest()
+
+
+def test_codec_strings_pinned():
+    assert _codec_digest() == "383af1be8c0ab71e2ab524d0c1b73e2f38b7fabe2df9f4d7c26d3f257eb5f6d9"
+
+
+def test_decode_rejects_malformed_strings():
+    for opaque in (True, False):
+        box = make_matrix_blackbox(13, 1, opaque=opaque, seed=3)
+        with pytest.raises(InputError):
+            box.backend.decode(ElementString(box.generators[0].data + b"\0"))
+        with pytest.raises(InputError):
+            box.backend.decode(ElementString(box.generators[0].data[:-1]))
+    # transparent strings are the entries themselves: one entry >= q
+    be13 = make_matrix_blackbox(13, 1, opaque=False, seed=3).backend
+    with pytest.raises(InputError):
+        be13.decode(ElementString(bytes([1, 13, 0, 1])))
+    be1024 = make_matrix_blackbox(2, 10, opaque=False, seed=3).backend
+    entries = lambda *xs: ElementString(b"".join(x.to_bytes(2, "big") for x in xs))
+    assert be1024.decode(entries(1, 0, 0, 1)) == ((1, 0), (0, 1))
+    with pytest.raises(InputError):
+        be1024.decode(entries(1, 0, 0, 1024))

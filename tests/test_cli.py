@@ -185,13 +185,14 @@ def test_monte_carlo_failure_exit_2_names_stage(tmp_path, schema):
 
 
 def test_contract_violation_exit_3(tmp_path, schema):
-    # structure constants with zero divisors: not a field
-    bad = {"p": 3, "k": 2, "c": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    rep = _run(tmp_path, ["field-report", "--input", str(path)], expect=3)
-    jsonschema.validate(rep, schema)
-    assert rep["verification"]["ok"] is False
+    # structure constants with zero divisors: not a field; the second,
+    # F_3[x]/(x^2 - 1) = F_3 x F_3, has a unity and satisfies every ring axiom
+    for c in ([[[0, 0], [0, 0]], [[0, 0], [0, 1]]], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 3, "k": 2, "c": c}))
+        rep = _run(tmp_path, ["field-report", "--input", str(path)], expect=3)
+        jsonschema.validate(rep, schema)
+        assert rep["verification"]["ok"] is False
 
 
 def test_console_script_entry_point(tmp_path):

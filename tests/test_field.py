@@ -82,7 +82,7 @@ def test_trace_values(F):
 
 def test_primitive_element_order(F):
     g = F.primitive_element()
-    assert F.multiplicative_order(g) == F.order - 1 or F.order == 2
+    assert len({F.pow(g, i) for i in range(F.order - 1)}) == F.order - 1
 
 
 def test_minimal_polynomial_of_power_basis_generator(F):
@@ -160,3 +160,73 @@ def test_inverse_map_roundtrip():
     iso = explicit_isomorphism(F, G, random.Random(3))
     for a in F.elements():
         assert iso.inverse_map(iso(a)) == a
+
+
+# composite orders up to 2^8 in characteristics 2, 3, 5, 7 and 13: the table path
+_KERNEL_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (3, 4), (13, 2), (2, 8)]
+
+
+def _digitwise_add(F: ExplicitField, a: int, b: int) -> int:
+    return F.element(x + y for x, y in zip(F.coords(a), F.coords(b)))
+
+
+def _digitwise_neg(F: ExplicitField, a: int) -> int:
+    return F.element(-x for x in F.coords(a))
+
+
+def _check_kernel(F: ExplicitField) -> None:
+    """Every product, sum, negation and inverse against the reference definitions."""
+    one = F.one
+    for a in F.elements():
+        for b in F.elements():
+            assert F.mul(a, b) == F._mul_raw(a, b)
+            assert F.add(a, b) == _digitwise_add(F, a, b)
+            assert F.sub(a, b) == _digitwise_add(F, a, _digitwise_neg(F, b))
+        assert F.neg(a) == _digitwise_neg(F, a)
+        if a:
+            assert F.mul(F.inv(a), a) == one
+
+
+@pytest.mark.parametrize("size", _KERNEL_SIZES, ids=lambda s: f"q={s[0]**s[1]}")
+def test_kernel_matches_reference(size):
+    F = ExplicitField.polynomial_field(*size)
+    _check_kernel(F)
+    _check_kernel(_scrambled(F, seed=size[0] * 100 + size[1]))
+
+
+@pytest.mark.parametrize("p, c", [(13, 5), (13, 1), (7, 3), (2, 1), (29, 17)])
+def test_prime_kernel_matches_reference(p, c):
+    # basis_0^2 = c * basis_0, so unity is 1/c and a * b = a b c
+    F = ExplicitField(p, 1, (((c,),),))
+    assert F._mul_raw(F.one, F.one) == F.one
+    _check_kernel(F)
+    F.validate(random.Random(p))
+
+
+# primitive_element() of the standard presentations; it fixes the torus
+# generator of every standard box, so these values must never move
+_PRIMITIVE = {
+    (2, 1): 1, (2, 2): 2, (2, 3): 2, (2, 4): 2, (2, 5): 2, (2, 6): 2, (2, 7): 2,
+    (2, 8): 3, (2, 9): 7, (2, 10): 2, (3, 1): 2, (3, 2): 4, (3, 3): 3, (3, 4): 3,
+    (3, 5): 3, (3, 6): 3, (5, 1): 2, (5, 2): 6, (5, 3): 9, (5, 4): 6, (7, 1): 3,
+    (7, 2): 9, (7, 3): 22, (11, 1): 2, (11, 2): 15, (13, 1): 2, (13, 2): 15,
+    (17, 1): 3, (19, 1): 2, (23, 1): 5, (29, 1): 2, (31, 1): 3, (37, 1): 2,
+    (101, 1): 2, (197, 1): 2,
+}
+
+
+def test_primitive_elements_pinned():
+    got = {pk: ExplicitField.polynomial_field(*pk).primitive_element() for pk in _PRIMITIVE}
+    assert got == _PRIMITIVE
+
+
+def test_non_field_presentations_rejected_after_tables():
+    # F_3[x]/(x^2 - 1) = F_3 x F_3: unity, commutative, associative, zero divisors
+    split = ExplicitField(3, 2, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+    assert split.one == 1
+    with pytest.raises(ContractViolation):
+        split.mul(2, 2)
+    with pytest.raises(ContractViolation):
+        split.validate(random.Random(0), trials=256)
+    with pytest.raises(ContractViolation):
+        split.primitive_element()
