@@ -2,8 +2,9 @@
 """Measure what string encryption costs and check it changes no statistics.
 
 Runs the same seeded recognition per size on encrypted strings and on
-canonical ones, then reports the wall-time ratio and verifies
-stage-by-stage sample counts and verification results agree exactly.
+canonical ones, then reports the wall-time ratio and verifies that
+stage-by-stage sample counts, verification results and the base box's
+mul, inv and compare counts agree exactly.
 Each mode is timed after an untimed warm-up run, as the fastest of
 three runs, so one-off set-up is charged to neither side. Any
 disagreement means an algorithm peeked at string internals, which
@@ -36,18 +37,26 @@ def _timed_run(recognize, opaque: bool, cfg: BenchConfig):
     return res, best
 
 
+def _base_counts(res) -> tuple[int, int, int]:
+    """Muls, invs and compares of the recognized box itself."""
+    stats = res.morphism.box.stats
+    return stats["muls"], stats["invs"], stats["compares"]
+
+
 def _compare(label: str, recognize, cfg: BenchConfig) -> bool:
     res_o, t_o = _timed_run(recognize, True, cfg)
     res_t, t_t = _timed_run(recognize, False, cfg)
-    same_stats = res_o.verification == res_t.verification and [
-        s.samples_used for s in res_o.stages
-    ] == [s.samples_used for s in res_t.stages]
-    muls_o = res_o.field.box.stats["muls"] if hasattr(res_o.field, "box") else 0
+    counts = _base_counts(res_o)
+    same_stats = (
+        res_o.verification == res_t.verification
+        and [s.samples_used for s in res_o.stages] == [s.samples_used for s in res_t.stages]
+        and counts == _base_counts(res_t)
+    )
     ratio = t_o / t_t if t_t > 0 else float("inf")
     print(
         f"{label:>12}: opaque {t_o:6.2f}s, transparent {t_t:6.2f}s,"
-        f" overhead x{ratio:4.2f}, stats {'identical' if same_stats else 'DIFFER'}"
-        + (f", {muls_o} muls" if muls_o else "")
+        f" overhead x{ratio:4.2f}, stats {'identical' if same_stats else 'DIFFER'},"
+        " base box {} muls, {} invs, {} compares".format(*counts)
     )
     return same_stats
 

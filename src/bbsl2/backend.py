@@ -11,6 +11,10 @@ nothing about the matrix leaks without the key.
 The nonce stream is drawn from a dedicated RNG owned by the backend, not
 from the caller's algorithm RNG: an algorithm run consumes exactly the
 same randomness against the opaque box as against the transparent one.
+
+Nearly every string a box is handed was made by its own backend shortly
+before, so an opaque backend remembers the matrices of its recent
+strings and decrypts only strings it has not seen lately.
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 _NONCE_BYTES = 8
 _ROUNDS = 4
+# strings per generation of the decode memo; a backend holds at most twice this
+_MEMO_SIZE = 64
 
 
 def mat_mul(F: ExplicitField, a: Matrix, b: Matrix) -> Matrix:
@@ -86,12 +92,16 @@ class MatrixBackend:
         key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
         # round r masks one half with the keyed hash of r and the other half;
         # each round's state has absorbed the key and r already
-        half = self.string_bytes // 2
-        self._rounds = [
+        self._half = half = self.string_bytes // 2
+        self._rounds = tuple(
             blake2b(bytes([r]), key=key, digest_size=self.string_bytes - half if r % 2 else half)
             for r in range(_ROUNDS)
-        ]
+        )
         self._nonce_rng = random.Random(f"opacity-nonce:{seed}")
+        # decode memo, ciphertext -> canonical matrix, in two generations:
+        # when _recent fills up it becomes _older and the old _older is dropped
+        self._recent: dict[bytes, Matrix] = {}
+        self._older: dict[bytes, Matrix] = {}
 
     # -- canonical form ---------------------------------------------------
     def canonical_matrix(self, m: Matrix) -> Matrix:
@@ -99,13 +109,14 @@ class MatrixBackend:
             return min(m, mat_neg(self.field, m))
         return m
 
-    def canonical_bytes(self, m: Matrix) -> bytes:
+    def _pack(self, m: Matrix) -> bytes:
         """The four entries, row by row, as fixed-width big-endian integers."""
-        (a, b), (c, d) = self.canonical_matrix(m)
+        (a, b), (c, d) = m
         s = 8 * self.width
         return (((a << s | b) << s | c) << s | d).to_bytes(self._plain_bytes, "big")
 
     def _parse(self, blob: bytes) -> Matrix:
+        """The canonical matrix whose entries lead ``blob``."""
         s = 8 * self.width
         x = int.from_bytes(blob[: self._plain_bytes], "big")
         mask = (1 << s) - 1
@@ -113,37 +124,65 @@ class MatrixBackend:
         q = self.field.order
         if a >= q or b >= q or c >= q or d >= q:
             raise InputError("string does not decode to field entries")
-        return ((a, b), (c, d))
+        return self.canonical_matrix(((a, b), (c, d)))
 
     # -- the keyed permutation --------------------------------------------
     def _feistel(self, block: bytes, decrypt: bool) -> bytes:
-        a = len(block) // 2
-        left, right = block[:a], block[a:]
-        for r in range(_ROUNDS - 1, -1, -1) if decrypt else range(_ROUNDS):
-            h = self._rounds[r].copy()
-            if r % 2 == 0:
-                h.update(right)
-                x = int.from_bytes(left, "big") ^ int.from_bytes(h.digest(), "big")
-                left = x.to_bytes(a, "big")
-            else:
-                h.update(left)
-                x = int.from_bytes(right, "big") ^ int.from_bytes(h.digest(), "big")
-                right = x.to_bytes(len(block) - a, "big")
-        return left + right
+        # rounds 0..3 mask left, right, left, right in turn; decryption runs
+        # them backwards, which is the same four steps with the halves swapped
+        a = self._half
+        if decrypt:
+            s0, s1, s2, s3 = self._rounds[::-1]
+            x, y = block[a:], block[:a]
+        else:
+            s0, s1, s2, s3 = self._rounds
+            x, y = block[:a], block[a:]
+        nx, ny = len(x), len(y)
+        h = s0.copy()
+        h.update(y)
+        x = (int.from_bytes(x, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
+        h = s1.copy()
+        h.update(x)
+        y = (int.from_bytes(y, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
+        h = s2.copy()
+        h.update(y)
+        x = (int.from_bytes(x, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
+        h = s3.copy()
+        h.update(x)
+        y = (int.from_bytes(y, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
+        return y + x if decrypt else x + y
 
     # -- string codec -------------------------------------------------------
+    def _remember(self, data: bytes, m: Matrix) -> None:
+        recent = self._recent
+        recent[data] = m
+        if len(recent) >= _MEMO_SIZE:
+            self._older, self._recent = recent, {}
+
     def encode(self, m: Matrix) -> ElementString:
-        blob = self.canonical_bytes(m)
+        m = self.canonical_matrix(m)
+        blob = self._pack(m)
         if not self.opaque:
             return ElementString(blob)
         nonce = self._nonce_rng.getrandbits(8 * _NONCE_BYTES).to_bytes(_NONCE_BYTES, "big")
-        return ElementString(self._feistel(blob + nonce, decrypt=False))
+        data = self._feistel(blob + nonce, decrypt=False)
+        self._remember(data, m)
+        return ElementString(data)
 
     def decode(self, s: ElementString) -> Matrix:
+        """The canonical matrix of ``s``."""
         data = s.data
         if len(data) != self.string_bytes:
             raise InputError("string has the wrong length for this box")
-        return self._parse(self._feistel(data, decrypt=True) if self.opaque else data)
+        if not self.opaque:
+            return self._parse(data)
+        m = self._recent.get(data)
+        if m is None:
+            m = self._older.get(data)
+            if m is None:
+                m = self._parse(self._feistel(data, decrypt=True))
+            self._remember(data, m)
+        return m
 
     # -- matrices of the standard frame -------------------------------------
     def standard_generators(self) -> list[Matrix]:
@@ -200,7 +239,7 @@ class MatrixBlackBox(BlackBoxGroup):
 
     def _compare(self, a, b):
         be = self.backend
-        return be.canonical_matrix(be.decode(a)) == be.canonical_matrix(be.decode(b))
+        return be.decode(a) == be.decode(b)
 
 
 def make_matrix_blackbox(

@@ -270,10 +270,18 @@ def _mode_selftest(args, params: dict) -> dict:
     box5 = make_matrix_blackbox(5, 1, opaque=args.opaque, seed=args.seed)
     be = box5.backend
     ok = True
+    decoded = []
     for _ in range(50):
         x, y = box5.sample(rng), box5.sample(rng)
-        ok = ok and be.decode(box5.mul(x, y)) == mat_mul(be.field, be.decode(x), be.decode(y))
+        xy = box5.mul(x, y)
+        mx, my, mxy = be.decode(x), be.decode(y), be.decode(xy)
+        ok = ok and mxy == mat_mul(be.field, mx, my)
+        decoded += [(x, mx), (y, my), (xy, mxy)]
     checks["backend_multiplication_matches_matrices"] = ok
+    # the decodes above may come from the backend's memo of its own strings;
+    # a backend with the same seed and an empty memo decrypts each one afresh
+    fresh = MatrixBackend(be.field, opaque=args.opaque, seed=args.seed)
+    checks["codec_round_trip"] = all(fresh.decode(s) == m for s, m in decoded)
 
     f5 = be.field
     checks["sl2_5_closure_order_120"] = (

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from bbsl2 import oracle
+from bbsl2 import backend, oracle
 from bbsl2.blackbox import DirectProductBox, ElementString, SubgroupBox, element_order, global_exponent_gl
-from bbsl2.backend import MatrixBackend, make_matrix_blackbox
+from bbsl2.backend import MatrixBackend, make_matrix_blackbox, mat_neg
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
 
@@ -186,3 +186,85 @@ def test_decode_rejects_malformed_strings():
     assert be1024.decode(entries(1, 0, 0, 1)) == ((1, 0), (0, 1))
     with pytest.raises(InputError):
         be1024.decode(entries(1, 0, 0, 1024))
+
+
+# entry widths 1 (q = 13, 81) and 2 (q = 729, 2^10), SL and PSL
+_MEMO_CASES = list(itertools.product([(13, 1), (3, 4), (3, 6), (2, 10)], (False, True)))
+
+
+def _random_ops(box, rng, n):
+    """The strings of ``n`` muls and invs of earlier results, from the generators on."""
+    xs = list(box.generators)
+    for _ in range(n):
+        x = box.inv(rng.choice(xs)) if rng.random() < 0.25 else box.mul(rng.choice(xs), rng.choice(xs))
+        xs.append(x)
+        yield x
+
+
+@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
+def test_memo_agrees_with_fresh_decrypt(pk, cq):
+    (p, k), seed = pk, 40 + cq
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=seed)
+    be = box.backend
+    # decoded right after it is made, each string is served by the memo
+    seen = [(x, be.decode(x)) for x in _random_ops(box, random.Random(p * k), 300)]
+    fresh = MatrixBackend(be.field, center_quotient=cq, opaque=True, seed=seed)
+    for x, m in seen:
+        assert fresh.decode(x) == m
+
+
+@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
+def test_memo_stays_bounded(pk, cq):
+    p, k = pk
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=7)
+    be = box.backend
+    for _ in _random_ops(box, random.Random(k), 10_000):
+        pass
+    assert len(be._recent) + len(be._older) <= 2 * backend._MEMO_SIZE
+
+
+def test_decode_checks_length_before_memo():
+    box = make_matrix_blackbox(13, 1, opaque=True, seed=3)
+    be = box.backend
+    short = box.generators[0].data[:-1]
+    be._recent[short] = be._older[short] = ((1, 0), (0, 1))
+    with pytest.raises(InputError):
+        be.decode(ElementString(short))
+
+
+@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
+def test_flipped_bit_decodes_as_the_cipher_says(pk, cq):
+    p, k = pk
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=5)
+    be = box.backend
+    for x in itertools.islice(_random_ops(box, random.Random(1), 20), 15, None):
+        for bit in range(8 * len(x.data)):
+            data = bytearray(x.data)
+            data[bit >> 3] ^= 1 << (bit & 7)
+            data = bytes(data)
+            try:
+                want = be._parse(be._feistel(data, decrypt=True))
+            except InputError:
+                with pytest.raises(InputError):
+                    be.decode(ElementString(data))
+            else:
+                assert be.decode(ElementString(data)) == want
+
+
+def test_psl_decode_is_canonical():
+    for opaque in (True, False):
+        box = make_matrix_blackbox(13, 1, center_quotient=True, opaque=opaque, seed=2)
+        be = box.backend
+        m = oracle.h_mat(be.field, 2)
+        pair = (m, mat_neg(be.field, m))
+        canon = min(pair)
+        for mat in pair:
+            s = be.encode(mat)
+            assert be.decode(s) == canon  # a memo hit when opaque
+            fresh = MatrixBackend(be.field, center_quotient=True, opaque=opaque, seed=2)
+            assert fresh.decode(s) == canon  # a memo miss when opaque
+            # a string whose plain bytes are not the canonical entries
+            raw = be._pack(mat)
+            if opaque:
+                raw = be._feistel(raw + bytes(backend._NONCE_BYTES), decrypt=False)
+            assert fresh.decode(ElementString(raw)) == canon

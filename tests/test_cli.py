@@ -71,9 +71,11 @@ def test_field_report_q9_has_eight_structure_entries(tmp_path, schema):
 
 
 def test_selftest_mode(tmp_path, schema):
-    rep = _run(tmp_path, ["selftest", "--seed", "0"])
-    jsonschema.validate(rep, schema)
-    assert all(rep["verification"].values())
+    for codec in ("--opaque", "--transparent"):
+        rep = _run(tmp_path, ["selftest", "--seed", "0", codec])
+        jsonschema.validate(rep, schema)
+        assert all(rep["verification"].values())
+        assert rep["verification"]["codec_round_trip"] is True
 
 
 def test_determinism_same_seed_bitwise(tmp_path):
