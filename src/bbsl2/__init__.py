@@ -17,7 +17,7 @@ from .blackbox import (
 )
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, FieldIsomorphism, explicit_isomorphism
-from .frobenius import FrobeniusMap, ShiftedBlackBox, build_shift_blackbox, frobenius_on_sl2
+from .frobenius import FrobeniusMap, frobenius_on_sl2
 from .involutions import bray_centralizer, bray_element, to_involution
 from .sl2char2 import Char2Field, recover_char2
 from .sl2odd import StandardFrame, SteinbergMorphism, find_standard_generators, recover_psl2
@@ -38,7 +38,6 @@ __all__ = [
     "MatrixBlackBox",
     "MonteCarloFailure",
     "RecognitionResult",
-    "ShiftedBlackBox",
     "StageInfo",
     "StageRecorder",
     "StandardFrame",
@@ -47,7 +46,6 @@ __all__ = [
     "bray_centralizer",
     "bray_element",
     "build_field_on_U",
-    "build_shift_blackbox",
     "element_order",
     "explicit_isomorphism",
     "find_standard_generators",

@@ -6,7 +6,8 @@ Multiplication is transported by conjugation with a fixed square root
 of a torus element, and a Frobenius map turns the field trace into a
 computable functional. Reading traces of basis products yields the Gram
 matrix of the trace form, and with it coordinates, structure constants,
-and inverses, all by small linear algebra over F_p.
+and inverses, all by small linear algebra over F_p. ``trace_form`` and
+``check_structure`` serve the characteristic-2 field of ``sl2char2`` too.
 
 Elements of the recovered field are strings of the ambient box; all
 equality goes through the box.
@@ -46,6 +47,50 @@ def ppd_prime(p: int, n: int) -> int | None:
     return best
 
 
+def trace_form(T, p: int, k: int):
+    """The trace form in the basis gamma^1..gamma^k of F_(p^k), from power traces.
+
+    T[m] = Tr(gamma^m) for m = 1..3k (T[0] is unused). The Gram matrix
+    is G[i][j] = T[i+j]; the coordinates of an element x are
+    (Tr(x gamma^j))_j G^-1, so those of gamma^(i+j) are the structure
+    constants (T[i+j+l])_l G^-1. Returns (det G, G^-1, structure), the
+    last two None when G is singular, that is when gamma generates a
+    proper subfield.
+    """
+    gram = tuple(tuple(T[i + j] for j in range(1, k + 1)) for i in range(1, k + 1))
+    det = modp.mat_det(gram, p)
+    if det == 0:
+        return det, None, None
+    ginv = modp.mat_inv(gram, p)
+    structure = tuple(
+        tuple(
+            modp.vec_mat(tuple(T[i + j + l] for l in range(1, k + 1)), ginv, p)
+            for j in range(1, k + 1)
+        )
+        for i in range(1, k + 1)
+    )
+    return det, ginv, structure
+
+
+def combine(box: BlackBoxGroup, s, coords, p: int) -> ElementString:
+    """The box element sum_l coords[l-1] * gamma^l, with gamma^l carried by s[l]."""
+    out = box.identity
+    for l, a in enumerate(coords, start=1):
+        if a % p:
+            out = box.mul(out, box.power(s[l], a % p))
+    return out
+
+
+def check_structure(box: BlackBoxGroup, s, structure, p: int) -> None:
+    """Cross-check every row against the box: gamma^i * gamma^j is s[i+j]."""
+    for i, plane in enumerate(structure, start=1):
+        for j, row in enumerate(plane, start=1):
+            if not box.compare(s[i + j], combine(box, s, row, p)):
+                raise ContractViolation(
+                    "structure constants disagree with the box on a basis product"
+                )
+
+
 class BlackBoxField:
     """F_(p^k) whose elements are strings of the ambient box."""
 
@@ -83,39 +128,15 @@ class BlackBoxField:
         self._cpow = cpow
         self._s = [unity] + [box.conj(unity, cpow[i]) for i in range(1, 3 * k + 1)]
 
-        # power traces T_m = read(trace(s_m)); the Gram matrix of the
-        # trace form in the s-basis is A[i][j] = T_(i+j)
+        # power traces T_m = read(trace(s_m)), m = 1..3k
         self._T = [None] + [self._read(self.trace(self._s[m])) for m in range(1, 3 * k + 1)]
-        gram = tuple(
-            tuple(self._T[i + j] for j in range(1, k + 1)) for i in range(1, k + 1)
-        )
-        self.gram = gram
-        self.gram_det = modp.mat_det(gram, p)
+        self.gram_det, self._gram_inv, self.structure = trace_form(self._T, p, k)
         if self.gram_det == 0:
             raise ContractViolation("degenerate trace form: basis does not span the field")
-        self._gram_inv = modp.mat_inv(gram, p)
-
         self.unity_coords = modp.vec_mat(
             tuple(self._T[j] for j in range(1, k + 1)), self._gram_inv, p
         )
-
-        # structure constants, each row cross-checked against the box
-        structure = []
-        for i in range(1, k + 1):
-            plane = []
-            for j in range(1, k + 1):
-                row = modp.vec_mat(
-                    tuple(self._T[i + j + l] for l in range(1, k + 1)),
-                    self._gram_inv,
-                    p,
-                )
-                if not box.compare(self._s[i + j], self.from_coords(row)):
-                    raise ContractViolation(
-                        "structure constants disagree with the box on a basis product"
-                    )
-                plane.append(row)
-            structure.append(tuple(plane))
-        self.structure = tuple(structure)
+        check_structure(box, self._s, self.structure, p)
         self._lift_cache: dict[int, ElementString] = {}
 
     # -- additive layer ---------------------------------------------------
@@ -131,12 +152,6 @@ class BlackBoxField:
 
     def add(self, x: ElementString, y: ElementString) -> ElementString:
         return self.box.mul(x, y)
-
-    def neg(self, x: ElementString) -> ElementString:
-        return self.box.inv(x)
-
-    def sub(self, x: ElementString, y: ElementString) -> ElementString:
-        return self.box.mul(x, self.box.inv(y))
 
     # -- reading ------------------------------------------------------------
     def trace(self, x: ElementString) -> ElementString:
@@ -160,11 +175,7 @@ class BlackBoxField:
         return modp.vec_mat(beta, self._gram_inv, self.p)
 
     def from_coords(self, coords) -> ElementString:
-        out = self.box.identity
-        for l, a in enumerate(coords, start=1):
-            if a % self.p:
-                out = self.box.mul(out, self.box.power(self._s[l], a % self.p))
-        return out
+        return combine(self.box, self._s, coords, self.p)
 
     # -- multiplicative layer -----------------------------------------------
     def mul(self, x: ElementString, y: ElementString) -> ElementString:
@@ -191,33 +202,15 @@ class BlackBoxField:
     def one(self) -> ElementString:
         return self.unity
 
-    def pow(self, x: ElementString, e: int) -> ElementString:
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        out = self.one
-        while e:
-            if e & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return out
-
     # -- explicit coordinates -------------------------------------------------
     def read_int(self, x: ElementString) -> int:
-        a = 0
-        for d in reversed(self.coords(x)):
-            a = a * self.p + d
-        return a
+        return sum(d * self.p**i for i, d in enumerate(self.coords(x)))
 
     def lift_int(self, n: int) -> ElementString:
         hit = self._lift_cache.get(n)
         if hit is not None:
             return hit
-        m, digits = n, []
-        for _ in range(self.k):
-            digits.append(m % self.p)
-            m //= self.p
-        out = self.from_coords(digits)
+        out = self.from_coords([n // self.p**i % self.p for i in range(self.k)])
         self._lift_cache[n] = out
         return out
 

@@ -18,26 +18,27 @@ from .errors import ContractViolation, InputError
 
 
 @dataclass
-class ShiftedBlackBox:
-    """A subgroup of X^k that the coordinate rotation maps to itself.
+class FrobeniusMap:
+    """The shifted copy of <u, h, n> with the rotation acting as Frobenius.
 
-    Rotation works on raw strings because the direct product
-    concatenates component strings; no re-encoding is involved, so the
-    operation stays legal on opaque boxes.
+    ``box`` is the subgroup of ``product`` = X^k generated by u_bar,
+    h_bar and n_bar. Rotation works on raw strings because the direct
+    product concatenates component strings; no re-encoding is involved,
+    so the operation stays legal on opaque boxes.
     """
 
     product: DirectProductBox
     box: SubgroupBox
     k: int
-    bar_gens: list[ElementString]
+    p: int
+    u_bar: ElementString
+    h_bar: ElementString
+    n_bar: ElementString
 
     def rotate(self, y: ElementString, j: int = 1) -> ElementString:
         parts = self.product.split(y)
         j %= self.k
         return self.product.join(parts[j:] + parts[:j])
-
-    def shift(self, y: ElementString) -> ElementString:
-        return self.rotate(y, 1)
 
     def __call__(self, y: ElementString) -> ElementString:
         return self.rotate(y, 1)
@@ -45,44 +46,6 @@ class ShiftedBlackBox:
     def project(self, y: ElementString) -> ElementString:
         """Coordinate-0 projection back into the base group."""
         return self.product.split(y)[0]
-
-    def lift_constant(self, x: ElementString) -> ElementString:
-        return self.product.join((x,) * self.k)
-
-
-def build_shift_blackbox(
-    box: BlackBoxGroup,
-    coordinate_lists: list[list[ElementString]],
-    rng: random.Random,
-    burn_in: int = 100,
-) -> ShiftedBlackBox:
-    """The subgroup of X^k generated by tuples read across coordinate lists.
-
-    coordinate_lists holds k lists of m strings each; generator j of the
-    result is the k-tuple of the j-th entries. Whether the rotation
-    restricts to an automorphism depends on the caller's choice of
-    lists; frobenius_on_sl2 below makes the canonical choice.
-    """
-    k = len(coordinate_lists)
-    if k < 1:
-        raise InputError("need at least one coordinate list")
-    m = len(coordinate_lists[0])
-    if any(len(lst) != m for lst in coordinate_lists) or m == 0:
-        raise InputError("coordinate lists must share one nonzero length")
-    product = DirectProductBox([box] * k)
-    bar_gens = [product.join([coordinate_lists[i][j] for i in range(k)]) for j in range(m)]
-    y = SubgroupBox(product, bar_gens, rng, burn_in=burn_in)
-    return ShiftedBlackBox(product=product, box=y, k=k, bar_gens=bar_gens)
-
-
-@dataclass
-class FrobeniusMap(ShiftedBlackBox):
-    """The shifted copy of <u, h, n> with the rotation acting as Frobenius."""
-
-    p: int
-    u_bar: ElementString
-    h_bar: ElementString
-    n_bar: ElementString
 
 
 def frobenius_on_sl2(
@@ -109,21 +72,12 @@ def frobenius_on_sl2(
         raise InputError("h does not normalize the unipotent subgroup through u")
     if not box.compare(box.conj(h, n), box.inv(h)):
         raise InputError("n does not invert h")
-    shifted = build_shift_blackbox(
-        box, [[u, box.power(h, p**i), n] for i in range(k)], rng
-    )
-    product = shifted.product
-    u_bar, h_bar, n_bar = shifted.bar_gens
-    fro = FrobeniusMap(
-        product=product,
-        box=shifted.box,
-        k=k,
-        bar_gens=shifted.bar_gens,
-        p=p,
-        u_bar=u_bar,
-        h_bar=h_bar,
-        n_bar=n_bar,
-    )
+    product = DirectProductBox([box] * k)
+    u_bar = product.join((u,) * k)
+    h_bar = product.join([box.power(h, p**i) for i in range(k)])
+    n_bar = product.join((n,) * k)
+    y = SubgroupBox(product, [u_bar, h_bar, n_bar], rng)
+    fro = FrobeniusMap(product=product, box=y, k=k, p=p, u_bar=u_bar, h_bar=h_bar, n_bar=n_bar)
     if validate:
         if not product.compare(fro(u_bar), u_bar):
             raise ContractViolation("rotation moved the constant unipotent tuple")

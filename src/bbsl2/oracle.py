@@ -84,10 +84,6 @@ def unipotent_upper_set(F: ExplicitField):
     return {u_mat(F, t) for t in F.elements()}
 
 
-def unipotent_lower_set(F: ExplicitField):
-    return {v_mat(F, t) for t in F.elements()}
-
-
 def random_sl2(F: ExplicitField, rng: random.Random) -> Matrix:
     """Uniform over SL2: uniform nonzero top row, uniform fiber below."""
     while True:

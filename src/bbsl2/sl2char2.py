@@ -2,9 +2,8 @@
 
 Characteristic 2 turns the odd-characteristic difficulty order on its
 head. Involutions ARE the nontrivial unipotent elements, so a single
-random involution r seeds the unipotent subgroup, and its centralizer
-equals that subgroup exactly, making the subgroup enumerable through
-involution-centralizer sampling at desk scale.
+random involution r seeds the unipotent subgroup U, and its
+centralizer equals U exactly, so one Bray step samples U.
 
 The Weyl element comes from a dihedral triangle: r times the standard
 Weyl element has order 3 in SL2(2^n), and conversely every involution
@@ -20,16 +19,26 @@ Witnesses compose under multiplication. Addition multiplies markers and
 re-derives a witness deterministically: marker times the opposite
 unipotent always has odd order, so a two-step bridge of square roots
 (obtained by powering, no search) conjugates r onto any nonzero marker.
+
+Coordinates are read through the trace form, as in odd characteristic
+(``bbfield.trace_form``). The Frobenius is squaring, so the element
+with witness w has trace prod_(i<n) r^(w^(2^i)), which is the identity
+or r. The basis is r^(c^m), m = 1..n, for the witness c of a random
+element of U; its Gram determinant is zero only when c's scalar lies in
+a proper subfield, and then c is redrawn. Nothing is linear in q except
+the involution search.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
+from . import modp
+from .bbfield import check_structure, combine, trace_form
 from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
-from .involutions import bray_centralizer, find_order3_inverted, is_involution
+from .involutions import bray_centralizer, bray_element, find_order3_inverted, is_involution
 from .sl2odd import finish_recognition
 from .stages import RecognitionResult, StageRecorder
 
@@ -87,9 +96,8 @@ def enumerate_unipotent(
 ) -> tuple[list[ElementString], list[ElementString]]:
     """All 2^n elements of the unipotent subgroup through r, plus a basis.
 
-    The returned list is ordered so that elements[i] is the product of
-    the basis elements at the set bits of i; the list index therefore
-    doubles as the coordinate vector of the element over the basis.
+    The tests' brute-force oracle, linear in q: elements[i] is the
+    product of the basis elements at the set bits of i.
     """
     size = 1 << n
     if candidate_budget is None:
@@ -115,11 +123,9 @@ def enumerate_unipotent(
     return elements, basis
 
 
-def _index_of(box: BlackBoxGroup, elements: list[ElementString], x: ElementString) -> int:
-    for i, e in enumerate(elements):
-        if box.compare(x, e):
-            return i
-    raise ContractViolation("element does not lie in the enumerated unipotent subgroup")
+# draws of the conjugator before giving up; a draw fails when its scalar
+# lies in a proper subfield, about half the time at n = 2 and less above
+_CONJUGATOR_BUDGET = 40
 
 
 class Char2Field:
@@ -130,29 +136,39 @@ class Char2Field:
     look only at markers; multiplication composes witnesses. Any valid
     witness works: witnesses for the same marker differ by a centralizer
     element of r, which lies in U and acts trivially there.
+
+    Coordinates come from the trace form, as in ``BlackBoxField``, over
+    the basis s_m = r^(c^m), m = 1..n, of a conjugator c drawn from U.
     """
 
-    def __init__(
-        self,
-        box: BlackBoxGroup,
-        frame: Char2Frame,
-        elements: list[ElementString],
-        basis: list[ElementString],
-        n: int,
-    ):
+    def __init__(self, box: BlackBoxGroup, frame: Char2Frame, n: int, rng: random.Random):
         self.box = box
         self.r = frame.r
         self.v1 = frame.v1
         self.p = 2
         self.k = n
-        self.elements = elements
-        self.basis = basis
         self._sqrt_exp = 1 << (2 * n - 1)
         self._bridge_tail = box.power(box.mul(frame.v1, frame.r), self._sqrt_exp)
         self.zero = (None, box.identity)
         self.one = (box.identity, frame.r)
-        self._explicit: ExplicitField | None = None
         self._lift_cache: dict[int, tuple] = {}
+        for _ in range(_CONJUGATOR_BUDGET):
+            z = bray_element(box, frame.r, box.sample(rng))
+            if box.is_identity(z):
+                continue
+            c = self._witness(z)
+            cpow = [box.identity]
+            for _ in range(3 * n):
+                cpow.append(box.mul(cpow[-1], c))
+            T = [None] + [self._trace(w) for w in cpow[1:]]
+            self.gram_det, self._gram_inv, self.structure = trace_form(T, 2, n)
+            if self.gram_det:
+                break
+        else:
+            raise MonteCarloFailure("trace-form basis", "no conjugator generated the field")
+        self._cpow = cpow
+        self._s = [frame.r] + [box.conj(frame.r, w) for w in cpow[1 : 2 * n + 1]]
+        check_structure(box, self._s, self.structure, 2)
 
     def _witness(self, marker: ElementString) -> ElementString:
         """A group element conjugating r onto the given nonzero marker.
@@ -169,6 +185,24 @@ class Char2Field:
             raise ContractViolation("witness bridge failed: even order where odd was promised")
         return t
 
+    def _trace(self, w: ElementString) -> int:
+        """The trace of the element with witness w, read as 0 or 1.
+
+        The Frobenius is squaring, and the element with witness w^(2^i)
+        has marker r^(w^(2^i)); the product of these n markers is the
+        trace, which is the identity or r.
+        """
+        box = self.box
+        acc = box.conj(self.r, w)
+        for _ in range(self.k - 1):
+            w = box.mul(w, w)
+            acc = box.mul(acc, box.conj(self.r, w))
+        if box.is_identity(acc):
+            return 0
+        if box.compare(acc, self.r):
+            return 1
+        raise ContractViolation("trace value is neither the identity nor r")
+
     def is_zero(self, a) -> bool:
         return self.box.is_identity(a[1])
 
@@ -180,12 +214,6 @@ class Char2Field:
         if self.box.is_identity(m):
             return self.zero
         return (self._witness(m), m)
-
-    def sub(self, a, b):
-        return self.add(a, b)
-
-    def neg(self, a):
-        return a
 
     def mul(self, a, b):
         if self.is_zero(a) or self.is_zero(b):
@@ -199,38 +227,29 @@ class Char2Field:
         return (t, self.box.conj(self.r, t))
 
     def read_int(self, a) -> int:
-        """Index of a's marker in the enumeration: its coordinate vector as bits."""
-        return _index_of(self.box, self.elements, a[1])
+        """Coordinates over s_1..s_n from the traces Tr(a * s_j), as bits."""
+        if self.is_zero(a):
+            return 0
+        beta = tuple(self._trace(self.box.mul(a[0], self._cpow[j])) for j in range(1, self.k + 1))
+        return sum(d << i for i, d in enumerate(modp.vec_mat(beta, self._gram_inv, 2)))
 
     def lift_int(self, j: int):
-        if not 0 <= j < len(self.elements):
+        if not 0 <= j < 1 << self.k:
             raise InputError(f"no field element with index {j}")
         if j == 0:
             return self.zero
         hit = self._lift_cache.get(j)
         if hit is None:
-            marker = self.elements[j]
+            marker = combine(self.box, self._s, [j >> i & 1 for i in range(self.k)], 2)
             hit = (self._witness(marker), marker)
             self._lift_cache[j] = hit
         return hit
 
     def random_element(self, rng: random.Random):
-        return self.lift_int(rng.randrange(len(self.elements)))
+        return self.lift_int(rng.randrange(1 << self.k))
 
     def to_explicit(self) -> ExplicitField:
-        """Structure constants over the enumeration basis, as an explicit field."""
-        if self._explicit is None:
-            n = self.k
-            pairs = [self.lift_int(1 << i) for i in range(n)]
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    idx = self.read_int(self.mul(pairs[i], pairs[j]))
-                    row.append(tuple((idx >> l) & 1 for l in range(n)))
-                rows.append(tuple(row))
-            self._explicit = ExplicitField(2, n, tuple(rows))
-        return self._explicit
+        return ExplicitField(2, self.k, self.structure)
 
 
 def recover_char2(
@@ -247,10 +266,8 @@ def recover_char2(
     with rec.stage("weyl"):
         theta = find_order3_inverted(box, r, rng)
         frame = dihedral_frame(box, r, theta)
-    with rec.stage("unipotent-enumeration"):
-        elements, basis = enumerate_unipotent(box, r, rng, n)
 
     with rec.stage("field"):
-        field = Char2Field(box, frame, elements, basis, n)
-    checks = {"carrier_size": len(elements), "is_center_quotient": False}
+        field = Char2Field(box, frame, n, rng)
+    checks = {"gram_det_nonzero": field.gram_det != 0, "is_center_quotient": False}
     return finish_recognition(box, rec, rng, field, frame, lambda a: a[1], trials, checks)

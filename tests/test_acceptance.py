@@ -164,11 +164,17 @@ def test_criterion_3_char2_recognition():
             axioms += good
         carrier_ok = True
         if n <= 4:
-            elems = f.elements
-            carrier_ok = len(elems) == 2**n and all(
-                not box.compare(elems[i], elems[j])
-                for i in range(len(elems))
-                for j in range(i + 1, len(elems))
+            # enumerate U through the lift: 2^n distinct markers, each read back
+            lifts = [f.lift_int(j) for j in range(2**n)]
+            markers = [m for _, m in lifts]
+            carrier_ok = (
+                all(f.read_int(a) == j for j, a in enumerate(lifts))
+                and all(box.commutes(m, f.r) and box.is_identity(box.mul(m, m)) for m in markers)
+                and all(
+                    not box.compare(markers[i], markers[j])
+                    for i in range(len(markers))
+                    for j in range(i + 1, len(markers))
+                )
             )
         details.append(f"n={n}: mult {checks['passes']}/200, axioms {axioms}/200")
         ok = ok and mult_ok and axioms == 200 and carrier_ok

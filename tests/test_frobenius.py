@@ -6,7 +6,7 @@ import pytest
 from bbsl2 import oracle
 from bbsl2.backend import make_matrix_blackbox
 from bbsl2.errors import InputError
-from bbsl2.frobenius import build_shift_blackbox, frobenius_on_sl2
+from bbsl2.frobenius import frobenius_on_sl2
 
 
 def _standard_frame(box):
@@ -60,7 +60,7 @@ def test_project_recovers_base_coordinates(fro9, rng):
 def test_lift_constant_is_fixed_by_shift(fro9, rng):
     box = fro9.product.components[0]
     x = box.sample(rng)
-    bar = fro9.lift_constant(x)
+    bar = fro9.product.join((x,) * fro9.k)
     assert fro9.product.compare(fro9(bar), bar)
     assert box.compare(fro9.project(bar), x)
 
@@ -84,15 +84,6 @@ def test_rejects_bad_standard_relations(rng):
         frobenius_on_sl2(box, u, h, u, 3, 2, random.Random(0))  # u does not invert h
     with pytest.raises(InputError):
         frobenius_on_sl2(box, u, h, n, 3, 0, random.Random(0))
-
-
-def test_build_shift_blackbox_rejects_ragged_lists(rng):
-    box = make_matrix_blackbox(3, 2, opaque=True, seed=12)
-    u, h, n = _standard_frame(box)
-    with pytest.raises(InputError):
-        build_shift_blackbox(box, [[u, h], [u]], rng)
-    with pytest.raises(InputError):
-        build_shift_blackbox(box, [], rng)
 
 
 def test_shifted_samples_have_matched_coordinates(fro9, rng):

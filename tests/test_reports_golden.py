@@ -3,7 +3,9 @@
 ``golden_reports.json`` holds the report of each case below with its
 ``elapsed_ms`` fields removed, as written by the CLI before frame
 finding and the recognition tail were shared between the pipelines.
-Every other field is a pure function of the seed, so a refactor that
+The ``recognize-char2-8`` entry was re-captured when characteristic 2
+began reading coordinates through the trace form, which changed its
+stages, basis and verification keys. Every other field is a pure function of the seed, so a refactor that
 keeps the oracle calls and the sampling order reproduces each report
 exactly: stage names, samples_used, verification, structure constants.
 """
