@@ -15,10 +15,16 @@ same randomness against the opaque box as against the transparent one.
 Nearly every string a box is handed was made by its own backend shortly
 before, so an opaque backend remembers the matrices of its recent
 strings and decrypts only strings it has not seen lately.
+
+The module functions ``mat_mul``, ``mat_neg`` and ``mat_inv2`` are the
+reference definitions over ``ExplicitField``. A backend multiplies,
+negates and inverts with kernels built once for its field's
+representation, which the tests check against those definitions.
 """
 from __future__ import annotations
 
 import random
+from functools import partial
 from hashlib import blake2b
 
 from .blackbox import BlackBoxGroup, ElementString, global_exponent_gl
@@ -68,8 +74,71 @@ def mat_neg(F: ExplicitField, m: Matrix) -> Matrix:
     return ((neg(a), neg(b)), (neg(c), neg(d)))
 
 
+def _mul_kernel(F: ExplicitField):
+    """``mat_mul`` over F, inlined for its representation (see field.py)."""
+    p = F.p
+    if F.k == 1:
+        c = F._c00
+
+        def mul(a: Matrix, b: Matrix) -> Matrix:
+            (a00, a01), (a10, a11) = a
+            (b00, b01), (b10, b11) = b
+            return (
+                ((a00 * b00 + a01 * b10) * c % p, (a00 * b01 + a01 * b11) * c % p),
+                ((a10 * b00 + a11 * b10) * c % p, (a10 * b01 + a11 * b11) * c % p),
+            )
+
+        return mul
+    log, exp, zech = F._tables
+    n = F.order - 1
+    # Z, the log of zero, exceeds every sum of two logs of nonzero elements,
+    # and a sum with Z in it lands in the zero tail of E
+    Z = 3 * n
+    L = [Z] + log[1:]
+    E = exp[:n] * 3 + [0] * (Z + 1)
+    if p == 2:
+
+        def mul(a: Matrix, b: Matrix) -> Matrix:
+            (a00, a01), (a10, a11) = a
+            (b00, b01), (b10, b11) = b
+            l00, l01, l10, l11 = L[a00], L[a01], L[a10], L[a11]
+            m00, m01, m10, m11 = L[b00], L[b01], L[b10], L[b11]
+            return (
+                (E[l00 + m00] ^ E[l01 + m10], E[l00 + m01] ^ E[l01 + m11]),
+                (E[l10 + m00] ^ E[l11 + m10], E[l10 + m01] ^ E[l11 + m11]),
+            )
+
+        return mul
+    # g^s + g^t = g^(s + zech(t - s)), or g^t when s is the log of zero;
+    # a zech of -1 (a zero sum) reads Z, and two periods of zech cover
+    # every difference of two sums of logs
+    zc = [Z if z < 0 else z for z in zech] * 2
+
+    def mul(a: Matrix, b: Matrix) -> Matrix:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        l00, l01, l10, l11 = L[a00], L[a01], L[a10], L[a11]
+        m00, m01, m10, m11 = L[b00], L[b01], L[b10], L[b11]
+        s, t = l00 + m00, l01 + m10
+        e00 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        s, t = l00 + m01, l01 + m11
+        e01 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        s, t = l10 + m00, l11 + m10
+        e10 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        s, t = l10 + m01, l11 + m11
+        e11 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        return ((e00, e01), (e10, e11))
+
+    return mul
+
+
 class MatrixBackend:
-    """Encoder/decoder between 2x2 matrices and black box strings."""
+    """Encoder/decoder between 2x2 matrices and black box strings.
+
+    ``mul``, ``neg`` and ``inv`` act on matrices: ``mat_mul``,
+    ``mat_neg`` and ``mat_inv2`` over the backend's field; on a special
+    group ``inv`` is the adjugate.
+    """
 
     def __init__(
         self,
@@ -87,14 +156,16 @@ class MatrixBackend:
         self.center_quotient = center_quotient
         self.opaque = opaque
         self.width = max(1, (field.order - 1).bit_length() + 7 >> 3)
+        self._shift = 8 * self.width
         self._plain_bytes = 4 * self.width
         self.string_bytes = self._plain_bytes + (_NONCE_BYTES if opaque else 0)
         key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
         # round r masks one half with the keyed hash of r and the other half;
         # each round's state has absorbed the key and r already
         self._half = half = self.string_bytes // 2
+        self._rest = rest = self.string_bytes - half
         self._rounds = tuple(
-            blake2b(bytes([r]), key=key, digest_size=self.string_bytes - half if r % 2 else half)
+            blake2b(bytes([r]), key=key, digest_size=rest if r % 2 else half)
             for r in range(_ROUNDS)
         )
         self._nonce_rng = random.Random(f"opacity-nonce:{seed}")
@@ -102,22 +173,28 @@ class MatrixBackend:
         # when _recent fills up it becomes _older and the old _older is dropped
         self._recent: dict[bytes, Matrix] = {}
         self._older: dict[bytes, Matrix] = {}
+        self._canonical = center_quotient and field.p != 2
+        self.mul = _mul_kernel(field)
+        N = [field.neg(x) for x in range(field.order)]
+
+        def neg(m: Matrix) -> Matrix:
+            (a, b), (c, d) = m
+            return ((N[a], N[b]), (N[c], N[d]))
+
+        def adjugate(m: Matrix) -> Matrix:
+            (a, b), (c, d) = m
+            return ((d, N[b]), (N[c], a))
+
+        self.neg = neg
+        self.inv = adjugate if special else partial(mat_inv2, field)
 
     # -- canonical form ---------------------------------------------------
     def canonical_matrix(self, m: Matrix) -> Matrix:
-        if self.center_quotient and self.field.p != 2:
-            return min(m, mat_neg(self.field, m))
-        return m
-
-    def _pack(self, m: Matrix) -> bytes:
-        """The four entries, row by row, as fixed-width big-endian integers."""
-        (a, b), (c, d) = m
-        s = 8 * self.width
-        return (((a << s | b) << s | c) << s | d).to_bytes(self._plain_bytes, "big")
+        return min(m, self.neg(m)) if self._canonical else m
 
     def _parse(self, blob: bytes) -> Matrix:
         """The canonical matrix whose entries lead ``blob``."""
-        s = 8 * self.width
+        s = self._shift
         x = int.from_bytes(blob[: self._plain_bytes], "big")
         mask = (1 << s) - 1
         a, b, c, d = x >> 3 * s, x >> 2 * s & mask, x >> s & mask, x & mask
@@ -126,47 +203,58 @@ class MatrixBackend:
             raise InputError("string does not decode to field entries")
         return self.canonical_matrix(((a, b), (c, d)))
 
-    # -- the keyed permutation --------------------------------------------
-    def _feistel(self, block: bytes, decrypt: bool) -> bytes:
-        # rounds 0..3 mask left, right, left, right in turn; decryption runs
-        # them backwards, which is the same four steps with the halves swapped
-        a = self._half
-        if decrypt:
-            s0, s1, s2, s3 = self._rounds[::-1]
-            x, y = block[a:], block[:a]
-        else:
-            s0, s1, s2, s3 = self._rounds
-            x, y = block[:a], block[a:]
-        nx, ny = len(x), len(y)
-        h = s0.copy()
-        h.update(y)
-        x = (int.from_bytes(x, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-        h = s1.copy()
+    def _decrypt(self, block: bytes) -> bytes:
+        # encryption masks left, right, left, right with rounds 0..3;
+        # decryption undoes them in the opposite order
+        nx, ny = self._half, self._rest
+        s0, s1, s2, s3 = self._rounds
+        x, y = block[:nx], block[nx:]
+        h = s3.copy()
         h.update(x)
         y = (int.from_bytes(y, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
         h = s2.copy()
         h.update(y)
         x = (int.from_bytes(x, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-        h = s3.copy()
+        h = s1.copy()
         h.update(x)
         y = (int.from_bytes(y, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
-        return y + x if decrypt else x + y
+        h = s0.copy()
+        h.update(y)
+        x = (int.from_bytes(x, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
+        return x + y
 
     # -- string codec -------------------------------------------------------
-    def _remember(self, data: bytes, m: Matrix) -> None:
+    def encode(self, m: Matrix) -> ElementString:
+        if self._canonical:
+            m = min(m, self.neg(m))
+        # the four entries, row by row, as fixed-width big-endian integers
+        (a, b), (c, d) = m
+        s = self._shift
+        v = ((a << s | b) << s | c) << s | d
+        if not self.opaque:
+            return ElementString(v.to_bytes(self._plain_bytes, "big"))
+        # plain entries, then a fresh nonce; rounds 0..3 mask x, y, x, y
+        v = v << 8 * _NONCE_BYTES | self._nonce_rng.getrandbits(8 * _NONCE_BYTES)
+        nx, ny = self._half, self._rest
+        x, y = v >> 8 * ny, v & (1 << 8 * ny) - 1
+        s0, s1, s2, s3 = self._rounds
+        h = s0.copy()
+        h.update(y.to_bytes(ny, "big"))
+        x ^= int.from_bytes(h.digest(), "big")
+        xb = x.to_bytes(nx, "big")
+        h = s1.copy()
+        h.update(xb)
+        y ^= int.from_bytes(h.digest(), "big")
+        h = s2.copy()
+        h.update(y.to_bytes(ny, "big"))
+        xb = (x ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
+        h = s3.copy()
+        h.update(xb)
+        data = xb + (y ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
         recent = self._recent
         recent[data] = m
         if len(recent) >= _MEMO_SIZE:
             self._older, self._recent = recent, {}
-
-    def encode(self, m: Matrix) -> ElementString:
-        m = self.canonical_matrix(m)
-        blob = self._pack(m)
-        if not self.opaque:
-            return ElementString(blob)
-        nonce = self._nonce_rng.getrandbits(8 * _NONCE_BYTES).to_bytes(_NONCE_BYTES, "big")
-        data = self._feistel(blob + nonce, decrypt=False)
-        self._remember(data, m)
         return ElementString(data)
 
     def decode(self, s: ElementString) -> Matrix:
@@ -176,12 +264,15 @@ class MatrixBackend:
             raise InputError("string has the wrong length for this box")
         if not self.opaque:
             return self._parse(data)
-        m = self._recent.get(data)
+        recent = self._recent
+        m = recent.get(data)
         if m is None:
             m = self._older.get(data)
             if m is None:
-                m = self._parse(self._feistel(data, decrypt=True))
-            self._remember(data, m)
+                m = self._parse(self._decrypt(data))
+            recent[data] = m
+            if len(recent) >= _MEMO_SIZE:
+                self._older, self._recent = recent, {}
         return m
 
     # -- matrices of the standard frame -------------------------------------
@@ -231,11 +322,11 @@ class MatrixBlackBox(BlackBoxGroup):
 
     def _mul(self, a, b):
         be = self.backend
-        return be.encode(mat_mul(be.field, be.decode(a), be.decode(b)))
+        return be.encode(be.mul(be.decode(a), be.decode(b)))
 
     def _inv(self, a):
         be = self.backend
-        return be.encode(mat_inv2(be.field, be.decode(a)))
+        return be.encode(be.inv(be.decode(a)))
 
     def _compare(self, a, b):
         be = self.backend

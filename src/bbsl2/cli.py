@@ -28,7 +28,7 @@ import random
 import sys
 
 from . import oracle
-from .backend import MatrixBackend, make_matrix_blackbox, mat_mul
+from .backend import MatrixBackend, make_matrix_blackbox, mat_inv2, mat_mul
 from .blackbox import element_order, global_exponent_gl
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, explicit_isomorphism
@@ -267,25 +267,36 @@ def _mode_selftest(args, params: dict) -> dict:
     rng = random.Random(args.seed)
     checks: dict[str, bool] = {}
 
-    box5 = make_matrix_blackbox(5, 1, opaque=args.opaque, seed=args.seed)
-    be = box5.backend
-    ok = True
-    decoded = []
-    for _ in range(50):
-        x, y = box5.sample(rng), box5.sample(rng)
-        xy = box5.mul(x, y)
-        mx, my, mxy = be.decode(x), be.decode(y), be.decode(xy)
-        ok = ok and mxy == mat_mul(be.field, mx, my)
-        decoded += [(x, mx), (y, my), (xy, mxy)]
-    checks["backend_multiplication_matches_matrices"] = ok
-    # the decodes above may come from the backend's memo of its own strings;
-    # a backend with the same seed and an empty memo decrypts each one afresh
-    fresh = MatrixBackend(be.field, opaque=args.opaque, seed=args.seed)
-    checks["codec_round_trip"] = all(fresh.decode(s) == m for s, m in decoded)
+    # one box per kernel: integers mod p, log/Zech tables with the PSL
+    # canonical form, and log tables with XOR addition
+    boxes = [
+        make_matrix_blackbox(p, k, center_quotient=cq, opaque=args.opaque, seed=args.seed)
+        for p, k, cq in [(5, 1, False), (3, 2, True), (2, 4, False)]
+    ]
+    mul_ok = inv_ok = round_trip = True
+    for box in boxes:
+        be, F, cq = box.backend, box.backend.field, box.backend.center_quotient
+        canon = oracle.psl_canon(F) if cq else (lambda m: m)
+        decoded = []
+        for _ in range(50):
+            x, y = box.sample(rng), box.sample(rng)
+            xy, xi = box.mul(x, y), box.inv(x)
+            mx = be.decode(x)
+            mul_ok = mul_ok and be.decode(xy) == canon(mat_mul(F, mx, be.decode(y)))
+            inv_ok = inv_ok and be.decode(xi) == canon(mat_inv2(F, mx))
+            decoded += [(s, be.decode(s)) for s in (x, y, xy, xi)]
+        # the decodes above may come from the backend's memo of its own strings;
+        # a backend with the same seed and an empty memo decrypts each one afresh
+        fresh = MatrixBackend(F, center_quotient=cq, opaque=args.opaque, seed=args.seed)
+        round_trip = round_trip and all(fresh.decode(s) == m for s, m in decoded)
+    checks["backend_multiplication_matches_matrices"] = mul_ok
+    checks["backend_inverse_matches_matrices"] = inv_ok
+    checks["codec_round_trip"] = round_trip
 
-    f5 = be.field
+    box5 = boxes[0]
+    be = box5.backend
     checks["sl2_5_closure_order_120"] = (
-        len(oracle.closure(f5, be.standard_generators())) == 120
+        len(oracle.closure(be.field, be.standard_generators())) == 120
     )
     f4 = ExplicitField.polynomial_field(2, 2)
     be4 = MatrixBackend(f4, opaque=args.opaque, seed=args.seed)

@@ -160,7 +160,7 @@ class Char2Field:
             cpow = [box.identity]
             for _ in range(3 * n):
                 cpow.append(box.mul(cpow[-1], c))
-            T = [None] + [self._trace(w) for w in cpow[1:]]
+            T = self._power_traces(cpow)
             self.gram_det, self._gram_inv, self.structure = trace_form(T, 2, n)
             if self.gram_det:
                 break
@@ -184,6 +184,17 @@ class Char2Field:
         if not self.box.compare(self.box.conj(self.r, t), marker):
             raise ContractViolation("witness bridge failed: even order where odd was promised")
         return t
+
+    def _power_traces(self, cpow: list[ElementString]) -> list:
+        """[None, T_1, .., T_3n], T_m the trace of the element with witness cpow[m].
+
+        Tr(x^2) = Tr(x) in characteristic 2, so T_2m = T_m and only the
+        traces at odd m are read from the box.
+        """
+        T = [None]
+        for m in range(1, len(cpow)):
+            T.append(self._trace(cpow[m]) if m % 2 else T[m // 2])
+        return T
 
     def _trace(self, w: ElementString) -> int:
         """The trace of the element with witness w, read as 0 or 1.

@@ -75,7 +75,8 @@ def test_selftest_mode(tmp_path, schema):
         rep = _run(tmp_path, ["selftest", "--seed", "0", codec])
         jsonschema.validate(rep, schema)
         assert all(rep["verification"].values())
-        assert rep["verification"]["codec_round_trip"] is True
+        for key in ("codec_round_trip", "backend_inverse_matches_matrices"):
+            assert rep["verification"][key] is True
 
 
 def test_determinism_same_seed_bitwise(tmp_path):

@@ -21,7 +21,21 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_opacity_benchmark_reports_clean():
     proc = _run_script("opacity_benchmark.py", "--trials", "5")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "opacity regression: clean"
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "opacity regression: clean"
+    # the per-op table: one row per group and kind of string, each cell a
+    # time in us, except the memo-hit column of transparent strings
+    assert lines[1].split() == ["group", "strings", "mul", "inv", "compare", "encode", "dec-hit", "dec-miss"]
+    rows = [line.split() for line in lines[2:10]]
+    assert [r[:2] for r in rows] == [
+        [g, s] for g in ("PSL2(13)", "SL2(81)", "SL2(169)", "SL2(2^8)") for s in ("opaque", "transparent")
+    ]
+    for r in rows:
+        cells = r[2:]
+        if r[1] == "transparent":
+            assert cells[4] == "-"
+            del cells[4]
+        assert all(float(c) > 0 for c in cells), r
 
 
 def test_recognition_sweep_summary():

@@ -130,6 +130,23 @@ def test_char2field_explicit_table_matches(field8):
             assert field8.read_int(field8.mul(field8.lift_int(i), field8.lift_int(j))) == E.mul(i, j)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_char2field_halved_traces_match_direct(n):
+    box = make_matrix_blackbox(2, n, opaque=True, seed=31)
+    rng = random.Random(n)
+    r = involution_sample(box, rng)
+    frame = dihedral_frame(box, r, find_order3_inverted(box, r, rng))
+    field = Char2Field(box, frame, n, rng)
+    assert len(field._cpow) == 3 * n + 1
+    muls = box.stats["muls"]
+    direct = [None] + [field._trace(w) for w in field._cpow[1:]]
+    per_trace = (box.stats["muls"] - muls) / (3 * n)
+    muls = box.stats["muls"]
+    assert field._power_traces(field._cpow) == direct
+    # only the odd m of 1..3n reach the box
+    assert box.stats["muls"] - muls == per_trace * ((3 * n + 1) // 2)
+
+
 def test_recover_char2_rejects_small_n(rng):
     box = make_matrix_blackbox(2, 2, opaque=True, seed=1)
     with pytest.raises(InputError):
