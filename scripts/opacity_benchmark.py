@@ -14,7 +14,10 @@ First it prints the cost of each backend operation in microseconds,
 the best of five rounds of 200 calls, on both kinds of strings: mul,
 inv, compare, encode, and decode of a string the backend made lately
 (a memo hit) or has never seen (a miss, which decrypts). Transparent
-strings have no memo; each decode parses them.
+strings have no memo; each decode parses them. A "morphism image" row
+per group of the benchmark's morphism-apply workload follows: the us
+per image of a recovered morphism, and the base box's muls, invs and
+compares per image, once the unipotents its inputs need are lifted.
 
     python3 scripts/opacity_benchmark.py --trials 200
 """
@@ -23,13 +26,15 @@ import random
 import time
 from dataclasses import dataclass
 
-from bbsl2 import make_matrix_blackbox, recover_char2, recover_psl2
+from bbsl2 import make_matrix_blackbox, oracle, recover_char2, recover_psl2
 from bbsl2.backend import MatrixBackend
 
 _OP_ROUNDS = 5
 _OP_CALLS = 200
 # strings cycled by the ops on recent strings; fewer than a memo generation
 _OP_RECENT = 40
+# (label, p, k, center quotient) of the morphism image rows
+_IMAGE_GROUPS = [("PSL2(13)", 13, 1, True), ("SL2(81)", 3, 4, False), ("SL2(16)", 2, 4, False)]
 
 
 @dataclass
@@ -135,6 +140,31 @@ def _op_row(label: str, p: int, k: int, cq: bool, opaque: bool, seed: int) -> st
     )
 
 
+def _image_row(label: str, p: int, k: int, cq: bool, opaque: bool, cfg: BenchConfig) -> str:
+    """us per image of a recovered morphism, then base-box muls, invs and compares per image."""
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=cfg.seed)
+    rng = random.Random(cfg.seed)
+    if p == 2:
+        res = recover_char2(box, k, rng, trials=cfg.trials)
+    else:
+        res = recover_psl2(box, p, k, rng, trials=cfg.trials)
+    mats = [oracle.random_sl2(res.explicit, rng) for _ in range(_OP_CALLS)]
+
+    def images(_):
+        for m in mats:
+            res.morphism(m)
+
+    # the first pass lifts the unipotents the inputs need; the lifts work
+    # in the Frobenius tuple group, whose raw calls box.stats would miss
+    images(None)
+    before = dict(box.stats)
+    images(None)
+    ops = [(box.stats[key] - before[key]) / _OP_CALLS for key in ("muls", "invs", "compares")]
+    return f"{label:>10} {'opaque' if opaque else 'transparent':>11}" + "".join(
+        f" {v:8.2f}" for v in [_best_us(images)] + ops
+    )
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=200)
@@ -150,6 +180,13 @@ def main() -> int:
                             ("SL2(169)", 13, 2, False), ("SL2(2^8)", 2, 8, False)]:
         for opaque in (True, False):
             print(_op_row(label, p, k, cq, opaque, cfg.seed))
+    print(f"morphism image: us, and base-box ops per image, over {_OP_CALLS} images")
+    print(f"{'group':>10} {'strings':>11}" + "".join(
+        f" {h:>8}" for h in ("us", "muls", "invs", "compares")
+    ))
+    for label, p, k, cq in _IMAGE_GROUPS:
+        for opaque in (True, False):
+            print(_image_row(label, p, k, cq, opaque, cfg))
     print()
 
     all_same = True

@@ -137,7 +137,6 @@ class BlackBoxField:
             tuple(self._T[j] for j in range(1, k + 1)), self._gram_inv, p
         )
         check_structure(box, self._s, self.structure, p)
-        self._lift_cache: dict[int, ElementString] = {}
 
     # -- additive layer ---------------------------------------------------
     @property
@@ -207,12 +206,7 @@ class BlackBoxField:
         return sum(d * self.p**i for i, d in enumerate(self.coords(x)))
 
     def lift_int(self, n: int) -> ElementString:
-        hit = self._lift_cache.get(n)
-        if hit is not None:
-            return hit
-        out = self.from_coords([n // self.p**i % self.p for i in range(self.k)])
-        self._lift_cache[n] = out
-        return out
+        return self.from_coords([n // self.p**i % self.p for i in range(self.k)])
 
     def random_element(self, rng: random.Random) -> ElementString:
         return self.from_coords([rng.randrange(self.p) for _ in range(self.k)])

@@ -89,12 +89,9 @@ class BlackBoxGroup:
                 x = self.mul(x, x)
         return acc
 
-    def conj(self, x: ElementString, g: ElementString) -> ElementString:
-        """x conjugated by g, i.e. g^-1 x g."""
-        return self.mul(self.inv(g), self.mul(x, g))
-
-    def commutator(self, x: ElementString, y: ElementString) -> ElementString:
-        return self.mul(self.inv(x), self.mul(self.inv(y), self.mul(x, y)))
+    def conj(self, x: ElementString, g: ElementString, g_inv: ElementString | None = None) -> ElementString:
+        """x conjugated by g, i.e. g^-1 x g; a caller holding g^-1 passes it as g_inv."""
+        return self.mul(self.inv(g) if g_inv is None else g_inv, self.mul(x, g))
 
     def commutes(self, x: ElementString, y: ElementString) -> bool:
         return self.compare(self.mul(x, y), self.mul(y, x))

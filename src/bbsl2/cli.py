@@ -34,7 +34,7 @@ from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, explicit_isomorphism
 from .frobenius import frobenius_on_sl2
 from .sl2char2 import recover_char2
-from .sl2odd import find_standard_generators, recover_psl2
+from .sl2odd import check_trials, find_standard_generators, recover_psl2
 from .stages import StageRecorder
 
 
@@ -258,9 +258,7 @@ def _mode_field_report(args, params: dict) -> dict:
         result = recover_char2(box, k, random.Random(args.seed), trials=args.trials)
     else:
         result = recover_psl2(box, p, k, random.Random(args.seed), trials=args.trials)
-    report = _result_report("field-report", args, result)
-    report["mode"] = "field-report"
-    return report
+    return _result_report("field-report", args, result)
 
 
 def _mode_selftest(args, params: dict) -> dict:
@@ -386,6 +384,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     params: dict = {}
     try:
+        check_trials(args.trials)
         report = _MODES[args.mode](args, params)
     except InputError as exc:
         sys.stderr.write(f"bbsl2: rejected input: {exc}\n")

@@ -56,7 +56,6 @@ def frobenius_on_sl2(
     p: int,
     k: int,
     rng: random.Random,
-    validate: bool = True,
 ) -> FrobeniusMap:
     """Build the shifted copy of <u, h, n> carrying a Frobenius action.
 
@@ -78,16 +77,15 @@ def frobenius_on_sl2(
     n_bar = product.join((n,) * k)
     y = SubgroupBox(product, [u_bar, h_bar, n_bar], rng)
     fro = FrobeniusMap(product=product, box=y, k=k, p=p, u_bar=u_bar, h_bar=h_bar, n_bar=n_bar)
-    if validate:
-        if not product.compare(fro(u_bar), u_bar):
-            raise ContractViolation("rotation moved the constant unipotent tuple")
-        if not product.compare(fro(n_bar), n_bar):
-            raise ContractViolation("rotation moved the constant Weyl tuple")
-        if not product.compare(fro(h_bar), product.power(h_bar, p)):
-            raise ContractViolation(
-                "rotation is not the p-th power on the torus tuple; "
-                "the order of h does not divide p^k - 1"
-            )
-        if not product.compare(fro.rotate(h_bar, k), h_bar):
-            raise ContractViolation("rotation does not have order dividing k")
+    if not product.compare(fro(u_bar), u_bar):
+        raise ContractViolation("rotation moved the constant unipotent tuple")
+    if not product.compare(fro(n_bar), n_bar):
+        raise ContractViolation("rotation moved the constant Weyl tuple")
+    if not product.compare(fro(h_bar), product.power(h_bar, p)):
+        raise ContractViolation(
+            "rotation is not the p-th power on the torus tuple; "
+            "the order of h does not divide p^k - 1"
+        )
+    if not product.compare(fro.rotate(h_bar, k), h_bar):
+        raise ContractViolation("rotation does not have order dividing k")
     return fro

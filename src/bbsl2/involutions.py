@@ -52,13 +52,12 @@ def bray_centralizer(
     i: ElementString,
     rng: random.Random,
     count: int = 40,
-    check: bool = True,
 ) -> list[ElementString]:
     """Generators for the centralizer of involution i (Monte Carlo)."""
     out = [i]
     for _ in range(count):
         z = bray_element(box, i, box.sample(rng))
-        if check and not box.commutes(z, i):
+        if not box.commutes(z, i):
             raise ContractViolation("Bray element does not centralize the involution")
         out.append(z)
     return out

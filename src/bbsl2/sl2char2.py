@@ -39,7 +39,7 @@ from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
 from .involutions import bray_centralizer, bray_element, find_order3_inverted, is_involution
-from .sl2odd import finish_recognition
+from .sl2odd import check_trials, finish_recognition
 from .stages import RecognitionResult, StageRecorder
 
 
@@ -151,7 +151,6 @@ class Char2Field:
         self._bridge_tail = box.power(box.mul(frame.v1, frame.r), self._sqrt_exp)
         self.zero = (None, box.identity)
         self.one = (box.identity, frame.r)
-        self._lift_cache: dict[int, tuple] = {}
         for _ in range(_CONJUGATOR_BUDGET):
             z = bray_element(box, frame.r, box.sample(rng))
             if box.is_identity(z):
@@ -249,12 +248,8 @@ class Char2Field:
             raise InputError(f"no field element with index {j}")
         if j == 0:
             return self.zero
-        hit = self._lift_cache.get(j)
-        if hit is None:
-            marker = combine(self.box, self._s, [j >> i & 1 for i in range(self.k)], 2)
-            hit = (self._witness(marker), marker)
-            self._lift_cache[j] = hit
-        return hit
+        marker = combine(self.box, self._s, [j >> i & 1 for i in range(self.k)], 2)
+        return (self._witness(marker), marker)
 
     def random_element(self, rng: random.Random):
         return self.lift_int(rng.randrange(1 << self.k))
@@ -267,6 +262,7 @@ def recover_char2(
     box: BlackBoxGroup, n: int, rng: random.Random, trials: int = 200
 ) -> RecognitionResult:
     """Full recognition run for SL2(2^n); see the module docstring."""
+    check_trials(trials)
     if n < 2:
         raise InputError("n must be at least 2: SL2(2) is solvable and out of scope")
     q = 1 << n

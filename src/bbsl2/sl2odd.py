@@ -107,6 +107,7 @@ def _weyl_sweep(
     torus_order: int,
     is_psl: bool,
     central_involution: ElementString | None,
+    h_inv: ElementString,
 ) -> ElementString | None:
     """Scan u * v0^(h^j) * u for the zero-trace (matched Weyl) word.
 
@@ -118,7 +119,7 @@ def _weyl_sweep(
     vj = v0
     for j in range(torus_order):
         if j:
-            vj = box.conj(vj, h)
+            vj = box.conj(vj, h, h_inv)
         m = box.mul(box.mul(u, vj), u)
         m2 = box.mul(m, m)
         if is_psl:
@@ -129,7 +130,7 @@ def _weyl_sweep(
             continue
         if not box.compare(m, box.mul(box.mul(u, box.conj(u, m)), u)):
             raise ContractViolation("Weyl candidate fails the standard-triple identity")
-        if not box.compare(box.conj(h, m), box.inv(h)):
+        if not box.compare(box.conj(h, m), h_inv):
             raise ContractViolation("Weyl candidate does not invert the torus")
         return m
     return None
@@ -143,6 +144,7 @@ def weyl_disambiguate(
     torus_order: int,
     is_psl: bool,
     central_involution: ElementString | None = None,
+    h_inv: ElementString | None = None,
 ) -> ElementString:
     """The matched Weyl element, from any torus-inverting candidate n0.
 
@@ -153,7 +155,8 @@ def weyl_disambiguate(
     v0 = box.conj(u, n0)
     if box.commutes(v0, u):
         raise InputError("candidate does not move the unipotent subgroup off itself")
-    m = _weyl_sweep(box, u, h, v0, torus_order, is_psl, central_involution)
+    h_inv = box.inv(h) if h_inv is None else h_inv
+    m = _weyl_sweep(box, u, h, v0, torus_order, is_psl, central_involution, h_inv)
     if m is None:
         raise MonteCarloFailure("weyl disambiguation", "torus sweep found no zero-trace word")
     return m
@@ -179,6 +182,7 @@ def weyl_element(
     covers the matched parameter with probability 1/2.
     """
     central = box.power(h, torus_order // 2) if torus_order % 2 == 0 else None
+    h_inv = box.inv(h)
     if is_psl and central is not None:
         for _ in range(6):
             gens = bray_centralizer(box, central, rng, count=24)
@@ -187,10 +191,10 @@ def weyl_element(
                 z = csub.sample(rng)
                 if box.is_identity(z) or not box.is_identity(box.mul(z, z)):
                     continue
-                if not box.compare(box.conj(h, z), box.inv(h)):
+                if not box.compare(box.conj(h, z), h_inv):
                     continue
                 try:
-                    return weyl_disambiguate(box, u, h, z, torus_order, True, central)
+                    return weyl_disambiguate(box, u, h, z, torus_order, True, central, h_inv)
                 except (MonteCarloFailure, InputError):
                     continue
         raise MonteCarloFailure("weyl element", "no reflection found in the involution centralizer")
@@ -202,10 +206,10 @@ def weyl_element(
         v0 = box.conj(u, box.sample(rng))
         if box.commutes(v0, u):
             continue
-        if not box.commutes(box.conj(v0, h), v0):
+        if not box.commutes(box.conj(v0, h, h_inv), v0):
             continue
         sweeps += 1
-        m = _weyl_sweep(box, u, h, v0, torus_order, is_psl, central)
+        m = _weyl_sweep(box, u, h, v0, torus_order, is_psl, central, h_inv)
         if m is not None:
             return m
     raise MonteCarloFailure("weyl element", "no opposite unipotent produced a zero-trace word")
@@ -249,34 +253,40 @@ class SteinbergMorphism:
     words derived from both. ``project`` maps field carriers to box
     strings; the identity when the carrier already lives in the box.
     The Bruhat bookkeeping runs in the explicit presentation and only
-    the final entries get lifted, which keeps carrier arithmetic
-    (expensive on a black box field) off the per-matrix path.
+    the final entries get lifted, each once: the unipotent u(t) is kept
+    per explicit int t, which keeps carrier arithmetic (expensive on a
+    black box field) off the per-matrix path. Images are never kept, so
+    each one is a fresh string. An image costs 6 box muls.
     """
 
     def __init__(self, box, field, weyl, project=None, explicit=None):
         self.box = box
         self.field = field
         self.weyl = weyl
+        self.weyl_inv = box.inv(weyl)
         self.project = project if project is not None else (lambda s: s)
         self.explicit = explicit if explicit is not None else field.to_explicit()
+        self._unipotents: dict[int, ElementString] = {}
         # n(1) = u(1) v(-1) u(1) from the carriers themselves, so the check
         # also exercises the recovered field's own inversion
         a = self.project(field.one)
-        mid = box.conj(self.project(field.inv(field.one)), weyl)
+        mid = box.conj(self.project(field.inv(field.one)), weyl, self.weyl_inv)
         if not box.compare(box.mul(box.mul(a, mid), a), weyl):
             raise ContractViolation("Weyl element is not matched to the field unity")
 
     def _u_int(self, t: int) -> ElementString:
-        return self.project(self.field.lift_int(t))
+        u = self._unipotents.get(t)
+        if u is None:
+            u = self._unipotents[t] = self.project(self.field.lift_int(t))
+        return u
 
     def _n_int(self, t: int) -> ElementString:
-        E = self.explicit
         a = self._u_int(t)
-        mid = self.box.conj(self._u_int(E.inv(t)), self.weyl)
+        mid = self.box.conj(self._u_int(self.explicit.inv(t)), self.weyl, self.weyl_inv)
         return self.box.mul(self.box.mul(a, mid), a)
 
     def _h_int(self, t: int) -> ElementString:
-        return self.box.mul(self._n_int(t), self.box.inv(self.weyl))
+        return self.box.mul(self._n_int(t), self.weyl_inv)
 
     def __call__(self, mat) -> ElementString:
         """Apply to a 2x2 matrix with entries in self.explicit (ints)."""
@@ -290,6 +300,11 @@ class SteinbergMorphism:
             word = self.box.mul(self._u_int(E.mul(a, ci)), self._n_int(E.neg(ci)))
             return self.box.mul(word, self._u_int(E.mul(d, ci)))
         return self.box.mul(self._h_int(a), self._u_int(E.mul(E.inv(a), b)))
+
+
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError(f"need at least one verification trial, got {trials}")
 
 
 def finish_recognition(
@@ -355,6 +370,7 @@ def recover_psl2(
     trials: int = 200,
 ) -> RecognitionResult:
     """Full recognition run; see the module docstring for the stages."""
+    check_trials(trials)
     rec = StageRecorder(box)
     frame = find_standard_generators(box, p, k, rng, rec)
     torus_order = frame.torus_order

@@ -111,6 +111,18 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("mode", ["recognize-odd", "recognize-char2", "frobenius", "field-report"])
+def test_trials_below_one_exit_1(mode, trials, tmp_path, capsys):
+    # a report of zero trials would read as verified while checking nothing
+    p = "2" if mode == "recognize-char2" else "13"
+    out = tmp_path / "report.json"
+    assert main([mode, "--p", p, "--k", "3" if p == "2" else "1", "--trials", trials,
+                 "--out", str(out)]) == 1
+    assert "trial" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_composite_p_exit_1(tmp_path, capsys):
     # a composite p is bad input, not a contract violation
     assert main(["recognize-odd", "--p", "9", "--k", "1"]) == 1

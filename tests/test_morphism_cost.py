@@ -1,0 +1,94 @@
+"""Oracle cost of the Steinberg morphism, counted on the base box's raw operations.
+
+``box.stats`` misses the work that wrapper boxes (the Frobenius tuple
+group, subgroup boxes) route to the base box's raw ``_mul``, ``_inv``
+and ``_compare``, so the counter here wraps those on the base box
+instance itself.
+"""
+import random
+
+import pytest
+
+from bbsl2 import make_matrix_blackbox, recover_char2, recover_psl2
+
+
+class RawOps:
+    """Running counts of the raw muls, invs and compares of one box."""
+
+    def __init__(self, box):
+        self.muls = self.invs = self.compares = 0
+        mul, inv, compare = box._mul, box._inv, box._compare
+
+        def _mul(a, b):
+            self.muls += 1
+            return mul(a, b)
+
+        def _inv(a):
+            self.invs += 1
+            return inv(a)
+
+        def _compare(a, b):
+            self.compares += 1
+            return compare(a, b)
+
+        box._mul, box._inv, box._compare = _mul, _inv, _compare
+
+    def snapshot(self):
+        return (self.muls, self.invs, self.compares)
+
+
+# (label, p, k, center quotient): the groups of the morphism-apply benchmark
+_GROUPS = [("PSL2(13)", 13, 1, True), ("SL2(81)", 3, 4, False), ("SL2(16)", 2, 4, False)]
+
+
+@pytest.fixture(scope="module", params=_GROUPS, ids=lambda g: g[0])
+def recognized(request):
+    _, p, k, cq = request.param
+    box = make_matrix_blackbox(p, k, center_quotient=cq, seed=7)
+    ops = RawOps(box)
+    rng = random.Random(3)
+    if p == 2:
+        res = recover_char2(box, k, rng, trials=20)
+    else:
+        res = recover_psl2(box, p, k, rng, trials=20)
+    assert res.verification["phi_homomorphism_checks"] == {"trials": 20, "passes": 20}
+    return box, ops, res
+
+
+def _inputs(E):
+    """One matrix with c != 0 and one with c = 0, both of determinant 1."""
+    t = E.primitive_element()
+    with_c = ((t, E.one), (E.neg(E.one), 0))
+    without_c = ((t, E.mul(t, t)), (0, E.inv(t)))
+    return with_c, without_c
+
+
+def test_image_costs_six_muls_and_no_inverse(recognized):
+    box, ops, res = recognized
+    for mat in _inputs(res.explicit):
+        res.morphism(mat)  # lifts its entries' unipotents, once
+        before = ops.snapshot()
+        res.morphism(mat)
+        muls, invs, compares = (b - a for a, b in zip(before, ops.snapshot()))
+        assert (muls, invs, compares) == (6, 0, 0), mat
+
+
+def test_images_are_fresh_strings(recognized):
+    # the morphism keeps unipotents, never images: an image asked for twice
+    # is the same element under a new encryption
+    box, _, res = recognized
+    for mat in _inputs(res.explicit):
+        x, y = res.morphism(mat), res.morphism(mat)
+        assert box.compare(x, y)
+        assert x.data != y.data
+
+
+def test_sl2_81_recognition_cost_is_pinned():
+    # the count of every raw operation is fixed by the seed; the muls match
+    # the pin of the benchmark's own counter test
+    box = make_matrix_blackbox(3, 4, seed=1000)
+    ops = RawOps(box)
+    res = recover_psl2(box, 3, 4, random.Random(0), trials=200)
+    assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
+    assert ops.muls == 13_340
+    assert ops.invs == 1_476

@@ -36,6 +36,18 @@ def test_opacity_benchmark_reports_clean():
             assert cells[4] == "-"
             del cells[4]
         assert all(float(c) > 0 for c in cells), r
+    # the morphism image rows: us per image, then base-box muls, invs and
+    # compares per image, exact once the inputs' unipotents are lifted
+    assert lines[10].startswith("morphism image")
+    assert lines[11].split() == ["group", "strings", "us", "muls", "invs", "compares"]
+    rows = [line.split() for line in lines[12:18]]
+    assert [r[:2] for r in rows] == [
+        [g, s] for g in ("PSL2(13)", "SL2(81)", "SL2(16)") for s in ("opaque", "transparent")
+    ]
+    for r in rows:
+        assert float(r[2]) > 0, r
+        assert r[3:] == ["6.00", "0.00", "0.00"], r
+    assert lines[18] == ""
 
 
 def test_recognition_sweep_summary():

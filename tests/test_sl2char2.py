@@ -153,6 +153,13 @@ def test_recover_char2_rejects_small_n(rng):
         recover_char2(box, 1, rng)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_recover_char2_rejects_trials_below_one(trials, sl2_8, rng):
+    with pytest.raises(InputError):
+        recover_char2(sl2_8, 3, rng, trials=trials)
+    assert sl2_8.stats["samples"] == 0  # rejected before any search
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_recover_char2_full_run(n, rng):
     box = make_matrix_blackbox(2, n, opaque=True, seed=23)

@@ -121,6 +121,13 @@ def test_rejects_even_characteristic(rng):
         recover_psl2(box, 2, 3, rng)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_recover_psl2_rejects_trials_below_one(trials, sl2_13, rng):
+    with pytest.raises(InputError):
+        recover_psl2(sl2_13, 13, 1, rng, trials=trials)
+    assert sl2_13.stats["samples"] == 0  # rejected before any search
+
+
 def _standard_morphism(p, k, cq=False):
     """Morphism built on the standard frame of a transparent backend."""
     box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=False, seed=0)
