@@ -18,6 +18,10 @@ strings have no memo; each decode parses them. A "morphism image" row
 per group of the benchmark's morphism-apply workload follows: the us
 per image of a recovered morphism, and the base box's muls, invs and
 compares per image, once the unipotents its inputs need are lifted.
+A "char-2 lift" row per SL2(16) and SL2(2^8) gives the base box's
+muls, invs and compares per ``lift_int`` of the recovered field, over
+its nonzero elements; a lift carries no witness, so it neither inverts
+nor compares.
 
     python3 scripts/opacity_benchmark.py --trials 200
 """
@@ -35,6 +39,8 @@ _OP_CALLS = 200
 _OP_RECENT = 40
 # (label, p, k, center quotient) of the morphism image rows
 _IMAGE_GROUPS = [("PSL2(13)", 13, 1, True), ("SL2(81)", 3, 4, False), ("SL2(16)", 2, 4, False)]
+# (label, n) of the char-2 lift rows
+_LIFT_GROUPS = [("SL2(16)", 4), ("SL2(2^8)", 8)]
 
 
 @dataclass
@@ -165,6 +171,18 @@ def _image_row(label: str, p: int, k: int, cq: bool, opaque: bool, cfg: BenchCon
     )
 
 
+def _lift_row(label: str, n: int, cfg: BenchConfig) -> str:
+    """Base-box muls, invs and compares per lift_int of the recovered field of SL2(2^n)."""
+    box = make_matrix_blackbox(2, n, seed=cfg.seed)
+    field = recover_char2(box, n, random.Random(cfg.seed), trials=cfg.trials).field
+    before = dict(box.stats)
+    for j in range(1, 1 << n):
+        field.lift_int(j)
+    lifts = (1 << n) - 1
+    ops = [(box.stats[key] - before[key]) / lifts for key in ("muls", "invs", "compares")]
+    return f"{label:>10}" + "".join(f" {v:8.2f}" for v in ops)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=200)
@@ -187,6 +205,10 @@ def main() -> int:
     for label, p, k, cq in _IMAGE_GROUPS:
         for opaque in (True, False):
             print(_image_row(label, p, k, cq, opaque, cfg))
+    print("char-2 lift: base-box ops per lift_int, over the nonzero field elements")
+    print(f"{'group':>10}" + "".join(f" {h:>8}" for h in ("muls", "invs", "compares")))
+    for label, n in _LIFT_GROUPS:
+        print(_lift_row(label, n, cfg))
     print()
 
     all_same = True

@@ -14,7 +14,8 @@ same randomness against the opaque box as against the transparent one.
 
 Nearly every string a box is handed was made by its own backend shortly
 before, so an opaque backend remembers the matrices of its recent
-strings and decrypts only strings it has not seen lately.
+strings and decrypts only strings it has not seen lately. A box's raw
+operations are closures bound once per box: decode, kernel, encode.
 
 The module functions ``mat_mul``, ``mat_neg`` and ``mat_inv2`` are the
 reference definitions over ``ExplicitField``. A backend multiplies,
@@ -137,7 +138,9 @@ class MatrixBackend:
 
     ``mul``, ``neg`` and ``inv`` act on matrices: ``mat_mul``,
     ``mat_neg`` and ``mat_inv2`` over the backend's field; on a special
-    group ``inv`` is the adjugate.
+    group ``inv`` is the adjugate. ``encode`` and ``decode``, with the
+    decoder's steps ``_parse`` and ``_decrypt``, are closures built once
+    per instance (see ``_bind_codec``).
     """
 
     def __init__(
@@ -156,23 +159,7 @@ class MatrixBackend:
         self.center_quotient = center_quotient
         self.opaque = opaque
         self.width = max(1, (field.order - 1).bit_length() + 7 >> 3)
-        self._shift = 8 * self.width
-        self._plain_bytes = 4 * self.width
-        self.string_bytes = self._plain_bytes + (_NONCE_BYTES if opaque else 0)
-        key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
-        # round r masks one half with the keyed hash of r and the other half;
-        # each round's state has absorbed the key and r already
-        self._half = half = self.string_bytes // 2
-        self._rest = rest = self.string_bytes - half
-        self._rounds = tuple(
-            blake2b(bytes([r]), key=key, digest_size=rest if r % 2 else half)
-            for r in range(_ROUNDS)
-        )
-        self._nonce_rng = random.Random(f"opacity-nonce:{seed}")
-        # decode memo, ciphertext -> canonical matrix, in two generations:
-        # when _recent fills up it becomes _older and the old _older is dropped
-        self._recent: dict[bytes, Matrix] = {}
-        self._older: dict[bytes, Matrix] = {}
+        self.string_bytes = 4 * self.width + (_NONCE_BYTES if opaque else 0)
         self._canonical = center_quotient and field.p != 2
         self.mul = _mul_kernel(field)
         N = [field.neg(x) for x in range(field.order)]
@@ -187,93 +174,117 @@ class MatrixBackend:
 
         self.neg = neg
         self.inv = adjugate if special else partial(mat_inv2, field)
+        self._bind_codec(seed)
 
-    # -- canonical form ---------------------------------------------------
     def canonical_matrix(self, m: Matrix) -> Matrix:
         return min(m, self.neg(m)) if self._canonical else m
 
-    def _parse(self, blob: bytes) -> Matrix:
-        """The canonical matrix whose entries lead ``blob``."""
-        s = self._shift
-        x = int.from_bytes(blob[: self._plain_bytes], "big")
+    def _bind_codec(self, seed: int) -> None:
+        """Build the string codec as closures over its constants and state.
+
+        A string is the four entries, row by row, as fixed-width
+        big-endian integers; an opaque one appends a fresh nonce and
+        runs rounds 0..3 of a Feistel network over the halves x, y.
+        Decoding an opaque string consults the decode memo, ciphertext
+        -> canonical matrix, in two generations: when the recent one
+        fills up it becomes the older one and the old older one is
+        dropped. ``_recent`` and ``_older`` show the current generations.
+        """
+        neg, canonical, opaque = self.neg, self._canonical, self.opaque
+        q, s, plain, size = self.field.order, 8 * self.width, 4 * self.width, self.string_bytes
         mask = (1 << s) - 1
-        a, b, c, d = x >> 3 * s, x >> 2 * s & mask, x >> s & mask, x & mask
-        q = self.field.order
-        if a >= q or b >= q or c >= q or d >= q:
-            raise InputError("string does not decode to field entries")
-        return self.canonical_matrix(((a, b), (c, d)))
+        key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
+        # round r masks one half with the keyed hash of r and the other half;
+        # each round's state has absorbed the key and r already
+        nx = size // 2
+        ny = size - nx
+        c0, c1, c2, c3 = (
+            blake2b(bytes([r]), key=key, digest_size=ny if r % 2 else nx).copy
+            for r in range(_ROUNDS)
+        )
+        nonce = random.Random(f"opacity-nonce:{seed}").getrandbits
+        nonce_bits, y_bits = 8 * _NONCE_BYTES, 8 * ny
+        y_mask = (1 << y_bits) - 1
+        from_bytes = int.from_bytes
+        recent: dict[bytes, Matrix] = {}
+        older: dict[bytes, Matrix] = {}
+        self._recent, self._older = recent, older
 
-    def _decrypt(self, block: bytes) -> bytes:
-        # encryption masks left, right, left, right with rounds 0..3;
-        # decryption undoes them in the opposite order
-        nx, ny = self._half, self._rest
-        s0, s1, s2, s3 = self._rounds
-        x, y = block[:nx], block[nx:]
-        h = s3.copy()
-        h.update(x)
-        y = (int.from_bytes(y, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
-        h = s2.copy()
-        h.update(y)
-        x = (int.from_bytes(x, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-        h = s1.copy()
-        h.update(x)
-        y = (int.from_bytes(y, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
-        h = s0.copy()
-        h.update(y)
-        x = (int.from_bytes(x, "big") ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-        return x + y
+        def parse(blob: bytes) -> Matrix:
+            """The canonical matrix whose entries lead ``blob``."""
+            x = from_bytes(blob[:plain], "big")
+            a, b, c, d = x >> 3 * s, x >> 2 * s & mask, x >> s & mask, x & mask
+            if a >= q or b >= q or c >= q or d >= q:
+                raise InputError("string does not decode to field entries")
+            m = ((a, b), (c, d))
+            return min(m, neg(m)) if canonical else m
 
-    # -- string codec -------------------------------------------------------
-    def encode(self, m: Matrix) -> ElementString:
-        if self._canonical:
-            m = min(m, self.neg(m))
-        # the four entries, row by row, as fixed-width big-endian integers
-        (a, b), (c, d) = m
-        s = self._shift
-        v = ((a << s | b) << s | c) << s | d
-        if not self.opaque:
-            return ElementString(v.to_bytes(self._plain_bytes, "big"))
-        # plain entries, then a fresh nonce; rounds 0..3 mask x, y, x, y
-        v = v << 8 * _NONCE_BYTES | self._nonce_rng.getrandbits(8 * _NONCE_BYTES)
-        nx, ny = self._half, self._rest
-        x, y = v >> 8 * ny, v & (1 << 8 * ny) - 1
-        s0, s1, s2, s3 = self._rounds
-        h = s0.copy()
-        h.update(y.to_bytes(ny, "big"))
-        x ^= int.from_bytes(h.digest(), "big")
-        xb = x.to_bytes(nx, "big")
-        h = s1.copy()
-        h.update(xb)
-        y ^= int.from_bytes(h.digest(), "big")
-        h = s2.copy()
-        h.update(y.to_bytes(ny, "big"))
-        xb = (x ^ int.from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-        h = s3.copy()
-        h.update(xb)
-        data = xb + (y ^ int.from_bytes(h.digest(), "big")).to_bytes(ny, "big")
-        recent = self._recent
-        recent[data] = m
-        if len(recent) >= _MEMO_SIZE:
-            self._older, self._recent = recent, {}
-        return ElementString(data)
+        def decrypt(block: bytes) -> bytes:
+            # undo the rounds in the opposite order: y, x, y, x with 3..0
+            x, y = block[:nx], block[nx:]
+            h = c3()
+            h.update(x)
+            y = (from_bytes(y, "big") ^ from_bytes(h.digest(), "big")).to_bytes(ny, "big")
+            h = c2()
+            h.update(y)
+            x = (from_bytes(x, "big") ^ from_bytes(h.digest(), "big")).to_bytes(nx, "big")
+            h = c1()
+            h.update(x)
+            y = (from_bytes(y, "big") ^ from_bytes(h.digest(), "big")).to_bytes(ny, "big")
+            h = c0()
+            h.update(y)
+            x = (from_bytes(x, "big") ^ from_bytes(h.digest(), "big")).to_bytes(nx, "big")
+            return x + y
 
-    def decode(self, s: ElementString) -> Matrix:
-        """The canonical matrix of ``s``."""
-        data = s.data
-        if len(data) != self.string_bytes:
-            raise InputError("string has the wrong length for this box")
-        if not self.opaque:
-            return self._parse(data)
-        recent = self._recent
-        m = recent.get(data)
-        if m is None:
-            m = self._older.get(data)
-            if m is None:
-                m = self._parse(self._decrypt(data))
+        def encode(m: Matrix) -> ElementString:
+            nonlocal recent, older
+            if canonical:
+                m = min(m, neg(m))
+            (a, b), (c, d) = m
+            v = ((a << s | b) << s | c) << s | d
+            if not opaque:
+                return ElementString(v.to_bytes(plain, "big"))
+            v = v << nonce_bits | nonce(nonce_bits)
+            x, y = v >> y_bits, v & y_mask
+            h = c0()
+            h.update(y.to_bytes(ny, "big"))
+            x ^= from_bytes(h.digest(), "big")
+            xb = x.to_bytes(nx, "big")
+            h = c1()
+            h.update(xb)
+            y ^= from_bytes(h.digest(), "big")
+            h = c2()
+            h.update(y.to_bytes(ny, "big"))
+            xb = (x ^ from_bytes(h.digest(), "big")).to_bytes(nx, "big")
+            h = c3()
+            h.update(xb)
+            data = xb + (y ^ from_bytes(h.digest(), "big")).to_bytes(ny, "big")
             recent[data] = m
             if len(recent) >= _MEMO_SIZE:
-                self._older, self._recent = recent, {}
-        return m
+                older, recent = recent, {}
+                self._older, self._recent = older, recent
+            return ElementString(data)
+
+        def decode(e: ElementString) -> Matrix:
+            """The canonical matrix of ``e``."""
+            nonlocal recent, older
+            data = e.data
+            if len(data) != size:
+                raise InputError("string has the wrong length for this box")
+            if not opaque:
+                return parse(data)
+            m = recent.get(data)
+            if m is None:
+                m = older.get(data)
+                if m is None:
+                    m = parse(decrypt(data))
+                recent[data] = m
+                if len(recent) >= _MEMO_SIZE:
+                    older, recent = recent, {}
+                    self._older, self._recent = older, recent
+            return m
+
+        self._parse, self._decrypt, self.encode, self.decode = parse, decrypt, encode, decode
 
     # -- matrices of the standard frame -------------------------------------
     def standard_generators(self) -> list[Matrix]:
@@ -309,28 +320,30 @@ class MatrixBackend:
 
 
 class MatrixBlackBox(BlackBoxGroup):
+    """A black box on a ``MatrixBackend``.
+
+    The raw operations are closures bound per instance: decode, the
+    backend's kernel, encode, with no attribute lookup per call.
+    """
+
     def __init__(self, backend: MatrixBackend, generator_matrices):
         F = backend.field
+        encode, decode, kernel, inv = backend.encode, backend.decode, backend.mul, backend.inv
         exponent = global_exponent_gl(backend.n, F.p, F.k)
-        super().__init__(
-            backend.string_bytes,
-            exponent,
-            [backend.encode(m) for m in generator_matrices],
-        )
+        super().__init__(backend.string_bytes, exponent, [encode(m) for m in generator_matrices])
         self.backend = backend
-        self._identity = backend.encode(mat_identity(F))
+        self._identity = encode(mat_identity(F))
 
-    def _mul(self, a, b):
-        be = self.backend
-        return be.encode(be.mul(be.decode(a), be.decode(b)))
+        def _mul(a, b):
+            return encode(kernel(decode(a), decode(b)))
 
-    def _inv(self, a):
-        be = self.backend
-        return be.encode(be.inv(be.decode(a)))
+        def _inv(a):
+            return encode(inv(decode(a)))
 
-    def _compare(self, a, b):
-        be = self.backend
-        return be.decode(a) == be.decode(b)
+        def _compare(a, b):
+            return decode(a) == decode(b)
+
+        self._mul, self._inv, self._compare = _mul, _inv, _compare
 
 
 def make_matrix_blackbox(

@@ -75,6 +75,10 @@ class BlackBoxGroup:
             self._pr = ProductReplacer(self, self.generators, rng)
         return self._pr.sample(rng)
 
+    def _count_sample(self) -> None:
+        """Count one draw of this box's sampler, here and on every box it wraps."""
+        self.stats["samples"] += 1
+
     # derived operations
     def power(self, x: ElementString, e: int) -> ElementString:
         if e < 0:
@@ -135,7 +139,7 @@ class ProductReplacer:
 
     def sample(self, rng: random.Random) -> ElementString:
         self._step(rng)
-        self.box.stats["samples"] += 1
+        self.box._count_sample()
         return self.acc
 
 
@@ -162,7 +166,8 @@ class DirectProductBox(BlackBoxGroup):
     """Direct product of component boxes; strings are concatenations.
 
     With no generators supplied, sampling draws each component
-    independently, which samples the full product group.
+    independently, which samples the full product group. A draw from
+    generators counts once on each distinct component box.
     """
 
     def __init__(self, components, generators=()):
@@ -218,9 +223,18 @@ class DirectProductBox(BlackBoxGroup):
         self.stats["samples"] += 1
         return self.join([c.sample(rng) for c in self.components])
 
+    def _count_sample(self) -> None:
+        super()._count_sample()
+        for c in dict.fromkeys(self.components):
+            c._count_sample()
+
 
 class SubgroupBox(BlackBoxGroup):
-    """The subgroup generated by ``gens``: parent operations, own sampler."""
+    """The subgroup generated by ``gens``: parent operations, own sampler.
+
+    Each draw also counts as a sample of the parent, so a stage recorded
+    on the parent box sees it.
+    """
 
     def __init__(self, parent: BlackBoxGroup, gens, rng: random.Random, burn_in: int = 100):
         super().__init__(parent.string_bytes, parent.exponent, gens)
@@ -236,3 +250,7 @@ class SubgroupBox(BlackBoxGroup):
 
     def _compare(self, a, b):
         return self.parent._compare(a, b)
+
+    def _count_sample(self) -> None:
+        super()._count_sample()
+        self.parent._count_sample()

@@ -15,10 +15,13 @@ is the group operation of U. For multiplication, note that every group
 element conjugating r into U normalizes U and acts on it as
 multiplication by a fixed field scalar; a field element is therefore
 carried as a pair (witness, marker) with marker = r^witness in U.
-Witnesses compose under multiplication. Addition multiplies markers and
-re-derives a witness deterministically: marker times the opposite
-unipotent always has odd order, so a two-step bridge of square roots
-(obtained by powering, no search) conjugates r onto any nonzero marker.
+Witnesses compose under multiplication. Addition multiplies markers,
+and a sum or a lifted element carries no witness until multiplication,
+inversion or a coordinate read needs one; the Steinberg morphism uses
+markers only, so its lifts never pay for one. A witness is derived
+deterministically: marker times the opposite unipotent always has odd
+order, so a two-step bridge of square roots (obtained by powering, no
+search) conjugates r onto any nonzero marker.
 
 Coordinates are read through the trace form, as in odd characteristic
 (``bbfield.trace_form``). The Frobenius is squaring, so the element
@@ -132,10 +135,14 @@ class Char2Field:
     """Field of order 2^n carried on the unipotent subgroup through r.
 
     Elements are pairs (witness, marker) with marker = r^witness; zero
-    is (None, identity) and one is (identity, r). Equality and addition
-    look only at markers; multiplication composes witnesses. Any valid
-    witness works: witnesses for the same marker differ by a centralizer
-    element of r, which lies in U and acts trivially there.
+    is (None, identity), or any pair whose marker is the identity, and
+    one is (identity, r). Equality and addition look only at markers;
+    multiplication composes witnesses. ``add`` and ``lift_int`` leave
+    the witness None, and ``mul``, ``inv`` and ``read_int`` derive a
+    missing one from the marker (``_witness``), so a witness is made
+    only where it is used. Any valid witness works: witnesses for the
+    same marker differ by a centralizer element of r, which lies in U
+    and acts trivially there.
 
     Coordinates come from the trace form, as in ``BlackBoxField``, over
     the basis s_m = r^(c^m), m = 1..n, of a conjugator c drawn from U.
@@ -219,28 +226,31 @@ class Char2Field:
     def eq(self, a, b) -> bool:
         return self.box.compare(a[1], b[1])
 
+    def _witness_of(self, a) -> ElementString:
+        """The witness of the nonzero element a, made from its marker if it has none."""
+        return self._witness(a[1]) if a[0] is None else a[0]
+
     def add(self, a, b):
-        m = self.box.mul(a[1], b[1])
-        if self.box.is_identity(m):
-            return self.zero
-        return (self._witness(m), m)
+        return (None, self.box.mul(a[1], b[1]))
 
     def mul(self, a, b):
         if self.is_zero(a) or self.is_zero(b):
             return self.zero
-        return (self.box.mul(a[0], b[0]), self.box.conj(a[1], b[0]))
+        wb = self._witness_of(b)
+        return (self.box.mul(self._witness_of(a), wb), self.box.conj(a[1], wb))
 
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        t = self.box.inv(a[0])
+        t = self.box.inv(self._witness_of(a))
         return (t, self.box.conj(self.r, t))
 
     def read_int(self, a) -> int:
         """Coordinates over s_1..s_n from the traces Tr(a * s_j), as bits."""
         if self.is_zero(a):
             return 0
-        beta = tuple(self._trace(self.box.mul(a[0], self._cpow[j])) for j in range(1, self.k + 1))
+        w = self._witness_of(a)
+        beta = tuple(self._trace(self.box.mul(w, self._cpow[j])) for j in range(1, self.k + 1))
         return sum(d << i for i, d in enumerate(modp.vec_mat(beta, self._gram_inv, 2)))
 
     def lift_int(self, j: int):
@@ -248,8 +258,7 @@ class Char2Field:
             raise InputError(f"no field element with index {j}")
         if j == 0:
             return self.zero
-        marker = combine(self.box, self._s, [j >> i & 1 for i in range(self.k)], 2)
-        return (self._witness(marker), marker)
+        return (None, combine(self.box, self._s, [j >> i & 1 for i in range(self.k)], 2))
 
     def random_element(self, rng: random.Random):
         return self.lift_int(rng.randrange(1 << self.k))

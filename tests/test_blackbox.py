@@ -128,6 +128,23 @@ def test_generated_subbox_stays_inside(rng):
     assert sub.exponent == box.exponent
 
 
+def test_wrapper_draws_count_once_on_the_base_box(rng):
+    # a stage recorded on the base box sees draws from wrapper boxes: one
+    # per draw, through a subgroup of the base box or of its direct power
+    box = make_matrix_blackbox(13, 1, opaque=True, seed=5)
+    g = box.generators[0]
+    sub = SubgroupBox(box, [g], rng)
+    prod = DirectProductBox([box] * 3)
+    tuples = SubgroupBox(prod, [prod.join([g] * 3)], rng)
+    assert box.stats["samples"] == 0  # burn-in draws nothing
+    for _ in range(5):
+        sub.sample(rng)
+    for _ in range(7):
+        tuples.sample(rng)
+    assert (sub.stats["samples"], tuples.stats["samples"], prod.stats["samples"]) == (5, 7, 7)
+    assert box.stats["samples"] == 12
+
+
 def test_backend_rejects_bad_generators():
     F = ExplicitField.polynomial_field(13, 1)
     be = MatrixBackend(F, special=True, opaque=True, seed=0)
@@ -347,3 +364,31 @@ def test_transparent_strings_are_the_packed_entries(F):
             canon = min(m, mat_neg(F, m)) if cq else m
             packed = b"".join(x.to_bytes(width, "big") for row in canon for x in row)
             assert be.encode(m).data == packed
+
+
+# SL and PSL, k = 1, k > 1 and p = 2
+_FUSED_CASES = [(13, 1, False), (13, 1, True), (3, 4, False), (3, 4, True), (2, 8, False)]
+
+
+@pytest.mark.parametrize("p, k, cq", _FUSED_CASES)
+@pytest.mark.parametrize("opaque", (True, False))
+def test_fused_raw_ops_match_the_backend_steps(p, k, cq, opaque):
+    # the box's raw ops are closures over the backend's codec and kernels;
+    # a twin backend of the same seed, driven step by step, makes the same
+    # bytes as long as both draw the same nonces in the same order
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=11)
+    twin = MatrixBackend(box.backend.field, center_quotient=cq, opaque=opaque, seed=11)
+    assert [x.data for x in twin.blackbox().generators] == [x.data for x in box.generators]
+    rng = random.Random(p * k + cq)
+    xs = list(box.generators)
+    for _ in range(600):
+        x, y = rng.choice(xs), rng.choice(xs)
+        assert box._compare(x, y) == (twin.decode(x) == twin.decode(y))
+        if rng.random() < 0.25:
+            z, want = box._inv(x), twin.encode(twin.inv(twin.decode(x)))
+        else:
+            z, want = box._mul(x, y), twin.encode(twin.mul(twin.decode(x), twin.decode(y)))
+        assert z.data == want.data
+        xs.append(z)
+    for be in (box.backend, twin):
+        assert len(be._recent) + len(be._older) <= 2 * backend._MEMO_SIZE

@@ -92,3 +92,14 @@ def test_sl2_81_recognition_cost_is_pinned():
     assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
     assert ops.muls == 13_340
     assert ops.invs == 1_476
+
+
+def test_sl2_256_recognition_cost_is_pinned():
+    # lifts and sums carry markers only, so no lift pays for the witness
+    # bridge; a witness per lift made this run 12,753 muls, 764 invs and
+    # 650 compares
+    box = make_matrix_blackbox(2, 8, seed=1001)
+    ops = RawOps(box)
+    res = recover_char2(box, 8, random.Random(1), trials=200)
+    assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
+    assert ops.snapshot() == (7_653, 254, 395)

@@ -5,9 +5,13 @@
 finding and the recognition tail were shared between the pipelines.
 The ``recognize-char2-8`` entry was re-captured when characteristic 2
 began reading coordinates through the trace form, which changed its
-stages, basis and verification keys. Every other field is a pure function of the seed, so a refactor that
-keeps the oracle calls and the sampling order reproduces each report
-exactly: stage names, samples_used, verification, structure constants.
+stages, basis and verification keys. The ``frobenius-9`` verify stage
+(0 -> 60 samples) and the ``recognize-odd-psl13-input`` weyl stage
+(24 -> 25) were re-captured when draws from ``SubgroupBox`` and
+``DirectProductBox`` wrappers began to count on the base box. Every
+other field is a pure function of the seed, so a refactor that keeps
+the oracle calls and the sampling order reproduces each report exactly:
+stage names, samples_used, verification, structure constants.
 """
 import json
 from pathlib import Path

@@ -47,7 +47,15 @@ def test_opacity_benchmark_reports_clean():
     for r in rows:
         assert float(r[2]) > 0, r
         assert r[3:] == ["6.00", "0.00", "0.00"], r
-    assert lines[18] == ""
+    # the char-2 lift rows: base-box ops per lift_int, which multiplies
+    # markers only and makes no witness
+    assert lines[18].startswith("char-2 lift")
+    assert lines[19].split() == ["group", "muls", "invs", "compares"]
+    rows = [line.split() for line in lines[20:22]]
+    assert [r[0] for r in rows] == ["SL2(16)", "SL2(2^8)"]
+    for r in rows:
+        assert float(r[1]) > 0 and r[2:] == ["0.00", "0.00"], r
+    assert lines[22] == ""
 
 
 def test_recognition_sweep_summary():

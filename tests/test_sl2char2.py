@@ -110,6 +110,50 @@ def test_char2field_axioms(field8):
         field8.inv(zero)
 
 
+def _ops(box):
+    return box.stats["muls"], box.stats["invs"], box.stats["compares"]
+
+
+def test_char2field_lift_and_add_make_no_witness(field8):
+    # a lift and a sum only multiply markers; the witness bridge, with
+    # its inverse and its compare, waits for a use that needs it
+    box = field8.box
+    before = _ops(box)
+    elements = [field8.lift_int(j) for j in range(8)]
+    sums = [field8.add(a, b) for a in elements for b in elements]
+    muls, invs, compares = (b - a for a, b in zip(before, _ops(box)))
+    assert (invs, compares) == (0, 0) and muls > 0
+    assert all(a[0] is None for a in elements[1:] + sums)
+
+
+def test_char2field_witnesses_on_demand_give_field_results(field8):
+    E = field8.to_explicit()
+    for i in range(1, 8):
+        a = field8.lift_int(i)
+        assert field8.read_int(field8.inv(a)) == E.inv(i)
+        for j in range(8):
+            b = field8.lift_int(j)
+            s = field8.add(a, b)  # zero when j == i
+            assert field8.read_int(s) == i ^ j
+            assert field8.read_int(field8.mul(a, b)) == E.mul(i, j)
+            assert field8.read_int(field8.mul(s, a)) == E.mul(i ^ j, i)
+            if j != i:
+                assert field8.read_int(field8.inv(s)) == E.inv(i ^ j)
+            else:
+                assert field8.is_zero(s)
+                with pytest.raises(ZeroDivisionError):
+                    field8.inv(s)
+
+
+def test_char2field_failed_witness_bridge_raises_through_mul(field8, monkeypatch):
+    a, b = field8.lift_int(3), field8.lift_int(5)
+    # a wrong constant tail: the bridge lands off the marker, and the
+    # check inside _witness catches it when mul asks for a witness
+    monkeypatch.setattr(field8, "_bridge_tail", field8.r)
+    with pytest.raises(ContractViolation, match="witness bridge"):
+        field8.mul(a, b)
+
+
 def test_char2field_multiplicative_group_order(field8):
     # the nonzero elements form a cyclic group of order 7 (prime): every
     # element besides one is a generator
