@@ -23,6 +23,14 @@ muls, invs and compares per ``lift_int`` of the recovered field, over
 its nonzero elements; a lift carries no witness, so it neither inverts
 nor compares.
 
+An "off-box field work" row per field gives the ms of the steps of the
+structure-constants stage, which make no oracle call, on the
+presentation a recognition recovered: the log tables of a fresh copy
+(``tables``), ``validate`` once they are built, ``polynomial_field``
+(its irreducible is memoized per process, as in a recognition after the
+box was built) and ``explicit_isomorphism`` to a fresh standard
+presentation, whose tables it builds. The four add up to the stage.
+
     python3 scripts/opacity_benchmark.py --trials 200
 """
 import argparse
@@ -32,6 +40,7 @@ from dataclasses import dataclass
 
 from bbsl2 import make_matrix_blackbox, oracle, recover_char2, recover_psl2
 from bbsl2.backend import MatrixBackend
+from bbsl2.field import ExplicitField, explicit_isomorphism
 
 _OP_ROUNDS = 5
 _OP_CALLS = 200
@@ -41,6 +50,8 @@ _OP_RECENT = 40
 _IMAGE_GROUPS = [("PSL2(13)", 13, 1, True), ("SL2(81)", 3, 4, False), ("SL2(16)", 2, 4, False)]
 # (label, n) of the char-2 lift rows
 _LIFT_GROUPS = [("SL2(16)", 4), ("SL2(2^8)", 8)]
+# (label, p, k) of the off-box field rows
+_FIELDS = [("GF(2^4)", 2, 4), ("GF(2^8)", 2, 8), ("GF(2^12)", 2, 12), ("GF(3^4)", 3, 4), ("GF(13^2)", 13, 2)]
 
 
 @dataclass
@@ -183,6 +194,31 @@ def _lift_row(label: str, n: int, cfg: BenchConfig) -> str:
     return f"{label:>10}" + "".join(f" {v:8.2f}" for v in ops)
 
 
+def _field_row(label: str, p: int, k: int, cfg: BenchConfig) -> str:
+    """ms of the off-box steps of the structure-constants stage, best of _OP_ROUNDS."""
+    box = make_matrix_blackbox(p, k, seed=cfg.seed)
+    rng = random.Random(cfg.seed)
+    if p == 2:
+        res = recover_char2(box, k, rng, trials=cfg.trials)
+    else:
+        res = recover_psl2(box, p, k, rng, trials=cfg.trials)
+    c = res.explicit.c
+    best = [float("inf")] * 4
+    for _ in range(_OP_ROUNDS):
+        E = ExplicitField(p, k, c)
+        t0 = time.perf_counter()
+        E._tables
+        t1 = time.perf_counter()
+        E.validate(random.Random(cfg.seed))
+        t2 = time.perf_counter()
+        standard = ExplicitField.polynomial_field(p, k)
+        t3 = time.perf_counter()
+        explicit_isomorphism(E, standard, random.Random(cfg.seed))
+        t4 = time.perf_counter()
+        best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2, t4 - t3))]
+    return f"{label:>10}" + "".join(f" {1e3 * v:10.2f}" for v in best)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=200)
@@ -209,6 +245,10 @@ def main() -> int:
     print(f"{'group':>10}" + "".join(f" {h:>8}" for h in ("muls", "invs", "compares")))
     for label, n in _LIFT_GROUPS:
         print(_lift_row(label, n, cfg))
+    print(f"off-box field work, ms: the structure-constants stage, best of {_OP_ROUNDS} rounds")
+    print(f"{'field':>10}" + "".join(f" {h:>10}" for h in ("tables", "validate", "poly-field", "iso")))
+    for label, p, k in _FIELDS:
+        print(_field_row(label, p, k, cfg))
     print()
 
     all_same = True

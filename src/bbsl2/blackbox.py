@@ -10,18 +10,30 @@ order, which is what makes order computations possible at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import lcm
+from operator import attrgetter
 
 from .arith import factorint
 from .errors import ContractViolation, InputError
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ElementString:
-    """Opaque handle for one group element. Compare only via the box."""
+    """Opaque handle for one group element. Compare only via the box.
 
-    data: bytes
+    ``data`` is read-only; equality and hash are identity. A plain slot
+    behind a property is about half the cost of a frozen dataclass,
+    whose ``__init__`` sets the field through ``object.__setattr__``.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: bytes):
+        self._data = data
+
+    data = property(attrgetter("_data"), doc="The string's bytes.")
+
+    def __repr__(self) -> str:
+        return f"ElementString(data={self._data!r})"
 
 
 class BlackBoxGroup:

@@ -10,22 +10,38 @@ unity is recovered by linear algebra. Elements are plain ints in
 mapping a generator of the first onto a root of its minimal polynomial
 in the second.
 
+For p = 2 an element already is its coordinate bit vector, so the
+definitions work on packed ints: a sum is an XOR, a product XORs the
+precomputed products of basis elements over the set bits of both
+factors, and every F_2-linear map (multiplication by a fixed element,
+an isomorphism) XORs the images of the basis elements.
+
 For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
 lookups in log, antilog and Zech tables built on first use from the
-definitions ``_mul_raw`` and ``_add_raw``; for p = 2 a sum is an XOR.
+definitions ``_mul_raw`` and ``_add_raw``.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import zip_longest
+from functools import cached_property, partial
 
 from . import modp
 from .arith import is_prime
 from .errors import ContractViolation, InputError
+from .roots import find_root
+
+
+def _xor_rows(rows, x: int) -> int:
+    """The XOR of rows[i] over the set bits i of x: x times a matrix over F_2."""
+    out = 0
+    for r in rows:
+        if x & 1:
+            out ^= r
+        x >>= 1
+    return out
 
 
 class ExplicitField:
@@ -41,6 +57,8 @@ class ExplicitField:
         self.order = p**k
         self._c00 = c[0][0][0]
         self._one: int | None = None
+        # for p = 2, basis_i * basis_j as a bit vector: the packed product XORs these
+        self._rows = tuple(tuple(self.element(r) for r in plane) for plane in c) if p == 2 else None
 
     # -- coordinates ----------------------------------------------------
     def coords(self, a: int) -> tuple[int, ...]:
@@ -61,9 +79,20 @@ class ExplicitField:
 
     # -- the definitions: coordinate-wise sum, product by structure constants
     def _add_raw(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         return self.element(x + y for x, y in zip(self.coords(a), self.coords(b)))
 
     def _mul_raw(self, a: int, b: int) -> int:
+        if self.p == 2:
+            out = 0
+            for row in self._rows:
+                if not a:
+                    break
+                if a & 1:
+                    out ^= _xor_rows(row, b)
+                a >>= 1
+            return out
         av, bv, c, p = self.coords(a), self.coords(b), self.c, self.p
         out = [0] * self.k
         for i, x in enumerate(av):
@@ -79,6 +108,12 @@ class ExplicitField:
                     out[l] += f * row[l]
         return self.element(v % p for v in out)
 
+    def _times(self, g: int):
+        """x -> x * g by the definition; for p = 2 a linear map on packed ints."""
+        if self.p == 2:
+            return partial(_xor_rows, [self._mul_raw(1 << i, g) for i in range(self.k)])
+        return partial(self._mul_raw, b=g)
+
     @cached_property
     def _tables(self) -> tuple[list[int], list[int], list[int] | None]:
         """(log, exp, zech) on the powers of g, the first element of order q - 1.
@@ -89,11 +124,12 @@ class ExplicitField:
         """
         n, one = self.order - 1, self.one
         for g in range(1, self.order):
+            times = self._times(g)
             log, exp, x = [-1] * self.order, [], one
             while x and log[x] < 0:
                 log[x] = len(exp)
                 exp.append(x)
-                x = self._mul_raw(x, g)
+                x = times(x)
             if len(exp) == n and x == one:
                 break
         else:
@@ -189,18 +225,28 @@ class ExplicitField:
         raise ContractViolation("trace not a prime-field multiple of unity")
 
     def minimal_polynomial(self, a: int) -> modp.Poly:
-        """Monic minimal polynomial of a over F_p, low degree first."""
-        powers = [self.coords(self.one)]
-        x = a
-        for _ in range(self.k):
-            powers.append(self.coords(x))
+        """Monic minimal polynomial of a over F_p, low degree first.
+
+        One elimination over the powers 1, a, a^2, ...: each power is
+        reduced against the earlier ones, with the combination of powers
+        it has become, and the first that reduces to zero gives it.
+        """
+        p, k = self.p, self.k
+        rows, x = [], self.one  # (pivot, vector with 1 there, its combination)
+        for d in range(k + 1):
+            v, comb = list(self.coords(x)), [0] * (k + 1)
+            comb[d] = 1
+            for piv, u, w in rows:
+                f = v[piv]
+                if f:
+                    v = [(s - f * t) % p for s, t in zip(v, u)]
+                    comb = [(s - f * t) % p for s, t in zip(comb, w)]
+            piv = next((i for i, s in enumerate(v) if s), None)
+            if piv is None:
+                return modp.poly_trim(comb)
+            inv = pow(v[piv], -1, p)
+            rows.append((piv, [s * inv % p for s in v], [s * inv % p for s in comb]))
             x = self.mul(x, a)
-        for d in range(1, self.k + 1):
-            rows = [tuple(powers[i][l] for i in range(d)) for l in range(self.k)]
-            rhs = [powers[d][l] for l in range(self.k)]
-            sol = modp.solve_rectangular(rows, rhs, self.p)
-            if sol is not None:
-                return modp.poly_trim([-s % self.p for s in sol] + [1])
         raise ContractViolation("no minimal polynomial of degree <= k")
 
     def field_generator(self) -> int:
@@ -253,101 +299,16 @@ class ExplicitField:
         if not is_prime(p):
             raise InputError(f"p = {p} is not a prime")
         f = modp.smallest_irreducible(p, k)
-        basis = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-        c = []
-        for i in range(k):
-            plane = []
-            for j in range(k):
-                prod = [0] * (i + j) + [1]
-                rem = modp.poly_mod(tuple(prod), f, p)
-                plane.append(tuple(rem) + (0,) * (k - len(rem)))
-            c.append(tuple(plane))
-        fld = cls(p, k, tuple(c))
+        powers = []  # x^s mod f; x^i * x^j depends on i + j only
+        for s in range(2 * k - 1):
+            rem = modp.poly_mod((0,) * s + (1,), f, p)
+            powers.append(tuple(rem) + (0,) * (k - len(rem)))
+        fld = cls(p, k, tuple(tuple(powers[i + j] for j in range(k)) for i in range(k)))
         fld._one = 1  # basis vector 0 is the polynomial 1
         return fld
 
     def same_presentation(self, other: "ExplicitField") -> bool:
         return self.p == other.p and self.k == other.k and self.c == other.c
-
-
-# ---------------------------------------------------------------------------
-# polynomials with coefficients in an ExplicitField
-
-
-def _fp_trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_mod(F: ExplicitField, f, g):
-    g = _fp_trim(g)
-    f = list(f)
-    inv = F.inv(g[-1])
-    for i in range(len(f) - len(g), -1, -1):
-        c = F.mul(f[i + len(g) - 1], inv)
-        if c:
-            for j, y in enumerate(g):
-                f[i + j] = F.sub(f[i + j], F.mul(c, y))
-    return _fp_trim(f[: len(g) - 1])
-
-
-def _fp_mul(F: ExplicitField, f, g):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _fp_trim(out)
-
-
-def _fp_gcd(F: ExplicitField, f, g):
-    f, g = _fp_trim(f), _fp_trim(g)
-    while g:
-        f, g = g, _fp_mod(F, f, g)
-    if f:
-        inv = F.inv(f[-1])
-        f = [F.mul(c, inv) for c in f]
-    return f
-
-
-def _fp_powmod(F: ExplicitField, f, e: int, g):
-    out = [F.one]
-    f = _fp_mod(F, f, g)
-    while e:
-        if e & 1:
-            out = _fp_mod(F, _fp_mul(F, out, f), g)
-        f = _fp_mod(F, _fp_mul(F, f, f), g)
-        e >>= 1
-    return out
-
-
-def _find_root(f_over_fp: modp.Poly, F: ExplicitField, rng: random.Random) -> int:
-    """A root in F of a monic polynomial with prime-subfield coefficients."""
-    f = [F.scalar(c) for c in f_over_fp]
-    if F.order <= 10_000 or F.p == 2:
-        for a in F.elements():
-            acc = 0
-            for c in reversed(f):
-                acc = F.add(F.mul(acc, a), c)
-            if acc == 0:
-                return a
-        raise ContractViolation("polynomial has no root in target field")
-    # Cantor-Zassenhaus equal-degree splitting, odd characteristic
-    x = [0, F.one]
-    xq = _fp_powmod(F, x, F.order, f)
-    f = _fp_gcd(F, [F.sub(a, b) for a, b in zip_longest(xq, x, fillvalue=0)], f)
-    if len(f) < 2:
-        raise ContractViolation("polynomial has no root in target field")
-    while len(f) > 2:
-        a = rng.randrange(F.order)
-        shifted = _fp_powmod(F, [a, F.one], (F.order - 1) // 2, f)
-        shifted = [F.sub(c, F.one) if i == 0 else c for i, c in enumerate(shifted)] or [F.neg(F.one)]
-        g = _fp_gcd(F, shifted, f)
-        if 1 < len(g) < len(f):
-            f = g
-    return F.neg(F.mul(f[0], F.inv(f[1])))
 
 
 @dataclass
@@ -357,11 +318,22 @@ class FieldIsomorphism:
     matrix: modp.Mat
     inverse: modp.Mat
 
+    def __post_init__(self):
+        self._fwd = _linear_map(self.src, self.dst, self.matrix)
+        self._bwd = _linear_map(self.dst, self.src, self.inverse)
+
     def __call__(self, a: int) -> int:
-        return self.dst.element(modp.vec_mat(self.src.coords(a), self.matrix, self.src.p))
+        return self._fwd(a)
 
     def inverse_map(self, b: int) -> int:
-        return self.src.element(modp.vec_mat(self.dst.coords(b), self.inverse, self.src.p))
+        return self._bwd(b)
+
+
+def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
+    """a -> the element of B with coordinates coords(a) @ m."""
+    if A.p == 2:
+        return partial(_xor_rows, [B.element(row) for row in m])
+    return lambda a: B.element(modp.vec_mat(A.coords(a), m, A.p))
 
 
 def explicit_isomorphism(
@@ -377,7 +349,7 @@ def explicit_isomorphism(
         return FieldIsomorphism(a_field, b_field, ident, ident)
     g = a_field.field_generator()
     minpoly = a_field.minimal_polynomial(g)
-    root = _find_root(minpoly, b_field, rng)
+    root = find_root(minpoly, b_field, rng)
     gmat = _power_matrix(a_field, g)
     rmat = _power_matrix(b_field, root)
     fwd = modp.mat_mul(modp.mat_inv(gmat, p), rmat, p)

@@ -6,6 +6,8 @@ is the right tool.
 """
 from __future__ import annotations
 
+from functools import cache
+
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
@@ -181,8 +183,12 @@ def is_irreducible(f: Poly, p: int) -> bool:
     return True
 
 
+@cache
 def smallest_irreducible(p: int, k: int) -> Poly:
-    """Lexicographically smallest monic irreducible of degree k over F_p."""
+    """Lexicographically smallest monic irreducible of degree k over F_p.
+
+    A pure function of (p, k), so it is computed once per process.
+    """
     if k == 1:
         return (0, 1)
     # enumerate constant-first coefficient tuples in numeric order

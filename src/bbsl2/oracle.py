@@ -1,34 +1,18 @@
 """Brute-force matrix-group computations.
 
 Everything here works on plain matrices over an explicit field, with no
-black box in sight. The acceptance tests use these enumerations as the
-independent ground truth that the black box algorithms are checked
-against at desk scale.
+black box in sight. ``closure`` and ``matrix_order_direct`` enumerate:
+``selftest`` and the tests use them as independent ground truth at desk
+scale. ``random_sl2`` draws the verification inputs and ``psl_canon``
+picks a coset representative of the center quotient.
 """
 from __future__ import annotations
 
 import random
 
-from .backend import Matrix, mat_identity, mat_inv2, mat_mul, mat_neg
+from .backend import Matrix, mat_identity, mat_mul, mat_neg
 from .errors import InputError
 from .field import ExplicitField
-
-
-def u_mat(F: ExplicitField, t: int) -> Matrix:
-    return ((F.one, t), (0, F.one))
-
-
-def v_mat(F: ExplicitField, t: int) -> Matrix:
-    return ((F.one, 0), (t, F.one))
-
-
-def h_mat(F: ExplicitField, t: int) -> Matrix:
-    return ((t, 0), (0, F.inv(t)))
-
-
-def n_mat(F: ExplicitField, t: int) -> Matrix:
-    ti = F.inv(t)
-    return ((0, t), (ti if F.p == 2 else F.neg(ti), 0))
 
 
 def psl_canon(F: ExplicitField):
@@ -70,20 +54,6 @@ def matrix_order_direct(F: ExplicitField, m: Matrix) -> int:
     return o
 
 
-def centralizer_set(F: ExplicitField, elements, m: Matrix, canon=None):
-    canon = canon or (lambda m: m)
-    m = canon(m)
-    out = set()
-    for x in elements:
-        if canon(mat_mul(F, x, m)) == canon(mat_mul(F, m, x)):
-            out.add(x)
-    return out
-
-
-def unipotent_upper_set(F: ExplicitField):
-    return {u_mat(F, t) for t in F.elements()}
-
-
 def random_sl2(F: ExplicitField, rng: random.Random) -> Matrix:
     """Uniform over SL2: uniform nonzero top row, uniform fiber below."""
     while True:
@@ -97,7 +67,3 @@ def random_sl2(F: ExplicitField, rng: random.Random) -> Matrix:
         c = F.neg(F.inv(b))
         d = rng.randrange(F.order)
     return ((a, b), (c, d))
-
-
-def conj_mat(F: ExplicitField, x: Matrix, g: Matrix) -> Matrix:
-    return mat_mul(F, mat_inv2(F, g), mat_mul(F, x, g))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .arith import coprime_part, is_prime, p_part
-from .backend import mat_mul
+from .backend import _mul_kernel
 from .bbfield import build_field_on_U, ppd_prime
 from .blackbox import (
     BlackBoxGroup,
@@ -336,10 +336,11 @@ def finish_recognition(
 
     with rec.stage("verify"):
         passes = 0
+        mul = _mul_kernel(explicit)
         for _ in range(trials):
             m1 = oracle.random_sl2(explicit, rng)
             m2 = oracle.random_sl2(explicit, rng)
-            lhs = morphism(mat_mul(explicit, m1, m2))
+            lhs = morphism(mul(m1, m2))
             if box.compare(lhs, box.mul(morphism(m1), morphism(m2))):
                 passes += 1
         verification = {

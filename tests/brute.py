@@ -1,0 +1,44 @@
+"""Brute-force matrices and sets in SL2 over an explicit field, for the tests.
+
+The frame matrices u(t), v(t), h(t), n(t), conjugation, centralizers and
+the upper unipotent group, computed on plain matrices with no black box
+in sight: the tests' independent ground truth at desk scale, beside
+``bbsl2.oracle``.
+"""
+from bbsl2.backend import Matrix, mat_inv2, mat_mul
+from bbsl2.field import ExplicitField
+
+
+def u_mat(F: ExplicitField, t: int) -> Matrix:
+    return ((F.one, t), (0, F.one))
+
+
+def v_mat(F: ExplicitField, t: int) -> Matrix:
+    return ((F.one, 0), (t, F.one))
+
+
+def h_mat(F: ExplicitField, t: int) -> Matrix:
+    return ((t, 0), (0, F.inv(t)))
+
+
+def n_mat(F: ExplicitField, t: int) -> Matrix:
+    ti = F.inv(t)
+    return ((0, t), (ti if F.p == 2 else F.neg(ti), 0))
+
+
+def conj_mat(F: ExplicitField, x: Matrix, g: Matrix) -> Matrix:
+    return mat_mul(F, mat_inv2(F, g), mat_mul(F, x, g))
+
+
+def centralizer_set(F: ExplicitField, elements, m: Matrix, canon=None):
+    canon = canon or (lambda m: m)
+    m = canon(m)
+    out = set()
+    for x in elements:
+        if canon(mat_mul(F, x, m)) == canon(mat_mul(F, m, x)):
+            out.add(x)
+    return out
+
+
+def unipotent_upper_set(F: ExplicitField):
+    return {u_mat(F, t) for t in F.elements()}

@@ -23,6 +23,8 @@ from bbsl2.involutions import find_order3_inverted
 from bbsl2.sl2char2 import dihedral_frame, enumerate_unipotent, involution_sample, recover_char2
 from bbsl2.sl2odd import recover_psl2
 
+import brute
+
 from conftest import ACCEPTANCE_LINES
 
 _ODD_SIZES = [(3, 2), (13, 1), (29, 1), (3, 4), (13, 2)]  # q = 9, 13, 29, 81, 169
@@ -112,9 +114,9 @@ def test_criterion_2_frobenius_on_gf81():
     box = make_matrix_blackbox(3, 4, opaque=True, seed=81)
     be = box.backend
     F = be.field
-    u = be.encode(oracle.u_mat(F, F.one))
-    h = be.encode(oracle.h_mat(F, F.primitive_element()))
-    n = be.encode(oracle.n_mat(F, F.one))
+    u = be.encode(brute.u_mat(F, F.one))
+    h = be.encode(brute.h_mat(F, F.primitive_element()))
+    n = be.encode(brute.n_mat(F, F.one))
     rng = random.Random(81)
     fro = frobenius_on_sl2(box, u, h, n, 3, 4, rng)
     prod = fro.product
@@ -213,7 +215,7 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         u_set = _canon_set(be, (proj(f.lift_int(j)) for j in range(q)), canon)
         u_want = {
             m
-            for m in oracle.centralizer_set(F, group, u_dec, canon=canon)
+            for m in brute.centralizer_set(F, group, u_dec, canon=canon)
             if oracle.matrix_order_direct(F, m) in unip_orders
         }
         # V: the opposite unipotent subgroup, image of U under the Weyl element
@@ -223,8 +225,8 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         }
         v_want = {
             m
-            for m in oracle.centralizer_set(
-                F, group, oracle.conj_mat(F, u_dec, be.decode(frame.weyl)), canon=canon
+            for m in brute.centralizer_set(
+                F, group, brute.conj_mat(F, u_dec, be.decode(frame.weyl)), canon=canon
             )
             if oracle.matrix_order_direct(F, m) in unip_orders
         }
@@ -232,7 +234,7 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         t_set = _canon_set(
             be, (box.power(frame.h, i) for i in range(frame.torus_order)), canon
         )
-        t_want = oracle.centralizer_set(F, group, be.decode(frame.h), canon=canon)
+        t_want = brute.centralizer_set(F, group, be.decode(frame.h), canon=canon)
         # torus normalizer: torus plus the Weyl coset
         n_set = t_set | {
             canon(be.decode(box.mul(frame.weyl, box.power(frame.h, i))))
@@ -240,7 +242,7 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         }
         # h generates its centralizer, so N(T) = { m : h^m lies in T }
         h_dec = be.decode(frame.h)
-        n_want = {m for m in group if canon(oracle.conj_mat(F, h_dec, m)) in t_want}
+        n_want = {m for m in group if canon(brute.conj_mat(F, h_dec, m)) in t_want}
         label = f"q={q}{'(psl)' if cq else ''}"
         good = u_set == u_want and v_set == v_want and t_set == t_want and n_set == n_want
         details.append(f"{label} {'ok' if good else 'MISMATCH'}")
@@ -256,9 +258,9 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         frame = dihedral_frame(box, r, theta)
         elements, _ = enumerate_unipotent(box, r, rng, n)
         u_set = {be.decode(x) for x in elements}
-        u_want = oracle.centralizer_set(F, group, be.decode(r))
+        u_want = brute.centralizer_set(F, group, be.decode(r))
         v_set = {be.decode(box.conj(x, frame.weyl)) for x in elements}
-        v_want = oracle.centralizer_set(F, group, be.decode(frame.v1))
+        v_want = brute.centralizer_set(F, group, be.decode(frame.v1))
         span = oracle.closure(F, [be.decode(r), be.decode(theta)])
         good = u_set == u_want and v_set == v_want and len(span) == 6
         details.append(f"n={n} {'ok' if good else 'MISMATCH'}")

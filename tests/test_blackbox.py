@@ -11,6 +11,8 @@ from bbsl2.backend import MatrixBackend, make_matrix_blackbox, mat_neg
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
 
+import brute
+
 
 def test_global_exponent_frozen_values():
     assert global_exponent_gl(2, 13, 1) == 2184
@@ -89,13 +91,13 @@ def test_element_order_vs_direct_powering(rng):
 def test_commutes_and_conj(rng):
     box = make_matrix_blackbox(13, 1, opaque=True, seed=8)
     be = box.backend
-    u = be.encode(oracle.u_mat(be.field, 1))
-    u2 = be.encode(oracle.u_mat(be.field, 5))
-    h = be.encode(oracle.h_mat(be.field, 2))
+    u = be.encode(brute.u_mat(be.field, 1))
+    u2 = be.encode(brute.u_mat(be.field, 5))
+    h = be.encode(brute.h_mat(be.field, 2))
     assert box.commutes(u, u2)
     assert not box.commutes(u, h)
     got = be.decode(box.conj(u, h))
-    assert got == oracle.conj_mat(be.field, oracle.u_mat(be.field, 1), oracle.h_mat(be.field, 2))
+    assert got == brute.conj_mat(be.field, brute.u_mat(be.field, 1), brute.h_mat(be.field, 2))
 
 
 def test_direct_product_box(rng):
@@ -120,9 +122,9 @@ def test_direct_product_box(rng):
 def test_generated_subbox_stays_inside(rng):
     box = make_matrix_blackbox(13, 1, opaque=False, seed=5)
     be = box.backend
-    u = be.encode(oracle.u_mat(be.field, 1))
+    u = be.encode(brute.u_mat(be.field, 1))
     sub = SubgroupBox(box, [u], rng)
-    uppers = oracle.unipotent_upper_set(be.field)
+    uppers = brute.unipotent_upper_set(be.field)
     for _ in range(60):
         assert be.decode(sub.sample(rng)) in uppers
     assert sub.exponent == box.exponent
@@ -159,7 +161,7 @@ def test_backend_rejects_bad_generators():
 def test_psl_canonicalization():
     box = make_matrix_blackbox(13, 1, center_quotient=True, opaque=True, seed=0)
     be = box.backend
-    m = oracle.h_mat(be.field, 2)
+    m = brute.h_mat(be.field, 2)
     neg = tuple(tuple(be.field.neg(x) for x in row) for row in m)
     assert box.compare(be.encode(m), be.encode(neg))
 
@@ -272,7 +274,7 @@ def test_psl_decode_is_canonical():
     for opaque in (True, False):
         box = make_matrix_blackbox(13, 1, center_quotient=True, opaque=opaque, seed=2)
         be = box.backend
-        m = oracle.h_mat(be.field, 2)
+        m = brute.h_mat(be.field, 2)
         pair = (m, mat_neg(be.field, m))
         canon = min(pair)
         for mat in pair:

@@ -154,6 +154,26 @@ def test_degenerate_presentations_rejected():
         bad.validate(random.Random(0), trials=256)
 
 
+def test_minimal_polynomial_is_irreducible_and_annihilates(F):
+    for a in F.elements():
+        f = F.minimal_polynomial(a)
+        assert f[-1] == 1 and modp.is_irreducible(f, F.p), (a, f)
+        assert F.k % (len(f) - 1) == 0
+        acc = 0
+        for c in reversed(f):
+            acc = F.add(F.mul(acc, a), F.scalar(c))
+        assert acc == 0, (a, f)
+
+
+def test_isomorphism_maps_match_vec_mat(F):
+    G = _scrambled(F, seed=29)
+    iso = explicit_isomorphism(F, G, random.Random(4))
+    for a in F.elements():
+        assert iso(a) == G.element(modp.vec_mat(F.coords(a), iso.matrix, F.p))
+    for b in G.elements():
+        assert iso.inverse_map(b) == F.element(modp.vec_mat(G.coords(b), iso.inverse, F.p))
+
+
 def test_inverse_map_roundtrip():
     F = ExplicitField.polynomial_field(3, 2)
     G = _scrambled(F, seed=23)
@@ -201,6 +221,34 @@ def test_prime_kernel_matches_reference(p, c):
     assert F._mul_raw(F.one, F.one) == F.one
     _check_kernel(F)
     F.validate(random.Random(p))
+
+
+def _digitwise_times(F: ExplicitField, a: int):
+    """Coordinates of b -> a * b by the structure constants, on digit tuples."""
+    av, k = F.coords(a), F.k
+    # row j: a * basis_j
+    rows = [[sum(av[i] * F.c[i][j][l] for i in range(k)) for l in range(k)] for j in range(k)]
+
+    def times(bv) -> int:
+        out = [0] * k
+        for y, row in zip(bv, rows):
+            if y:
+                out = [o + y * r for o, r in zip(out, row)]
+        return F.element(out)
+
+    return times
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_packed_gf2_ops_match_digitwise(k):
+    F = ExplicitField.polynomial_field(2, k)
+    for E in (F, _scrambled(F, seed=40 + k)):
+        coords = [E.coords(b) for b in E.elements()]
+        for a, av in enumerate(coords):
+            times = _digitwise_times(E, a)
+            for b, bv in enumerate(coords):
+                assert E._mul_raw(a, b) == times(bv)
+                assert E._add_raw(a, b) == E.element(x + y for x, y in zip(av, bv))
 
 
 # primitive_element() of the standard presentations; it fixes the torus

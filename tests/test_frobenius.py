@@ -3,18 +3,19 @@ import random
 
 import pytest
 
-from bbsl2 import oracle
 from bbsl2.backend import make_matrix_blackbox
 from bbsl2.errors import InputError
 from bbsl2.frobenius import frobenius_on_sl2
+
+import brute
 
 
 def _standard_frame(box):
     be = box.backend
     F = be.field
-    u = be.encode(oracle.u_mat(F, F.one))
-    h = be.encode(oracle.h_mat(F, F.primitive_element()))
-    n = be.encode(oracle.n_mat(F, F.one))
+    u = be.encode(brute.u_mat(F, F.one))
+    h = be.encode(brute.h_mat(F, F.primitive_element()))
+    n = be.encode(brute.n_mat(F, F.one))
     return u, h, n
 
 

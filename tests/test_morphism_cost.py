@@ -103,3 +103,31 @@ def test_sl2_256_recognition_cost_is_pinned():
     res = recover_char2(box, 8, random.Random(1), trials=200)
     assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
     assert ops.snapshot() == (7_653, 254, 395)
+
+
+# the field map of each pinned recognition above; the root search picks the
+# first root in integer order, so the matrix is fixed by the seed too
+_ISO_PINS = [
+    (
+        3, 4, 1000, 0,
+        ((2, 0, 2, 0), (2, 2, 2, 0), (2, 0, 2, 1), (2, 1, 0, 2)),
+    ),
+    (
+        2, 8, 1001, 1,
+        (
+            (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 1, 1, 0, 1, 1, 0), (1, 1, 1, 1, 0, 1, 0, 0),
+            (1, 1, 1, 0, 1, 0, 0, 1), (1, 0, 1, 1, 1, 1, 1, 0), (1, 0, 0, 1, 1, 1, 0, 0),
+            (1, 0, 0, 0, 0, 1, 1, 0), (0, 0, 1, 0, 1, 0, 0, 1),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("p, k, box_seed, seed, matrix", _ISO_PINS, ids=["SL2(81)", "SL2(256)"])
+def test_pinned_recognitions_iso_matrix(p, k, box_seed, seed, matrix):
+    box = make_matrix_blackbox(p, k, seed=box_seed)
+    if p == 2:
+        res = recover_char2(box, k, random.Random(seed), trials=200)
+    else:
+        res = recover_psl2(box, p, k, random.Random(seed), trials=200)
+    assert res.extras["iso_matrix"] == matrix

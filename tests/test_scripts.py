@@ -55,7 +55,14 @@ def test_opacity_benchmark_reports_clean():
     assert [r[0] for r in rows] == ["SL2(16)", "SL2(2^8)"]
     for r in rows:
         assert float(r[1]) > 0 and r[2:] == ["0.00", "0.00"], r
-    assert lines[22] == ""
+    # the off-box rows: ms of each step of the structure-constants stage
+    assert lines[22].startswith("off-box field work")
+    assert lines[23].split() == ["field", "tables", "validate", "poly-field", "iso"]
+    rows = [line.split() for line in lines[24:29]]
+    assert [r[0] for r in rows] == ["GF(2^4)", "GF(2^8)", "GF(2^12)", "GF(3^4)", "GF(13^2)"]
+    for r in rows:
+        assert len(r) == 5 and all(float(c) > 0 for c in r[1:]), r
+    assert lines[29] == ""
 
 
 def test_recognition_sweep_summary():

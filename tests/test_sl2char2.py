@@ -16,6 +16,8 @@ from bbsl2.sl2char2 import (
     recover_char2,
 )
 
+import brute
+
 
 def test_involution_sample(sl2_8, rng):
     for _ in range(10):
@@ -52,7 +54,7 @@ def test_enumerate_unipotent_is_the_full_subgroup(n, rng):
     assert box.is_identity(elements[0])
     decoded = {be.decode(x) for x in elements}
     group = oracle.closure(be.field, be.standard_generators())
-    want = oracle.centralizer_set(be.field, group, be.decode(r))
+    want = brute.centralizer_set(be.field, group, be.decode(r))
     assert decoded == want  # C(r) is exactly the unipotent subgroup through r
     # index arithmetic: products track bitwise xor of indices
     for i in (1, 3, 2**n - 1):

@@ -22,6 +22,8 @@ from bbsl2.sl2odd import (
     weyl_element,
 )
 
+import brute
+
 
 def test_unipotent_element_has_order_p(rng):
     for p, k, cq in [(13, 1, False), (13, 1, True), (3, 2, False)]:
@@ -33,12 +35,12 @@ def test_unipotent_element_has_order_p(rng):
 def test_in_unipotent_of(sl2_13, rng):
     be = sl2_13.backend
     F = be.field
-    u = be.encode(oracle.u_mat(F, F.one))
+    u = be.encode(brute.u_mat(F, F.one))
     for t in range(1, 13):
-        assert in_unipotent_of(sl2_13, u, 13, be.encode(oracle.u_mat(F, t)))
+        assert in_unipotent_of(sl2_13, u, 13, be.encode(brute.u_mat(F, t)))
     assert in_unipotent_of(sl2_13, u, 13, sl2_13.identity)
-    assert not in_unipotent_of(sl2_13, u, 13, be.encode(oracle.v_mat(F, F.one)))
-    assert not in_unipotent_of(sl2_13, u, 13, be.encode(oracle.h_mat(F, 2)))
+    assert not in_unipotent_of(sl2_13, u, 13, be.encode(brute.v_mat(F, F.one)))
+    assert not in_unipotent_of(sl2_13, u, 13, be.encode(brute.h_mat(F, 2)))
 
 
 def test_classify_center(rng):
@@ -134,8 +136,8 @@ def _standard_morphism(p, k, cq=False):
     be = box.backend
     F = be.field
     assert k == 1, "helper only supports prime fields"
-    u = be.encode(oracle.u_mat(F, F.one))
-    n = be.encode(oracle.n_mat(F, F.one))
+    u = be.encode(brute.u_mat(F, F.one))
+    n = be.encode(brute.n_mat(F, F.one))
     field = build_field_on_U(box, u, None, lambda x: x, p, 1)
     return box, be, SteinbergMorphism(box, field, n)
 
@@ -162,10 +164,10 @@ def test_steinberg_images_match_standard_matrices():
     box, be, phi = _standard_morphism(13, 1)
     F = be.field
     for t in range(1, 13):
-        assert be.decode(phi(oracle.u_mat(F, t))) == oracle.u_mat(F, t)
-        assert be.decode(phi(oracle.h_mat(F, t))) == oracle.h_mat(F, t)
-        assert be.decode(phi(oracle.n_mat(F, t))) == oracle.n_mat(F, t)
-        assert be.decode(phi(oracle.v_mat(F, t))) == oracle.v_mat(F, t)
+        assert be.decode(phi(brute.u_mat(F, t))) == brute.u_mat(F, t)
+        assert be.decode(phi(brute.h_mat(F, t))) == brute.h_mat(F, t)
+        assert be.decode(phi(brute.n_mat(F, t))) == brute.n_mat(F, t)
+        assert be.decode(phi(brute.v_mat(F, t))) == brute.v_mat(F, t)
 
 
 def test_steinberg_rejects_non_unit_determinant():
@@ -178,8 +180,8 @@ def test_steinberg_build_check_rejects_mismatched_weyl():
     box = make_matrix_blackbox(13, 1, opaque=False, seed=0)
     be = box.backend
     F = be.field
-    u = be.encode(oracle.u_mat(F, F.one))
-    wrong = be.encode(oracle.n_mat(F, 2))  # n(2) is not matched to u(1)
+    u = be.encode(brute.u_mat(F, F.one))
+    wrong = be.encode(brute.n_mat(F, 2))  # n(2) is not matched to u(1)
     field = build_field_on_U(box, u, None, lambda x: x, 13, 1)
     with pytest.raises(ContractViolation):
         SteinbergMorphism(box, field, wrong)
@@ -192,8 +194,8 @@ def test_recover_psl2_image_generates_whole_group(rng):
     F = be.field
     res = recover_psl2(box, 13, 1, rng, trials=10)
     phi = res.morphism
-    imgs = [be.decode(phi(oracle.u_mat(F, 1))), be.decode(phi(oracle.n_mat(F, 1))),
-            be.decode(phi(oracle.h_mat(F, 2)))]
+    imgs = [be.decode(phi(brute.u_mat(F, 1))), be.decode(phi(brute.n_mat(F, 1))),
+            be.decode(phi(brute.h_mat(F, 2)))]
     assert len(oracle.closure(F, imgs)) == 2184
 
 
