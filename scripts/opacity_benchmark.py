@@ -20,8 +20,9 @@ per image of a recovered morphism, and the base box's muls, invs and
 compares per image, once the unipotents its inputs need are lifted.
 A "char-2 lift" row per SL2(16) and SL2(2^8) gives the base box's
 muls, invs and compares per ``lift_int`` of the recovered field, over
-its nonzero elements; a lift carries no witness, so it neither inverts
-nor compares.
+its nonzero elements; a lift of j multiplies the popcount(j) basis
+markers of its bits, popcount(j) - 1 muls, and carries no witness, so
+it neither inverts nor compares.
 
 An "off-box field work" row per field gives the ms of the steps of the
 structure-constants stage, which make no oracle call, on the

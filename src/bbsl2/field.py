@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import modp
-from .arith import is_prime
+from .arith import factorint, is_prime
 from .errors import ContractViolation, InputError
 from .roots import find_root
 
@@ -41,6 +41,17 @@ def _xor_rows(rows, x: int) -> int:
         if x & 1:
             out ^= r
         x >>= 1
+    return out
+
+
+def _power(mul, one: int, a: int, e: int) -> int:
+    """a^e for e >= 0, by square and multiply with the product ``mul``."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        e >>= 1
     return out
 
 
@@ -120,10 +131,16 @@ class ExplicitField:
 
         exp[i] = g^i over two periods, so a sum of two logs needs no
         reduction; log[0] = -1; for odd p and k > 1, zech[n] = log(1 + g^n).
-        k = 1 uses the tables only for g.
+        k = 1 uses the tables only for g. For odd p a candidate is walked
+        only if no g^((q - 1)/r), r a prime divisor of q - 1, is one: in a
+        field that makes its order q - 1, and in any ring the walk needs
+        it. For p = 2 a walk step is a linear map, cheaper than the test.
         """
-        n, one = self.order - 1, self.one
+        n, one, mul = self.order - 1, self.one, self._mul_raw
+        cofactors = [n // r for r in factorint(n)] if self.p > 2 else []
         for g in range(1, self.order):
+            if any(_power(mul, one, g, e) == one for e in cofactors):
+                continue
             times = self._times(g)
             log, exp, x = [-1] * self.order, [], one
             while x and log[x] < 0:
@@ -192,13 +209,7 @@ class ExplicitField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out = self.one
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return _power(self.mul, self.one, a, e)
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -3,7 +3,8 @@
 Random involutions by powering, Bray's construction, which turns random
 group elements into centralizer elements of a given involution, and the
 search for an order-3 element inverted by an involution, which closes
-the dihedral frame in characteristic 2.
+the dihedral frame in characteristic 2; that search rejects candidates
+by one power each, and computes the order of the accepted one alone.
 """
 from __future__ import annotations
 
@@ -70,16 +71,19 @@ def find_order3_inverted(
 
     Products r^x * r are inverted by r for free, so powering one to its
     3-part gives the result whenever 3 divides the order; a constant
-    fraction of samples does at desk scale.
+    fraction of samples does at desk scale. A candidate whose order is
+    prime to 3 (the identity included) is rejected by one power, s^e = 1
+    for e the box exponent without its factors of 3; only the accepted
+    candidate pays for ``element_order``.
     """
     if box.is_identity(r):
         raise InputError("need a nontrivial involution")
+    e = box.exponent
+    while e % 3 == 0:
+        e //= 3
     for _ in range(budget):
         s = box.mul(box.conj(r, box.sample(rng)), r)
-        if box.is_identity(s):
+        if box.is_identity(box.power(s, e)):
             continue
-        o = element_order(box, s)
-        if o % 3:
-            continue
-        return box.power(s, o // 3)
+        return box.power(s, element_order(box, s) // 3)
     raise MonteCarloFailure("order-3 companion", "no conjugate product with order divisible by 3")

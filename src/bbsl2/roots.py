@@ -63,10 +63,36 @@ def _fp_powmod(F, f, e: int, g):
     return out
 
 
+def _smallest_root_char2(f_over_f2: modp.Poly, F) -> int:
+    """The smallest root in F, of characteristic 2, of a polynomial over F_2.
+
+    f(a) is the XOR of the powers a^i over the terms i of f; for a != 0,
+    a^i = exp[i * log(a) mod (q - 1)] is read from the field's tables.
+    """
+    if not f_over_f2[0] % 2:
+        return 0
+    log, exp, _ = F._tables
+    n = F.order - 1
+    terms = [i for i, c in enumerate(f_over_f2) if c % 2]
+    for a in range(1, F.order):
+        la, acc = log[a], 0
+        for i in terms:
+            acc ^= exp[i * la % n]
+        if not acc:
+            return a
+    raise ContractViolation("polynomial has no root in target field")
+
+
 def find_root(f_over_fp: modp.Poly, F, rng: random.Random) -> int:
-    """A root in F of a monic polynomial with prime-subfield coefficients."""
+    """A root in F of a monic polynomial with prime-subfield coefficients.
+
+    For p = 2, and for any F of order up to 10,000, the smallest root in
+    integer order.
+    """
+    if F.p == 2:
+        return _smallest_root_char2(f_over_fp, F)
     f = [F.scalar(c) for c in f_over_fp]
-    if F.order <= 10_000 or F.p == 2:
+    if F.order <= 10_000:
         for a in F.elements():
             acc = 0
             for c in reversed(f):

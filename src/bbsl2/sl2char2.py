@@ -3,7 +3,9 @@
 Characteristic 2 turns the odd-characteristic difficulty order on its
 head. Involutions ARE the nontrivial unipotent elements, so a single
 random involution r seeds the unipotent subgroup U, and its
-centralizer equals U exactly, so one Bray step samples U.
+centralizer equals U exactly, so one Bray step samples U. Every odd
+order divides 2^(2n) - 1, so that step takes its square root by
+squarings, with no order computation.
 
 The Weyl element comes from a dihedral triangle: r times the standard
 Weyl element has order 3 in SL2(2^n), and conversely every involution
@@ -18,10 +20,11 @@ carried as a pair (witness, marker) with marker = r^witness in U.
 Witnesses compose under multiplication. Addition multiplies markers,
 and a sum or a lifted element carries no witness until multiplication,
 inversion or a coordinate read needs one; the Steinberg morphism uses
-markers only, so its lifts never pay for one. A witness is derived
-deterministically: marker times the opposite unipotent always has odd
-order, so a two-step bridge of square roots (obtained by powering, no
-search) conjugates r onto any nonzero marker.
+markers only, so its lifts never pay for one: the lift of j multiplies
+the basis markers at the set bits of j, popcount(j) - 1 muls. A witness
+is derived deterministically: marker times the opposite unipotent
+always has odd order, so a two-step bridge of square roots (obtained by
+squaring, no search) conjugates r onto any nonzero marker.
 
 Coordinates are read through the trace form, as in odd characteristic
 (``bbfield.trace_form``). The Frobenius is squaring, so the element
@@ -35,13 +38,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from . import modp
-from .bbfield import check_structure, combine, trace_form
+from .bbfield import check_structure, trace_form
 from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
-from .involutions import bray_centralizer, bray_element, find_order3_inverted, is_involution
+from .involutions import bray_centralizer, find_order3_inverted, is_involution
 from .sl2odd import check_trials, finish_recognition
 from .stages import RecognitionResult, StageRecorder
 
@@ -61,13 +65,12 @@ def involution_sample(
     """A random involution, by direct search.
 
     In SL2(2^n) all even-order elements already are involutions, so
-    power tricks buy nothing; the hit rate is about 1/q per sample.
+    power tricks buy nothing; the hit rate is about 1/q per sample. A
+    miss costs one mul and one compare: x != 1 is tested only when x^2 = 1.
     """
     for _ in range(budget):
         x = box.sample(rng)
-        if box.is_identity(x):
-            continue
-        if box.is_identity(box.mul(x, x)):
+        if box.is_identity(box.mul(x, x)) and not box.is_identity(x):
             return x
     raise MonteCarloFailure("involution sample", "no element of order 2")
 
@@ -126,6 +129,28 @@ def enumerate_unipotent(
     return elements, basis
 
 
+def _sqrt(box: BlackBoxGroup, x: ElementString, n: int) -> ElementString:
+    """x^(2^(2n-1)), by 2n - 1 squarings: the square root of x when its
+    order is odd, since every odd order in SL2(2^n) divides 2^(2n) - 1."""
+    for _ in range(2 * n - 1):
+        x = box.mul(x, x)
+    return x
+
+
+def _bray_step(box: BlackBoxGroup, r: ElementString, g: ElementString, n: int) -> ElementString:
+    """``bray_element(box, r, g)`` in SL2(2^n), without an order computation.
+
+    w = r * r^g is the identity (Bray's element is g), an involution
+    (it is w), or of odd order m; then w^((m-1)/2) is the inverse of
+    the square root of w, so the element g * w^((m-1)/2) is reached by
+    squarings alone.
+    """
+    w = box.mul(r, box.conj(r, g))
+    if box.is_identity(box.mul(w, w)):
+        return g if box.is_identity(w) else w
+    return box.mul(g, _sqrt(box, box.inv(w), n))
+
+
 # draws of the conjugator before giving up; a draw fails when its scalar
 # lies in a proper subfield, about half the time at n = 2 and less above
 _CONJUGATOR_BUDGET = 40
@@ -154,17 +179,16 @@ class Char2Field:
         self.v1 = frame.v1
         self.p = 2
         self.k = n
-        self._sqrt_exp = 1 << (2 * n - 1)
-        self._bridge_tail = box.power(box.mul(frame.v1, frame.r), self._sqrt_exp)
+        self._bridge_tail = _sqrt(box, box.mul(frame.v1, frame.r), n)
         self.zero = (None, box.identity)
         self.one = (box.identity, frame.r)
         for _ in range(_CONJUGATOR_BUDGET):
-            z = bray_element(box, frame.r, box.sample(rng))
+            z = _bray_step(box, frame.r, box.sample(rng), n)
             if box.is_identity(z):
                 continue
             c = self._witness(z)
-            cpow = [box.identity]
-            for _ in range(3 * n):
+            cpow = [box.identity, c]
+            for _ in range(3 * n - 1):
                 cpow.append(box.mul(cpow[-1], c))
             T = self._power_traces(cpow)
             self.gram_det, self._gram_inv, self.structure = trace_form(T, 2, n)
@@ -180,14 +204,15 @@ class Char2Field:
         """A group element conjugating r onto the given nonzero marker.
 
         marker * v1 has odd order d for every nonzero marker in U, so
-        its d-th square root is a plain power (exponent 2^(2n-1), which
-        halves exponents mod any divisor of 2^(2n)-1); chaining the
+        its square root is a plain power (``_sqrt``: exponent 2^(2n-1),
+        which halves exponents mod any divisor of 2^(2n)-1); chaining the
         bridge r -> v1 -> marker through two such roots lands exactly.
         The tail factor of the chain is constant and precomputed.
         """
-        head = self.box.power(self.box.mul(marker, self.v1), self._sqrt_exp)
-        t = self.box.inv(self.box.mul(head, self._bridge_tail))
-        if not self.box.compare(self.box.conj(self.r, t), marker):
+        box = self.box
+        t_inv = box.mul(_sqrt(box, box.mul(marker, self.v1), self.k), self._bridge_tail)
+        t = box.inv(t_inv)
+        if not box.compare(box.conj(self.r, t, t_inv), marker):
             raise ContractViolation("witness bridge failed: even order where odd was promised")
         return t
 
@@ -254,11 +279,14 @@ class Char2Field:
         return sum(d << i for i, d in enumerate(modp.vec_mat(beta, self._gram_inv, 2)))
 
     def lift_int(self, j: int):
+        """The marker of j: the product of the basis markers s_(i+1) over the
+        set bits i of j, which costs popcount(j) - 1 muls."""
         if not 0 <= j < 1 << self.k:
             raise InputError(f"no field element with index {j}")
         if j == 0:
             return self.zero
-        return (None, combine(self.box, self._s, [j >> i & 1 for i in range(self.k)], 2))
+        factors = (self._s[i + 1] for i in range(self.k) if j >> i & 1)
+        return (None, reduce(self.box.mul, factors))
 
     def random_element(self, rng: random.Random):
         return self.lift_int(rng.randrange(1 << self.k))

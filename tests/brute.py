@@ -3,9 +3,11 @@
 The frame matrices u(t), v(t), h(t), n(t), conjugation, centralizers and
 the upper unipotent group, computed on plain matrices with no black box
 in sight: the tests' independent ground truth at desk scale, beside
-``bbsl2.oracle``.
+``bbsl2.oracle``; and reference copies of box searches that the package
+now runs more cheaply.
 """
 from bbsl2.backend import Matrix, mat_inv2, mat_mul
+from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
 
 
@@ -42,3 +44,20 @@ def centralizer_set(F: ExplicitField, elements, m: Matrix, canon=None):
 
 def unipotent_upper_set(F: ExplicitField):
     return {u_mat(F, t) for t in F.elements()}
+
+
+def find_order3_inverted_reference(box, r, rng, budget: int = 600):
+    """The order-3 search with an order computation for every candidate.
+
+    ``bbsl2.involutions.find_order3_inverted`` must accept the same
+    candidate from the same samples and return the same element.
+    """
+    for _ in range(budget):
+        s = box.mul(box.conj(r, box.sample(rng)), r)
+        if box.is_identity(s):
+            continue
+        o = element_order(box, s)
+        if o % 3:
+            continue
+        return box.power(s, o // 3)
+    raise AssertionError("no candidate of order divisible by 3")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bbsl2 import modp
 from bbsl2.errors import ContractViolation, InputError
 from bbsl2.field import ExplicitField, explicit_isomorphism
+from bbsl2.roots import find_root
 
 _SIZES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 1), (13, 1), (13, 2)]
 
@@ -278,3 +279,52 @@ def test_non_field_presentations_rejected_after_tables():
         split.validate(random.Random(0), trials=256)
     with pytest.raises(ContractViolation):
         split.primitive_element()
+
+
+@pytest.mark.parametrize("pk", [(3, 4), (5, 2), (7, 3), (11, 2), (13, 2)], ids=str)
+@pytest.mark.parametrize("scramble", [None, 3, 19])
+def test_odd_tables_walk_only_the_primitive_element(pk, scramble, monkeypatch):
+    # a candidate of order below q - 1 fails the power test before its walk
+    F = ExplicitField.polynomial_field(*pk)
+    if scramble is not None:
+        F = _scrambled(F, seed=scramble)
+    walked, times = [], ExplicitField._times
+    monkeypatch.setattr(ExplicitField, "_times", lambda self, g: walked.append(g) or times(self, g))
+    g = F.primitive_element()
+    assert walked == [g]
+    assert next(a for a in range(1, F.order) if _order(F, a) == F.order - 1) == g
+
+
+def _order(F: ExplicitField, a: int) -> int:
+    x, o = a, 1
+    while x != F.one:
+        x, o = F._mul_raw(x, a), o + 1
+    return o
+
+
+def _evaluate(F: ExplicitField, f, a: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, a), F.scalar(c))
+    return acc
+
+
+@pytest.mark.parametrize("k", [3, 4, 8])
+def test_char2_find_root_is_the_smallest_root(k):
+    # random polynomials over F_2, and minimal polynomials, which always
+    # have a root: the search returns the smallest root in integer order
+    F = _scrambled(ExplicitField.polynomial_field(2, k), seed=k)
+    rng = random.Random(k)
+    polys = [[rng.randrange(2) for _ in range(rng.randrange(2 * k))] + [1] for _ in range(30)]
+    polys += [F.minimal_polynomial(rng.randrange(1, F.order)) for _ in range(10)]
+    seen = set()
+    for f in polys:
+        roots = [a for a in F.elements() if _evaluate(F, f, a) == 0]
+        if roots:
+            seen.add("zero" if roots[0] == 0 else "nonzero")
+            assert find_root(f, F, rng) == roots[0], f
+        else:
+            seen.add("none")
+            with pytest.raises(ContractViolation):
+                find_root(f, F, rng)
+    assert seen == {"zero", "nonzero", "none"}

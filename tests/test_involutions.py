@@ -1,7 +1,9 @@
 """Involution machinery: Bray's construction and conjugating elements."""
+import random
+
 import pytest
 
-from bbsl2 import oracle
+from bbsl2 import involutions, oracle
 from bbsl2.blackbox import element_order
 from bbsl2.backend import make_matrix_blackbox
 from bbsl2.errors import InputError
@@ -102,6 +104,25 @@ def test_find_order3_inverted_span(rng):
     theta = find_order3_inverted(box, r, rng)
     span = oracle.closure(be.field, [be.decode(r), be.decode(theta)])
     assert len(span) == 6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_find_order3_inverted_matches_the_reference_search(n, monkeypatch):
+    # two boxes from one seed draw the same samples from the same rng; the
+    # search rejects by one power whatever the reference rejects by its
+    # order, and computes the order of the accepted candidate alone
+    boxes = [make_matrix_blackbox(2, n, opaque=True, seed=23) for _ in range(2)]
+    rngs = [random.Random(n), random.Random(n)]
+    rs = [random_involution(box, g) for box, g in zip(boxes, rngs)]
+    want = brute.find_order3_inverted_reference(boxes[0], rs[0], rngs[0])
+    orders = []
+    monkeypatch.setattr(
+        involutions, "element_order", lambda box, x: orders.append(x) or element_order(box, x)
+    )
+    got = find_order3_inverted(boxes[1], rs[1], rngs[1])
+    assert boxes[1].backend.decode(got) == boxes[0].backend.decode(want)
+    assert boxes[1].stats["samples"] == boxes[0].stats["samples"]
+    assert len(orders) == 1
 
 
 def test_find_order3_inverted_rejects_identity(sl2_8, rng):

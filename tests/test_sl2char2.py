@@ -5,11 +5,13 @@ import pytest
 
 from bbsl2 import oracle
 from bbsl2.backend import make_matrix_blackbox
+from bbsl2.bbfield import combine
 from bbsl2.blackbox import element_order
 from bbsl2.errors import ContractViolation, InputError
-from bbsl2.involutions import find_order3_inverted
+from bbsl2.involutions import bray_element, find_order3_inverted
 from bbsl2.sl2char2 import (
     Char2Field,
+    _bray_step,
     dihedral_frame,
     enumerate_unipotent,
     involution_sample,
@@ -24,6 +26,19 @@ def test_involution_sample(sl2_8, rng):
         r = involution_sample(sl2_8, rng)
         assert not sl2_8.is_identity(r)
         assert sl2_8.is_identity(sl2_8.power(r, 2))
+
+
+def test_involution_sample_tests_x_only_on_a_hit():
+    # a miss costs one mul and one compare (x^2 = 1?); only a hit also
+    # compares x with the identity
+    box = make_matrix_blackbox(2, 4, opaque=True, seed=3)
+    rng = random.Random(2)
+    box.sample(rng)  # the sampler's burn-in stays outside the count
+    samples, compares = box.stats["samples"], box.stats["compares"]
+    involution_sample(box, rng)
+    draws = box.stats["samples"] - samples
+    assert draws > 1
+    assert box.stats["compares"] - compares == draws + 1
 
 
 def test_dihedral_frame_relations(sl2_8, rng):
@@ -191,6 +206,48 @@ def test_char2field_halved_traces_match_direct(n):
     assert field._power_traces(field._cpow) == direct
     # only the odd m of 1..3n reach the box
     assert box.stats["muls"] - muls == per_trace * ((3 * n + 1) // 2)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4, 8], ids=lambda n: f"n={n}")
+def field_n(request):
+    n = request.param
+    box = make_matrix_blackbox(2, n, opaque=True, seed=41)
+    rng = random.Random(n)
+    r = involution_sample(box, rng)
+    frame = dihedral_frame(box, r, find_order3_inverted(box, r, rng))
+    return Char2Field(box, frame, n, rng)
+
+
+def test_char2field_lift_is_the_product_of_its_basis_markers(field_n):
+    # the marker of j is combine() of the bits of j, built from its first
+    # factor: popcount(j) - 1 muls, and no inverse or compare
+    box, n = field_n.box, field_n.k
+    for j in range(1, 1 << n):
+        before = _ops(box)
+        witness, marker = field_n.lift_int(j)
+        cost = tuple(b - a for a, b in zip(before, _ops(box)))
+        assert witness is None
+        assert cost == (bin(j).count("1") - 1, 0, 0), j
+        assert box.compare(marker, combine(box, field_n._s, [j >> i & 1 for i in range(n)], 2)), j
+
+
+def test_bray_step_is_bray_element(field_n):
+    # w = r * r^g is the identity for g in U, an involution for g in the
+    # normalizer of U outside it (the conjugator c), and of odd order for
+    # almost every random g
+    box, r, n = field_n.box, field_n.r, field_n.k
+    rng = random.Random(5)
+    gs = [box.identity, r, field_n.lift_int(3)[1], field_n._cpow[1]]
+    gs += [box.sample(rng) for _ in range(8)]
+    kinds = set()
+    for g in gs:
+        w = box.mul(r, box.conj(r, g))
+        if box.is_identity(w):
+            kinds.add("identity")
+        else:
+            kinds.add("involution" if box.is_identity(box.mul(w, w)) else "odd")
+        assert box.compare(_bray_step(box, r, g, n), bray_element(box, r, g))
+    assert kinds == {"identity", "involution", "odd"}
 
 
 def test_recover_char2_rejects_small_n(rng):
