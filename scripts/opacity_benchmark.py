@@ -32,13 +32,25 @@ presentation a recognition recovered: the log tables of a fresh copy
 box was built) and ``explicit_isomorphism`` to a fresh standard
 presentation, whose tables it builds. The four add up to the stage.
 
+A "cold start" table follows: in a fresh interpreter, the ms of
+importing bbsl2 and then of building the ten boxes of the benchmark's
+odd-grid workload, each with the process's peak resident set size
+(``ru_maxrss``, MB) after it; the best of three interpreters. Every
+process that recognizes a group pays this before its first sample.
+
     python3 scripts/opacity_benchmark.py --trials 200
 """
 import argparse
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
+import bbsl2
 from bbsl2 import make_matrix_blackbox, oracle, recover_char2, recover_psl2
 from bbsl2.backend import MatrixBackend
 from bbsl2.field import ExplicitField, explicit_isomorphism
@@ -53,6 +65,21 @@ _IMAGE_GROUPS = [("PSL2(13)", 13, 1, True), ("SL2(81)", 3, 4, False), ("SL2(16)"
 _LIFT_GROUPS = [("SL2(16)", 4), ("SL2(2^8)", 8)]
 # (label, p, k) of the off-box field rows
 _FIELDS = [("GF(2^4)", 2, 4), ("GF(2^8)", 2, 8), ("GF(2^12)", 2, 12), ("GF(3^4)", 3, 4), ("GF(13^2)", 13, 2)]
+_COLD_RUNS = 3
+# run in a fresh interpreter: import bbsl2, then build the odd-grid boxes
+# (q = 9, 13, 29, 81, 169, as SL2 and PSL2); prints ms and peak MB of each
+_COLD_START = """
+import json, resource, sys, time
+t0 = time.perf_counter()
+import bbsl2
+t1 = time.perf_counter()
+rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+boxes = [bbsl2.make_matrix_blackbox(p, k, center_quotient=cq, seed=int(sys.argv[1]))
+         for p, k in ((3, 2), (13, 1), (29, 1), (3, 4), (13, 2)) for cq in (False, True)]
+t2 = time.perf_counter()
+rss2 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([[1e3 * (t1 - t0), rss1], [1e3 * (t2 - t1), rss2]]))
+"""
 
 
 @dataclass
@@ -220,6 +247,16 @@ def _field_row(label: str, p: int, k: int, cfg: BenchConfig) -> str:
     return f"{label:>10}" + "".join(f" {1e3 * v:10.2f}" for v in best)
 
 
+def _cold_start_rows(cfg: BenchConfig) -> list[str]:
+    """ms and peak MB of the import and the box building, best of _COLD_RUNS interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bbsl2.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-c", _COLD_START, str(cfg.seed)]
+    runs = [json.loads(subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout)
+            for _ in range(_COLD_RUNS)]
+    return [f"{label:>10}" + "".join(f" {min(v):10.2f}" for v in zip(*steps))
+            for label, steps in zip(("import", "boxes"), zip(*runs))]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=200)
@@ -250,6 +287,11 @@ def main() -> int:
     print(f"{'field':>10}" + "".join(f" {h:>10}" for h in ("tables", "validate", "poly-field", "iso")))
     for label, p, k in _FIELDS:
         print(_field_row(label, p, k, cfg))
+    print(f"cold start: a fresh interpreter imports bbsl2, then builds the odd-grid boxes;"
+          f" best of {_COLD_RUNS}")
+    print(f"{'step':>10}" + "".join(f" {h:>10}" for h in ("ms", "maxrss-mb")))
+    for row in _cold_start_rows(cfg):
+        print(row)
     print()
 
     all_same = True

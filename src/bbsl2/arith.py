@@ -1,8 +1,9 @@
 """Integer helpers: primality, factorization, p-parts.
 
-Factorization is trial division over a fixed sieve followed by Pollard's
-rho with Brent cycling; all inputs here are modest (global exponents of
-small matrix groups), so this is comfortably fast and dependency-free.
+Factorization is trial division by the 168 primes below 1,000, then
+Pollard's rho with Brent cycling on any cofactor left. The inputs are
+global exponents of small matrix groups, whose prime factors are mostly
+tiny, so this is fast, dependency-free and next to free to set up.
 """
 from __future__ import annotations
 
@@ -10,23 +11,7 @@ import math
 import random
 from functools import lru_cache
 
-_SIEVE_BOUND = 1_000_000
-
-
-def _sieve(bound: int) -> list[int]:
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
-
-
-@lru_cache(maxsize=1)
-def small_primes() -> tuple[int, ...]:
-    return tuple(_sieve(_SIEVE_BOUND))
-
-
+_TRIAL_PRIMES = tuple(n for n in range(2, 1000) if all(n % d for d in range(2, math.isqrt(n) + 1)))
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -84,7 +69,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 @lru_cache(maxsize=4096)
 def _factorint_cached(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
-    for p in small_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:

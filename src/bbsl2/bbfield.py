@@ -14,8 +14,6 @@ equality goes through the box.
 """
 from __future__ import annotations
 
-import random
-
 from . import modp
 from .arith import factorint
 from .blackbox import BlackBoxGroup, ElementString, element_order
@@ -207,9 +205,6 @@ class BlackBoxField:
 
     def lift_int(self, n: int) -> ElementString:
         return self.from_coords([n // self.p**i % self.p for i in range(self.k)])
-
-    def random_element(self, rng: random.Random) -> ElementString:
-        return self.from_coords([rng.randrange(self.p) for _ in range(self.k)])
 
     def to_explicit(self) -> ExplicitField:
         return ExplicitField(self.p, self.k, self.structure)

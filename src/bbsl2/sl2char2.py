@@ -288,9 +288,6 @@ class Char2Field:
         factors = (self._s[i + 1] for i in range(self.k) if j >> i & 1)
         return (None, reduce(self.box.mul, factors))
 
-    def random_element(self, rng: random.Random):
-        return self.lift_int(rng.randrange(1 << self.k))
-
     def to_explicit(self) -> ExplicitField:
         return ExplicitField(2, self.k, self.structure)
 

@@ -3,12 +3,15 @@
 The frame matrices u(t), v(t), h(t), n(t), conjugation, centralizers and
 the upper unipotent group, computed on plain matrices with no black box
 in sight: the tests' independent ground truth at desk scale, beside
-``bbsl2.oracle``; and reference copies of box searches that the package
-now runs more cheaply.
+``bbsl2.oracle``; reference copies of box searches that the package
+now runs more cheaply; and random elements of a recovered field.
 """
+import random
+
 from bbsl2.backend import Matrix, mat_inv2, mat_mul
 from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
+from bbsl2.sl2char2 import Char2Field
 
 
 def u_mat(F: ExplicitField, t: int) -> Matrix:
@@ -61,3 +64,12 @@ def find_order3_inverted_reference(box, r, rng, budget: int = 600):
             continue
         return box.power(s, o // 3)
     raise AssertionError("no candidate of order divisible by 3")
+
+
+def random_element(field, rng: random.Random):
+    """A uniform element of a recovered field: a ``BlackBoxField`` from k
+    coordinate draws in [0, p), a ``Char2Field`` from one index draw in
+    [0, 2^k), lifted."""
+    if isinstance(field, Char2Field):
+        return field.lift_int(rng.randrange(1 << field.k))
+    return field.from_coords([rng.randrange(field.p) for _ in range(field.k)])

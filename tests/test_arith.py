@@ -1,10 +1,23 @@
 """Integer arithmetic helpers: factorization and part extraction."""
+import inspect
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbsl2 import arith
 from bbsl2.arith import coprime_part, factorint, is_prime, odd_part, p_part
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# primes just above the trial-division bound of 1,000, whose products
+# and powers only Brent's rho can split
+_ABOVE_TRIAL_BOUND = (1009, 1013, 1019, 1021, 1031, 1033)
 
 
 def _trial_division(n: int) -> dict[int, int]:
@@ -20,6 +33,13 @@ def _trial_division(n: int) -> dict[int, int]:
     return out
 
 
+def _assert_factorization(n: int, f: dict[int, int]) -> None:
+    assert math.prod(p**e for p, e in f.items()) == n
+    assert all(is_prime(p) for p in f)
+    if n < 10**6:
+        assert f == _trial_division(n)
+
+
 def test_factorint_frozen_group_orders():
     # |GL2(13)| and the global exponents the pipelines factor routinely
     assert factorint(2184) == {2: 3, 3: 1, 7: 1, 13: 1}
@@ -31,11 +51,79 @@ def test_factorint_frozen_group_orders():
 @given(st.integers(min_value=2, max_value=10**12))
 @settings(max_examples=150, deadline=None)
 def test_factorint_matches_trial_division_and_rebuilds(n):
-    f = factorint(n)
-    assert math.prod(p**e for p, e in f.items()) == n
-    assert all(is_prime(p) for p in f)
-    if n < 10**6:
-        assert f == _trial_division(n)
+    _assert_factorization(n, factorint(n))
+
+
+@pytest.mark.parametrize("p, q", itertools.combinations((997,) + _ABOVE_TRIAL_BOUND, 2))
+def test_factorint_semiprimes_above_trial_bound(p, q):
+    f = factorint(p * q)
+    assert f == {p: 1, q: 1}
+    _assert_factorization(p * q, f)
+
+
+def _rho_retry_line() -> int:
+    """The first line of ``_brent_rho``'s step-by-step retry after g == n."""
+    lines, start = inspect.getsourcelines(arith._brent_rho)
+    return start + next(i for i, line in enumerate(lines) if "if g == n:" in line) + 1
+
+
+def test_factorint_prime_powers_above_trial_bound():
+    # a square or cube is where the batched gcd can swallow every factor
+    # at once (g == n), so rho must retry step by step
+    retry, seen = _rho_retry_line(), set()
+
+    def lines(frame, event, arg):
+        seen.add(frame.f_lineno)
+        return lines
+
+    def tracer(frame, event, arg):
+        return lines if frame.f_code is arith._brent_rho.__code__ else None
+
+    arith._factorint_cached.cache_clear()
+    sys.settrace(tracer)
+    try:
+        results = {(p, e): factorint(p**e) for p in _ABOVE_TRIAL_BOUND for e in (2, 3)}
+    finally:
+        sys.settrace(None)
+    for (p, e), f in results.items():
+        assert f == {p: e}
+        _assert_factorization(p**e, f)
+    assert retry in seen
+
+
+def test_factorint_mersenne_numbers_and_odd_grid_orders():
+    for n in range(2, 25):
+        _assert_factorization(2**n - 1, factorint(2**n - 1))
+    assert factorint(2**23 - 1) == {47: 1, 178_481: 1}
+    for q in (9, 13, 29, 81, 169):
+        _assert_factorization(q * q - 1, factorint(q * q - 1))
+
+
+_COLD_START = """
+import tracemalloc
+tracemalloc.start()
+from bbsl2 import make_matrix_blackbox
+from bbsl2.arith import factorint
+after_import = tracemalloc.get_traced_memory()[0]
+cells = [(p, k, psl) for p, k in ((3, 2), (13, 1), (29, 1), (3, 4), (13, 2)) for psl in (False, True)]
+cells += [(2, n, False) for n in (2, 3, 4, 8)]
+boxes = [make_matrix_blackbox(p, k, center_quotient=psl, seed=1) for p, k, psl in cells]
+for box in boxes:
+    factorint(box.exponent)
+print(tracemalloc.get_traced_memory()[0] - after_import)
+"""
+
+
+def test_cold_start_memory_is_sized_to_the_input():
+    # in a fresh interpreter: the odd-grid and char2-grid boxes of the
+    # benchmark, and the factorizations of their exponents, hold under
+    # 1 MB beyond the import; a table of the primes below 10^6 alone
+    # takes about 3 MB, so no set-up table may grow past its input
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1 << 20
 
 
 @given(st.integers(min_value=2, max_value=200_000))

@@ -61,7 +61,15 @@ def test_opacity_benchmark_reports_clean():
     assert [r[0] for r in rows] == ["GF(2^4)", "GF(2^8)", "GF(2^12)", "GF(3^4)", "GF(13^2)"]
     for r in rows:
         assert len(r) == 5 and all(float(c) > 0 for c in r[1:]), r
-    assert lines[29] == ""
+    # the cold-start rows: ms and peak MB of a fresh interpreter's import,
+    # then of its building the odd-grid boxes
+    assert lines[29].startswith("cold start")
+    assert lines[30].split() == ["step", "ms", "maxrss-mb"]
+    rows = [line.split() for line in lines[31:33]]
+    assert [r[0] for r in rows] == ["import", "boxes"]
+    for r in rows:
+        assert len(r) == 3 and all(float(c) > 0 for c in r[1:]), r
+    assert lines[33] == ""
 
 
 def test_recognition_sweep_summary():

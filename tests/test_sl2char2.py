@@ -107,9 +107,9 @@ def test_char2field_axioms(field8):
     rng = random.Random(3)
     one, zero = field8.one, field8.zero
     for _ in range(60):
-        a = field8.random_element(rng)
-        b = field8.random_element(rng)
-        c = field8.random_element(rng)
+        a = brute.random_element(field8, rng)
+        b = brute.random_element(field8, rng)
+        c = brute.random_element(field8, rng)
         assert field8.eq(field8.mul(a, b), field8.mul(b, a))
         assert field8.eq(
             field8.mul(a, field8.mul(b, c)), field8.mul(field8.mul(a, b), c)
