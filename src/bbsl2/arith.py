@@ -106,7 +106,3 @@ def p_part(n: int, p: int) -> int:
 
 def coprime_part(n: int, p: int) -> int:
     return n // p_part(n, p)
-
-
-def odd_part(n: int) -> int:
-    return coprime_part(n, 2)

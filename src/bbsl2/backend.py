@@ -176,9 +176,6 @@ class MatrixBackend:
         self.inv = adjugate if special else partial(mat_inv2, field)
         self._bind_codec(seed)
 
-    def canonical_matrix(self, m: Matrix) -> Matrix:
-        return min(m, self.neg(m)) if self._canonical else m
-
     def _bind_codec(self, seed: int) -> None:
         """Build the string codec as closures over its constants and state.
 

@@ -16,6 +16,8 @@ from operator import attrgetter
 from .arith import factorint
 from .errors import ContractViolation, InputError
 
+_BURN_IN = 100
+
 
 class ElementString:
     """Opaque handle for one group element. Compare only via the box.
@@ -116,15 +118,15 @@ class BlackBoxGroup:
 class ProductReplacer:
     """Product replacement walk with an accumulator ('rattle') per sample."""
 
-    def __init__(self, box: BlackBoxGroup, gens, rng: random.Random, slots: int | None = None, burn_in: int = 100):
+    def __init__(self, box: BlackBoxGroup, gens, rng: random.Random):
         gens = tuple(gens)
         if not gens:
             raise InputError("product replacement needs at least one generator")
         self.box = box
-        n = slots if slots is not None else max(10, 2 * len(gens))
+        n = max(10, 2 * len(gens))
         self.slots = [gens[i % len(gens)] for i in range(n)]
         self.acc = box.identity
-        for _ in range(burn_in):
+        for _ in range(_BURN_IN):
             self._step(rng)
 
     def _step(self, rng: random.Random) -> None:
@@ -248,11 +250,11 @@ class SubgroupBox(BlackBoxGroup):
     on the parent box sees it.
     """
 
-    def __init__(self, parent: BlackBoxGroup, gens, rng: random.Random, burn_in: int = 100):
+    def __init__(self, parent: BlackBoxGroup, gens, rng: random.Random):
         super().__init__(parent.string_bytes, parent.exponent, gens)
         self.parent = parent
         self._identity = parent.identity
-        self._pr = ProductReplacer(self, self.generators, rng, burn_in=burn_in)
+        self._pr = ProductReplacer(self, self.generators, rng)
 
     def _mul(self, a, b):
         return self.parent._mul(a, b)

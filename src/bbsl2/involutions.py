@@ -13,6 +13,9 @@ import random
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
 
+_INVOLUTION_SAMPLES = 600
+_ORDER3_SAMPLES = 600
+
 
 def is_involution(box: BlackBoxGroup, x: ElementString) -> bool:
     return not box.is_identity(x) and box.is_identity(box.mul(x, x))
@@ -26,8 +29,8 @@ def to_involution(box: BlackBoxGroup, x: ElementString) -> ElementString | None:
     return box.power(x, o // 2)
 
 
-def random_involution(box: BlackBoxGroup, rng: random.Random, budget: int = 400) -> ElementString:
-    for _ in range(budget):
+def random_involution(box: BlackBoxGroup, rng: random.Random) -> ElementString:
+    for _ in range(_INVOLUTION_SAMPLES):
         i = to_involution(box, box.sample(rng))
         if i is not None:
             return i
@@ -64,9 +67,7 @@ def bray_centralizer(
     return out
 
 
-def find_order3_inverted(
-    box: BlackBoxGroup, r: ElementString, rng: random.Random, budget: int = 600
-) -> ElementString:
+def find_order3_inverted(box: BlackBoxGroup, r: ElementString, rng: random.Random) -> ElementString:
     """An element of order 3 inverted by the involution r.
 
     Products r^x * r are inverted by r for free, so powering one to its
@@ -81,7 +82,7 @@ def find_order3_inverted(
     e = box.exponent
     while e % 3 == 0:
         e //= 3
-    for _ in range(budget):
+    for _ in range(_ORDER3_SAMPLES):
         s = box.mul(box.conj(r, box.sample(rng)), r)
         if box.is_identity(box.power(s, e)):
             continue

@@ -5,7 +5,8 @@ nontrivial unipotent u; decide SL versus PSL from the centrality of a
 random involution (in SL2 the unique involution is -1, in PSL2 every
 involution is noncentral); find a torus element h of full order
 normalizing the unipotent subgroup through u; sweep torus translates of
-an opposite unipotent to pin the Weyl element matched to u; carry a
+opposite unipotents, random conjugates of u, to pin the Weyl element
+matched to u, by one search for SL2 and PSL2 alike; carry a
 Frobenius map on the shifted copy; recover the field on the unipotent
 subgroup; and assemble the explicit isomorphism from 2x2 matrices over
 the recovered field into the box via Bruhat decomposition. The last
@@ -21,17 +22,19 @@ from . import oracle
 from .arith import coprime_part, is_prime, p_part
 from .backend import _mul_kernel
 from .bbfield import build_field_on_U, ppd_prime
-from .blackbox import (
-    BlackBoxGroup,
-    ElementString,
-    SubgroupBox,
-    element_order,
-)
+from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, explicit_isomorphism
 from .frobenius import frobenius_on_sl2
-from .involutions import bray_centralizer, random_involution
+from .involutions import random_involution
 from .stages import RecognitionResult, StageRecorder
+
+# sample budgets of the frame search; the Weyl search also stops after
+# sweeping this many opposite unipotents
+_UNIPOTENT_SAMPLES = 6000
+_TORUS_SAMPLES = 40000
+_WEYL_SAMPLES = 40000
+_WEYL_SWEEPS = 24
 
 
 @dataclass
@@ -45,12 +48,10 @@ class StandardFrame:
     torus_order: int
 
 
-def unipotent_element(
-    box: BlackBoxGroup, p: int, rng: random.Random, budget: int = 6000
-) -> ElementString:
+def unipotent_element(box: BlackBoxGroup, p: int, rng: random.Random) -> ElementString:
     """A nontrivial element of order p, as a p'-power of a random element."""
     ep = coprime_part(box.exponent, p)
-    for _ in range(budget):
+    for _ in range(_UNIPOTENT_SAMPLES):
         u = box.power(box.sample(rng), ep)
         if not box.is_identity(u):
             if not box.is_identity(box.power(u, p)):
@@ -64,11 +65,9 @@ def in_unipotent_of(box: BlackBoxGroup, u: ElementString, p: int, x: ElementStri
     return box.is_identity(box.power(x, p)) and box.commutes(x, u)
 
 
-def classify_center(
-    box: BlackBoxGroup, rng: random.Random, budget: int = 600
-) -> tuple[bool, ElementString]:
+def classify_center(box: BlackBoxGroup, rng: random.Random) -> tuple[bool, ElementString]:
     """(True, i) if the box is a center quotient, judged by involution centrality."""
-    i = random_involution(box, rng, budget=budget)
+    i = random_involution(box, rng)
     return not all(box.commutes(i, g) for g in box.generators), i
 
 
@@ -78,14 +77,13 @@ def torus_element(
     p: int,
     torus_order: int,
     rng: random.Random,
-    budget: int = 40000,
 ) -> ElementString:
     """A torus element of exact order torus_order normalizing <u>'s unipotent.
 
     Random elements land in the Borel with probability about 1/q; their
     p'-parts are torus elements, full order with density phi(D)/D.
     """
-    for _ in range(budget):
+    for _ in range(_TORUS_SAMPLES):
         b = box.sample(rng)
         if not in_unipotent_of(box, u, p, box.conj(u, b)):
             continue
@@ -99,69 +97,6 @@ def torus_element(
     raise MonteCarloFailure("torus element", f"no Borel element of torus order {torus_order}")
 
 
-def _weyl_sweep(
-    box: BlackBoxGroup,
-    u: ElementString,
-    h: ElementString,
-    v0: ElementString,
-    torus_order: int,
-    is_psl: bool,
-    central_involution: ElementString | None,
-    h_inv: ElementString,
-) -> ElementString | None:
-    """Scan u * v0^(h^j) * u for the zero-trace (matched Weyl) word.
-
-    The word is a Weyl element exactly when the hidden parameters
-    multiply to -1, which happens for at most one torus translate; the
-    order test (square is the central involution, or trivial in the
-    center quotient) detects it without seeing any parameter.
-    """
-    vj = v0
-    for j in range(torus_order):
-        if j:
-            vj = box.conj(vj, h, h_inv)
-        m = box.mul(box.mul(u, vj), u)
-        m2 = box.mul(m, m)
-        if is_psl:
-            hit = box.is_identity(m2) and not box.is_identity(m)
-        else:
-            hit = central_involution is not None and box.compare(m2, central_involution)
-        if not hit:
-            continue
-        if not box.compare(m, box.mul(box.mul(u, box.conj(u, m)), u)):
-            raise ContractViolation("Weyl candidate fails the standard-triple identity")
-        if not box.compare(box.conj(h, m), h_inv):
-            raise ContractViolation("Weyl candidate does not invert the torus")
-        return m
-    return None
-
-
-def weyl_disambiguate(
-    box: BlackBoxGroup,
-    u: ElementString,
-    h: ElementString,
-    n0: ElementString,
-    torus_order: int,
-    is_psl: bool,
-    central_involution: ElementString | None = None,
-    h_inv: ElementString | None = None,
-) -> ElementString:
-    """The matched Weyl element, from any torus-inverting candidate n0.
-
-    n0 itself is a Weyl element for some parameter; the sweep over torus
-    translates retunes it to the parameter matched to u. For candidates
-    of this shape the sweep always covers the matched value.
-    """
-    v0 = box.conj(u, n0)
-    if box.commutes(v0, u):
-        raise InputError("candidate does not move the unipotent subgroup off itself")
-    h_inv = box.inv(h) if h_inv is None else h_inv
-    m = _weyl_sweep(box, u, h, v0, torus_order, is_psl, central_involution, h_inv)
-    if m is None:
-        raise MonteCarloFailure("weyl disambiguation", "torus sweep found no zero-trace word")
-    return m
-
-
 def weyl_element(
     box: BlackBoxGroup,
     u: ElementString,
@@ -169,48 +104,44 @@ def weyl_element(
     torus_order: int,
     is_psl: bool,
     rng: random.Random,
-    sample_budget: int = 40000,
-    sweep_budget: int = 24,
 ) -> ElementString:
     """A Weyl element matched to u, inverting h.
 
-    In the center quotient with even torus order, reflections live in
-    the centralizer of the torus involution and Bray's construction
-    reaches them. Otherwise (in particular in SL2, whose torus
-    involution is central and useless) random conjugates of u provide
-    opposite unipotents, and the same sweep applies; each candidate
-    covers the matched parameter with probability 1/2.
+    A random conjugate v0 of u that does not commute with u but commutes
+    with its h-conjugate is an opposite unipotent. The word
+    u * v0^(h^j) * u is a Weyl element exactly when the hidden parameters
+    multiply to -1, which happens for at most one torus translate; the
+    order test (square is the central involution h^(torus_order/2) in
+    SL2, or trivial in the center quotient) detects it without seeing
+    any parameter. Each candidate covers the matched parameter with
+    probability 1/2.
     """
-    central = box.power(h, torus_order // 2) if torus_order % 2 == 0 else None
+    central = None if is_psl else box.power(h, torus_order // 2)
     h_inv = box.inv(h)
-    if is_psl and central is not None:
-        for _ in range(6):
-            gens = bray_centralizer(box, central, rng, count=24)
-            csub = SubgroupBox(box, gens, rng, burn_in=60)
-            for _ in range(300):
-                z = csub.sample(rng)
-                if box.is_identity(z) or not box.is_identity(box.mul(z, z)):
-                    continue
-                if not box.compare(box.conj(h, z), h_inv):
-                    continue
-                try:
-                    return weyl_disambiguate(box, u, h, z, torus_order, True, central, h_inv)
-                except (MonteCarloFailure, InputError):
-                    continue
-        raise MonteCarloFailure("weyl element", "no reflection found in the involution centralizer")
-
     sweeps = 0
-    for _ in range(sample_budget):
-        if sweeps >= sweep_budget:
+    for _ in range(_WEYL_SAMPLES):
+        if sweeps >= _WEYL_SWEEPS:
             break
         v0 = box.conj(u, box.sample(rng))
-        if box.commutes(v0, u):
-            continue
-        if not box.commutes(box.conj(v0, h, h_inv), v0):
+        if box.commutes(v0, u) or not box.commutes(box.conj(v0, h, h_inv), v0):
             continue
         sweeps += 1
-        m = _weyl_sweep(box, u, h, v0, torus_order, is_psl, central, h_inv)
-        if m is not None:
+        vj = v0
+        for j in range(torus_order):
+            if j:
+                vj = box.conj(vj, h, h_inv)
+            m = box.mul(box.mul(u, vj), u)
+            m2 = box.mul(m, m)
+            if is_psl:
+                hit = box.is_identity(m2) and not box.is_identity(m)
+            else:
+                hit = box.compare(m2, central)
+            if not hit:
+                continue
+            if not box.compare(m, box.mul(box.mul(u, box.conj(u, m)), u)):
+                raise ContractViolation("Weyl candidate fails the standard-triple identity")
+            if not box.compare(box.conj(h, m), h_inv):
+                raise ContractViolation("Weyl candidate does not invert the torus")
             return m
     raise MonteCarloFailure("weyl element", "no opposite unipotent produced a zero-trace word")
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbsl2 import arith
-from bbsl2.arith import coprime_part, factorint, is_prime, odd_part, p_part
+from bbsl2.arith import coprime_part, factorint, is_prime, p_part
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # primes just above the trial-division bound of 1,000, whose products
@@ -144,6 +144,7 @@ def test_part_decomposition(n, p):
 
 
 def test_odd_part():
-    assert odd_part(96) == 3
-    assert odd_part(13) == 13
-    assert odd_part(1) == 1
+    # the odd part of n is its 2'-part
+    assert coprime_part(96, 2) == 3
+    assert coprime_part(13, 2) == 13
+    assert coprime_part(1, 2) == 1

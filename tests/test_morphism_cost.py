@@ -94,6 +94,17 @@ def test_sl2_81_recognition_cost_is_pinned():
     assert ops.invs == 1_476
 
 
+def test_psl2_81_recognition_cost_is_pinned():
+    # SL2 and PSL2 share one Weyl search, by random conjugates of u; with
+    # a separate search through Bray's involution centralizer this run
+    # took 13,492 muls, 910 invs and 873 compares
+    box = make_matrix_blackbox(3, 4, center_quotient=True, seed=1000)
+    ops = RawOps(box)
+    res = recover_psl2(box, 3, 4, random.Random(0), trials=200)
+    assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
+    assert ops.snapshot() == (13_434, 1_475, 1_302)
+
+
 def test_sl2_256_recognition_cost_is_pinned():
     # lifts and sums carry markers only, so no lift pays for the witness
     # bridge; a witness per lift made this run 12,753 muls, 764 invs and

@@ -8,10 +8,13 @@ began reading coordinates through the trace form, which changed its
 stages, basis and verification keys. The ``frobenius-9`` verify stage
 (0 -> 60 samples) and the ``recognize-odd-psl13-input`` weyl stage
 (24 -> 25) were re-captured when draws from ``SubgroupBox`` and
-``DirectProductBox`` wrappers began to count on the base box. Every
-other field is a pure function of the seed, so a refactor that keeps
-the oracle calls and the sampling order reproduces each report exactly:
-stage names, samples_used, verification, structure constants.
+``DirectProductBox`` wrappers began to count on the base box; that
+weyl stage was re-captured again (25 -> 1) when PSL2 stopped searching
+the involution centralizer and began to share the SL2 sweep over
+random conjugates of u. Every other field is a pure function of the
+seed, so a refactor that keeps the oracle calls and the sampling order
+reproduces each report exactly: stage names, samples_used,
+verification, structure constants.
 """
 import json
 from pathlib import Path

@@ -18,7 +18,6 @@ from bbsl2.sl2odd import (
     recover_psl2,
     torus_element,
     unipotent_element,
-    weyl_disambiguate,
     weyl_element,
 )
 
@@ -67,27 +66,22 @@ def test_torus_element_order(p, k, cq, order, rng):
     assert in_unipotent_of(box, u, p, box.conj(u, h))
 
 
-def test_weyl_element_inverts_torus(rng):
-    for cq in (False, True):
-        box = make_matrix_blackbox(13, 1, center_quotient=cq, opaque=True, seed=7)
-        u = unipotent_element(box, 13, rng)
-        torus_order = 6 if cq else 12
-        h = torus_element(box, u, 13, torus_order, rng)
-        w = weyl_element(box, u, h, torus_order, cq, rng)
-        assert box.compare(box.conj(h, w), box.inv(h))
-        # w swaps the two opposite unipotent subgroups; its square is central
-        assert box.is_identity(box.mul(box.power(w, 2), box.power(w, 2)))
-        if cq:
-            assert element_order(box, w) == 2
-        else:
-            assert element_order(box, w) == 4  # w^2 = -1
-
-
-def test_weyl_disambiguate_rejects_commuting_candidate(sl2_13, rng):
-    u = unipotent_element(sl2_13, 13, rng)
-    h = torus_element(sl2_13, u, 13, 12, rng)
-    with pytest.raises(InputError):
-        weyl_disambiguate(sl2_13, u, h, sl2_13.identity, 12, False)
+@pytest.mark.parametrize(
+    "p,k,cq",
+    [(13, 1, False), (13, 1, True), (5, 1, True), (3, 2, True), (3, 2, False)],
+    ids=["SL2(13)", "PSL2(13)", "PSL2(5)", "PSL2(9)", "SL2(9)"],
+)
+def test_weyl_element_inverts_torus(p, k, cq, rng):
+    # PSL2(5) and PSL2(9) have the smallest torus orders, 2 and 4
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=7)
+    u = unipotent_element(box, p, rng)
+    torus_order = (p**k - 1) // (2 if cq else 1)
+    h = torus_element(box, u, p, torus_order, rng)
+    w = weyl_element(box, u, h, torus_order, cq, rng)
+    assert box.compare(box.conj(h, w), box.inv(h))
+    # w swaps the two opposite unipotent subgroups; its square is central
+    assert box.is_identity(box.mul(box.power(w, 2), box.power(w, 2)))
+    assert element_order(box, w) == (2 if cq else 4)  # in SL2, w^2 = -1
 
 
 def test_find_standard_generators_frame(rng):
