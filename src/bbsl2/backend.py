@@ -327,9 +327,9 @@ class MatrixBlackBox(BlackBoxGroup):
         F = backend.field
         encode, decode, kernel, inv = backend.encode, backend.decode, backend.mul, backend.inv
         exponent = global_exponent_gl(backend.n, F.p, F.k)
-        super().__init__(backend.string_bytes, exponent, [encode(m) for m in generator_matrices])
+        gens = [encode(m) for m in generator_matrices]
+        super().__init__(backend.string_bytes, exponent, gens, encode(mat_identity(F)))
         self.backend = backend
-        self._identity = encode(mat_identity(F))
 
         def _mul(a, b):
             return encode(kernel(decode(a), decode(b)))

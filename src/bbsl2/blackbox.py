@@ -6,6 +6,10 @@ an equality test. The encoding need not be unique, so client code must
 never compare strings directly; everything goes through ``compare``.
 Each box also carries a known multiple ``exponent`` of every element
 order, which is what makes order computations possible at all.
+
+``SubgroupBox`` is the one wrapper: a subgroup of the direct power
+base^k, whose strings concatenate k base strings. With k = 1 it is a
+subgroup of the base box; the Frobenius construction uses k > 1.
 """
 from __future__ import annotations
 
@@ -41,12 +45,12 @@ class ElementString:
 class BlackBoxGroup:
     """Abstract box; concrete subclasses provide the raw string operations."""
 
-    def __init__(self, string_bytes: int, exponent: int, generators):
+    def __init__(self, string_bytes: int, exponent: int, generators, identity: ElementString):
         self.string_bytes = string_bytes
         self.exponent = exponent
         self.generators: tuple[ElementString, ...] = tuple(generators)
+        self.identity = identity
         self.stats = {"samples": 0, "muls": 0, "invs": 0, "compares": 0}
-        self._identity: ElementString | None = None
         self._pr: ProductReplacer | None = None
 
     # raw operations, implemented by subclasses
@@ -71,15 +75,6 @@ class BlackBoxGroup:
     def compare(self, a: ElementString, b: ElementString) -> bool:
         self.stats["compares"] += 1
         return self._compare(a, b)
-
-    @property
-    def identity(self) -> ElementString:
-        if self._identity is None:
-            if not self.generators:
-                raise InputError("a box without generators needs an explicit identity")
-            g = self.generators[0]
-            self._identity = self._mul(g, self._inv(g))
-        return self._identity
 
     def is_identity(self, x: ElementString) -> bool:
         return self.compare(x, self.identity)
@@ -176,95 +171,44 @@ def global_exponent_gl(n: int, p: int, k: int) -> int:
     return p**e * lcm(*[p ** (i * k) - 1 for i in range(1, n + 1)])
 
 
-class DirectProductBox(BlackBoxGroup):
-    """Direct product of component boxes; strings are concatenations.
+class SubgroupBox(BlackBoxGroup):
+    """The subgroup generated by ``gens`` inside base^k, with its own sampler.
 
-    With no generators supplied, sampling draws each component
-    independently, which samples the full product group. A draw from
-    generators counts once on each distinct component box.
+    A string is k base strings concatenated, and k is read from the
+    generators' length; k = 1 is a plain subgroup of ``base``. The raw
+    operations act on each coordinate through the base box's raw ones,
+    looked up per call, so a counter rebinding them on the base instance
+    sees every oracle call. Each draw counts once here and once on the
+    base box, so a stage recorded on the base box sees it.
     """
 
-    def __init__(self, components, generators=()):
-        self.components = tuple(components)
-        if not self.components:
-            raise InputError("empty direct product")
-        widths = [c.string_bytes for c in self.components]
-        self._offsets = [sum(widths[:i]) for i in range(len(widths) + 1)]
-        super().__init__(
-            sum(widths), lcm(*[c.exponent for c in self.components]), generators
-        )
+    def __init__(self, base: BlackBoxGroup, gens, rng: random.Random):
+        gens = tuple(gens)
+        n = len(gens[0].data) if gens else 0
+        if not n or n % base.string_bytes or any(len(g.data) != n for g in gens):
+            raise InputError("generators must be tuples of base strings of one length")
+        self.base = base
+        self.k = n // base.string_bytes
+        super().__init__(n, base.exponent, gens, self.join([base.identity] * self.k))
+        self._pr = ProductReplacer(self, self.generators, rng)
 
-    def split(self, x: ElementString) -> tuple[ElementString, ...]:
-        return tuple(
-            ElementString(x.data[self._offsets[i] : self._offsets[i + 1]])
-            for i in range(len(self.components))
-        )
+    def split(self, x: ElementString) -> list[ElementString]:
+        d, w = x.data, self.base.string_bytes
+        return [ElementString(d[i : i + w]) for i in range(0, len(d), w)]
 
-    def join(self, parts) -> ElementString:
-        parts = tuple(parts)
-        if len(parts) != len(self.components):
-            raise InputError("component count mismatch")
+    @staticmethod
+    def join(parts) -> ElementString:
         return ElementString(b"".join(p.data for p in parts))
 
     def _mul(self, a, b):
-        return ElementString(
-            b"".join(
-                c._mul(x, y).data
-                for c, x, y in zip(self.components, self.split(a), self.split(b))
-            )
-        )
+        return self.join(map(self.base._mul, self.split(a), self.split(b)))
 
     def _inv(self, a):
-        return ElementString(
-            b"".join(c._inv(x).data for c, x in zip(self.components, self.split(a)))
-        )
+        return self.join(map(self.base._inv, self.split(a)))
 
     def _compare(self, a, b):
-        return all(
-            c._compare(x, y)
-            for c, x, y in zip(self.components, self.split(a), self.split(b))
-        )
-
-    @property
-    def identity(self) -> ElementString:
-        if self._identity is None:
-            self._identity = self.join([c.identity for c in self.components])
-        return self._identity
-
-    def sample(self, rng: random.Random) -> ElementString:
-        if self.generators:
-            return super().sample(rng)
-        self.stats["samples"] += 1
-        return self.join([c.sample(rng) for c in self.components])
+        return all(map(self.base._compare, self.split(a), self.split(b)))
 
     def _count_sample(self) -> None:
         super()._count_sample()
-        for c in dict.fromkeys(self.components):
-            c._count_sample()
-
-
-class SubgroupBox(BlackBoxGroup):
-    """The subgroup generated by ``gens``: parent operations, own sampler.
-
-    Each draw also counts as a sample of the parent, so a stage recorded
-    on the parent box sees it.
-    """
-
-    def __init__(self, parent: BlackBoxGroup, gens, rng: random.Random):
-        super().__init__(parent.string_bytes, parent.exponent, gens)
-        self.parent = parent
-        self._identity = parent.identity
-        self._pr = ProductReplacer(self, self.generators, rng)
-
-    def _mul(self, a, b):
-        return self.parent._mul(a, b)
-
-    def _inv(self, a):
-        return self.parent._inv(a)
-
-    def _compare(self, a, b):
-        return self.parent._compare(a, b)
-
-    def _count_sample(self) -> None:
-        super()._count_sample()
-        self.parent._count_sample()
+        self.base._count_sample()

@@ -319,12 +319,12 @@ def recover_psl2(
                 rp = p_part(torus_order, r)
                 if rp == 1:
                     raise ContractViolation("full-order torus misses the primitive prime part")
-                h_tilde = fro.box.power(fro.h_bar, torus_order // rp)
+                h_tilde = fro.power(fro.h_bar, torus_order // rp)
             else:
                 # no primitive prime divisor (e.g. q = 9): the torus
                 # element itself is a working square root of its square
                 sqrt_override = fro.h_bar
-        field = build_field_on_U(fro.box, fro.u_bar, h_tilde, fro, p, k, sqrt_override)
+        field = build_field_on_U(fro, fro.u_bar, h_tilde, fro, p, k, sqrt_override)
 
     checks = {
         "gram_det_nonzero": field.gram_det != 0,

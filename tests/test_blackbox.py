@@ -6,7 +6,7 @@ import random
 import pytest
 
 from bbsl2 import backend, oracle
-from bbsl2.blackbox import DirectProductBox, ElementString, SubgroupBox, element_order, global_exponent_gl
+from bbsl2.blackbox import ElementString, SubgroupBox, element_order, global_exponent_gl
 from bbsl2.backend import MatrixBackend, make_matrix_blackbox, mat_neg
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
@@ -100,23 +100,29 @@ def test_commutes_and_conj(rng):
     assert got == brute.conj_mat(be.field, brute.u_mat(be.field, 1), brute.h_mat(be.field, 2))
 
 
-def test_direct_product_box(rng):
-    a = make_matrix_blackbox(5, 1, opaque=True, seed=1)
-    b = make_matrix_blackbox(13, 1, opaque=True, seed=2)
-    prod = DirectProductBox([a, b])
-    x = prod.join([a.sample(rng), b.sample(rng)])
-    y = prod.join([a.sample(rng), b.sample(rng)])
-    xa, xb = prod.split(x)
-    ya, yb = prod.split(y)
-    za, zb = prod.split(prod.mul(x, y))
-    assert a.compare(za, a.mul(xa, ya)) and b.compare(zb, b.mul(xb, yb))
-    ia, ib = prod.split(prod.inv(x))
-    assert a.compare(ia, a.inv(xa)) and b.compare(ib, b.inv(xb))
-    assert prod.compare(x, prod.join([xa, xb]))
-    assert not prod.compare(x, y) or (a.compare(xa, ya) and b.compare(xb, yb))
-    assert prod.is_identity(prod.join([a.identity, b.identity]))
-    s = prod.sample(rng)
-    assert len(prod.split(s)) == 2
+def test_tuple_subgroup_box_acts_coordinatewise(rng):
+    box = make_matrix_blackbox(5, 2, opaque=True, seed=1)
+    gens = [SubgroupBox.join(box.sample(rng) for _ in range(3)) for _ in range(2)]
+    tuples = SubgroupBox(box, gens, rng)
+    assert (tuples.k, tuples.string_bytes) == (3, 3 * box.string_bytes)
+    x, y = tuples.sample(rng), tuples.sample(rng)
+    xs, ys = tuples.split(x), tuples.split(y)
+    for z, w in zip(tuples.split(tuples.mul(x, y)), map(box.mul, xs, ys)):
+        assert box.compare(z, w)
+    for z, w in zip(tuples.split(tuples.inv(x)), map(box.inv, xs)):
+        assert box.compare(z, w)
+    assert tuples.compare(x, tuples.join(xs))
+    assert tuples.compare(x, y) == all(map(box.compare, xs, ys))
+    assert tuples.identity.data == b"".join([box.identity.data] * 3)
+    assert tuples.is_identity(tuples.mul(x, tuples.inv(x)))
+
+
+def test_subgroup_box_rejects_mismatched_generator_lengths(rng):
+    box = make_matrix_blackbox(13, 1, opaque=True, seed=2)
+    g = box.generators[0]
+    for gens in ([], [SubgroupBox.join([g] * 2), g], [ElementString(g.data + b"x")]):
+        with pytest.raises(InputError):
+            SubgroupBox(box, gens, rng)
 
 
 def test_generated_subbox_stays_inside(rng):
@@ -136,14 +142,13 @@ def test_wrapper_draws_count_once_on_the_base_box(rng):
     box = make_matrix_blackbox(13, 1, opaque=True, seed=5)
     g = box.generators[0]
     sub = SubgroupBox(box, [g], rng)
-    prod = DirectProductBox([box] * 3)
-    tuples = SubgroupBox(prod, [prod.join([g] * 3)], rng)
+    tuples = SubgroupBox(box, [SubgroupBox.join([g] * 3)], rng)
     assert box.stats["samples"] == 0  # burn-in draws nothing
     for _ in range(5):
         sub.sample(rng)
     for _ in range(7):
         tuples.sample(rng)
-    assert (sub.stats["samples"], tuples.stats["samples"], prod.stats["samples"]) == (5, 7, 7)
+    assert (sub.stats["samples"], tuples.stats["samples"]) == (5, 7)
     assert box.stats["samples"] == 12
 
 

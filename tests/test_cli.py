@@ -108,7 +108,12 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
     assert main(["recognize-odd"]) == 1
     assert main(["recognize-odd", "--input", str(tmp_path / "missing.json")]) == 1
     assert main(["recognize-odd", "--p", "13", "--k", "1", "--n", "2"]) == 1
-    capsys.readouterr()
+    # a generators value that is not a list, and a generator whose rows are not lists
+    for n, gens in enumerate([5, [[1, 2]]]):
+        path = tmp_path / f"bad{n}.json"
+        path.write_text(json.dumps({"p": 13, "k": 1, "generators": gens}))
+        assert main(["recognize-odd", "--input", str(path)]) == 1
+        assert "bbsl2: rejected input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
