@@ -81,10 +81,11 @@ def _load_json(path: str) -> dict:
 
 
 def _entry_to_element(field: ExplicitField, entry) -> int:
-    if isinstance(entry, int):
+    # type() and not isinstance(): JSON true is a bool, which is an int subclass
+    if type(entry) is int:
         return field.scalar(entry)
     if isinstance(entry, list):
-        if len(entry) != field.k or not all(isinstance(x, int) for x in entry):
+        if len(entry) != field.k or not all(type(x) is int for x in entry):
             raise InputError("matrix entries must be residues or length-k residue vectors")
         return field.element(tuple(x % field.p for x in entry))
     raise InputError("matrix entries must be residues or length-k residue vectors")
@@ -114,16 +115,19 @@ def _box_from_args(args, params: dict):
         if not isinstance(mats, list) or not mats:
             raise InputError("group description file needs a nonempty 'generators' list")
         p = desc.get("p")
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise InputError("group description file needs an integer 'p'")
-        k = desc.get("k", desc.get("n", 1))
-        if not isinstance(k, int) or k < 1:
-            raise InputError("group description degree must be a positive integer")
+        degrees = [desc[key] for key in ("k", "n") if key in desc] or [1]
+        k = degrees[0]
+        if any(type(d) is not int or d != k for d in degrees) or k < 1:
+            raise InputError("group description degree must be one positive integer")
         if args.p is not None and args.p != p:
             raise InputError("--p disagrees with the input file")
         if _degree(args) not in (None, k):
             raise InputError("--k/--n disagrees with the input file")
-        cq = bool(desc.get("center_quotient", False))
+        cq = desc.get("center_quotient", False)
+        if not isinstance(cq, bool):
+            raise InputError("'center_quotient' must be true or false")
         field = ExplicitField.polynomial_field(p, k)
         backend = MatrixBackend(
             field, special=True, center_quotient=cq, opaque=args.opaque, seed=args.seed

@@ -14,19 +14,24 @@ For p = 2 an element already is its coordinate bit vector, so the
 definitions work on packed ints: a sum is an XOR, a product XORs the
 precomputed products of basis elements over the set bits of both
 factors, and every F_2-linear map (multiplication by a fixed element,
-an isomorphism) XORs the images of the basis elements.
+an isomorphism) XORs the images of the basis elements. For odd p a
+linear map adds digit multiples of its rows, packed into slots of ints.
 
 For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
-lookups in log, antilog and Zech tables built on first use from the
-definitions ``_mul_raw`` and ``_add_raw``.
+lookups in log, antilog and Zech tables built on first use: the powers
+of a primitive element are walked by the linear map "times it", whose
+rows come from the definition ``_mul_raw``. ``_mul_raw`` and
+``_add_raw`` stay the definitions that ``validate`` checks the tables
+against. The standard presentation ``polynomial_field(p, k)`` is one
+object per (p, k) per process, so its tables are built once.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from . import modp
 from .arith import factorint, is_prime
@@ -120,10 +125,9 @@ class ExplicitField:
         return self.element(v % p for v in out)
 
     def _times(self, g: int):
-        """x -> x * g by the definition; for p = 2 a linear map on packed ints."""
-        if self.p == 2:
-            return partial(_xor_rows, [self._mul_raw(1 << i, g) for i in range(self.k)])
-        return partial(self._mul_raw, b=g)
+        """x -> x * g as an F_p-linear map: row i is basis_i * g by the definition."""
+        rows = [self.coords(self._mul_raw(self.p**i, g)) for i in range(self.k)]
+        return _linear_map(self, self, rows)
 
     @cached_property
     def _tables(self) -> tuple[list[int], list[int], list[int] | None]:
@@ -131,10 +135,12 @@ class ExplicitField:
 
         exp[i] = g^i over two periods, so a sum of two logs needs no
         reduction; log[0] = -1; for odd p and k > 1, zech[n] = log(1 + g^n).
-        k = 1 uses the tables only for g. For odd p a candidate is walked
-        only if no g^((q - 1)/r), r a prime divisor of q - 1, is one: in a
-        field that makes its order q - 1, and in any ring the walk needs
-        it. For p = 2 a walk step is a linear map, cheaper than the test.
+        k = 1 uses the tables only for g. A walk step is the linear map
+        ``_times(g)``, k calls of ``_mul_raw`` to build. For odd p a
+        candidate is walked only if no g^((q - 1)/r), r a prime divisor of
+        q - 1, is one: in a field that makes its order q - 1, and in any
+        ring the walk needs it. For p = 2 the XOR walk is cheaper than the
+        test, whose powers multiply by the definition.
         """
         n, one, mul = self.order - 1, self.one, self._mul_raw
         cofactors = [n // r for r in factorint(n)] if self.p > 2 else []
@@ -300,13 +306,23 @@ class ExplicitField:
     def from_json(cls, text: str) -> "ExplicitField":
         try:
             data = json.loads(text)
-            return cls(int(data["p"]), int(data["k"]), data["c"])
+            p, k, c = data["p"], data["k"], data["c"]
+            # JSON true and 3.9 are no integers, though int() takes them
+            if any(type(x) is not int for x in (p, k, *(x for pl in c for r in pl for x in r))):
+                raise InputError("p, k and the structure constants must be integers")
+            return cls(p, k, c)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
             raise InputError(f"bad field JSON: {e}") from e
 
     @classmethod
+    @cache
     def polynomial_field(cls, p: int, k: int) -> "ExplicitField":
-        """Standard presentation on the power basis of the smallest irreducible."""
+        """Standard presentation on the power basis of the smallest irreducible.
+
+        One object per (p, k) per process, so its tables are built once:
+        a field never changes after construction, apart from its lazy
+        unity and tables, which come out the same whoever builds them.
+        """
         if not is_prime(p):
             raise InputError(f"p = {p} is not a prime")
         f = modp.smallest_irreducible(p, k)
@@ -341,10 +357,31 @@ class FieldIsomorphism:
 
 
 def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
-    """a -> the element of B with coordinates coords(a) @ m."""
-    if A.p == 2:
+    """a -> the element of B with coordinates coords(a) @ m.
+
+    For odd p each row of m is packed into one int of k slots of w bits,
+    wide enough for a sum of k products of two digits, so a single
+    integer product adds a digit of a times a whole row.
+    """
+    p = A.p
+    if p == 2:
         return partial(_xor_rows, [B.element(row) for row in m])
-    return lambda a: B.element(modp.vec_mat(A.coords(a), m, A.p))
+    w = (A.k * (p - 1) ** 2).bit_length()
+    rows = [sum(d % p << w * l for l, d in enumerate(row)) for row in m]
+    mask, powers = (1 << w) - 1, [p**l for l in range(B.k)]
+
+    def apply(a: int) -> int:
+        acc = 0
+        for row in rows:
+            acc += a % p * row
+            a //= p
+        b = 0
+        for q in powers:
+            b += (acc & mask) % p * q
+            acc >>= w
+        return b
+
+    return apply
 
 
 def explicit_isomorphism(

@@ -114,6 +114,24 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
         path.write_text(json.dumps({"p": 13, "k": 1, "generators": gens}))
         assert main(["recognize-odd", "--input", str(path)]) == 1
         assert "bbsl2: rejected input" in capsys.readouterr().err
+    # JSON floats, strings and bools where integers or a boolean belong: int() and
+    # bool() would read p = 3.9 as 3, "3" as 3, true as 1 and "false" as True
+    gens = [[[1, 1], [0, 1]], [[0, 1], [12, 0]]]
+    bad_files = [
+        ("field-report", {"p": 3.9, "k": 1, "c": [[[1.7]]]}),
+        ("field-report", {"p": "3", "k": 1, "c": [[[1]]]}),
+        ("field-report", {"p": 3, "k": True, "c": [[[1]]]}),
+        ("field-report", {"p": 3, "k": 1, "c": [[[True]]]}),
+        ("recognize-odd", {"p": 13, "k": 1, "center_quotient": "false", "generators": gens}),
+        ("recognize-odd", {"p": 13, "k": True, "generators": gens}),
+        ("recognize-odd", {"p": 13, "k": 1, "n": True, "generators": gens}),
+        ("recognize-odd", {"p": 13, "k": 1, "generators": [[[True, 1], [0, 1]], gens[1]]}),
+    ]
+    for n, (mode, desc) in enumerate(bad_files):
+        path = tmp_path / f"loose{n}.json"
+        path.write_text(json.dumps(desc))
+        assert main([mode, "--input", str(path), "--trials", "5"]) == 1, desc
+        assert "bbsl2: rejected input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

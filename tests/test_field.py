@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsl2 import modp
+from bbsl2 import make_matrix_blackbox, modp
 from bbsl2.errors import ContractViolation, InputError
 from bbsl2.field import ExplicitField, explicit_isomorphism
 from bbsl2.roots import find_root
@@ -284,10 +284,10 @@ def test_non_field_presentations_rejected_after_tables():
 @pytest.mark.parametrize("pk", [(3, 4), (5, 2), (7, 3), (11, 2), (13, 2)], ids=str)
 @pytest.mark.parametrize("scramble", [None, 3, 19])
 def test_odd_tables_walk_only_the_primitive_element(pk, scramble, monkeypatch):
-    # a candidate of order below q - 1 fails the power test before its walk
+    # a candidate of order below q - 1 fails the power test before its walk;
+    # a fresh copy, as the shared standard field may have its tables already
     F = ExplicitField.polynomial_field(*pk)
-    if scramble is not None:
-        F = _scrambled(F, seed=scramble)
+    F = ExplicitField(F.p, F.k, F.c) if scramble is None else _scrambled(F, seed=scramble)
     walked, times = [], ExplicitField._times
     monkeypatch.setattr(ExplicitField, "_times", lambda self, g: walked.append(g) or times(self, g))
     g = F.primitive_element()
@@ -300,6 +300,47 @@ def _order(F: ExplicitField, a: int) -> int:
     while x != F.one:
         x, o = F._mul_raw(x, a), o + 1
     return o
+
+
+def _walked_presentations():
+    """Odd fields, fresh standard and scrambled, and k = 1 with basis_0^2 = c * basis_0, c != 1."""
+    for pk in [(3, 2), (3, 4), (5, 3), (13, 2)]:
+        F = ExplicitField.polynomial_field(*pk)
+        yield ExplicitField(F.p, F.k, F.c)
+        yield from (_scrambled(F, seed=s) for s in (3, 19))
+    yield from (ExplicitField(p, 1, (((c,),),)) for p, c in [(13, 5), (7, 3), (29, 17)])
+
+
+def test_times_is_multiplication_by_the_definition():
+    for F in _walked_presentations():
+        for g in {0, 1, 2, F.order - 1, F.primitive_element(), F.one}:
+            times = F._times(g)
+            assert [times(x) for x in F.elements()] == [F._mul_raw(x, g) for x in F.elements()], (F.c, g)
+
+
+def test_tables_match_a_walk_by_the_definition():
+    for F in _walked_presentations():
+        # the first element in integer order whose powers under _mul_raw cover q - 1 elements
+        g = next(a for a in range(1, F.order) if _order(F, a) == F.order - 1)
+        exp = [F.one]
+        while len(exp) < F.order - 1:
+            exp.append(F._mul_raw(exp[-1], g))
+        log = [-1] * F.order
+        for i, x in enumerate(exp):
+            log[x] = i
+        zech = None if F.k == 1 else [log[F._add_raw(F.one, x)] for x in exp]
+        assert F._tables == (log, exp + exp, zech), F.c
+
+
+def test_standard_field_and_its_tables_are_built_once_per_process(monkeypatch):
+    assert ExplicitField.polynomial_field(3, 4) is ExplicitField.polynomial_field(3, 4)
+    ExplicitField.polynomial_field.cache_clear()
+    walked, times = [], ExplicitField._times
+    monkeypatch.setattr(ExplicitField, "_times", lambda self, g: walked.append(g) or times(self, g))
+    sl2 = make_matrix_blackbox(3, 4, seed=1)
+    psl2 = make_matrix_blackbox(3, 4, center_quotient=True, seed=1)
+    assert sl2.backend.field is psl2.backend.field is ExplicitField.polynomial_field(3, 4)
+    assert walked == [_PRIMITIVE[3, 4]]
 
 
 def _evaluate(F: ExplicitField, f, a: int) -> int:
