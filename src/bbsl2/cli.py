@@ -107,6 +107,14 @@ def _degree(args, fallback: int | None = None) -> int | None:
     return k if k is not None else fallback
 
 
+def _check_flags(args, p: int, k: int) -> None:
+    """Reject --p, --k or --n values that disagree with an input file's p and k."""
+    if args.p is not None and args.p != p:
+        raise InputError("--p disagrees with the input file")
+    if _degree(args) not in (None, k):
+        raise InputError("--k/--n disagrees with the input file")
+
+
 def _box_from_args(args, params: dict):
     """Build the black box, recording p, k, and input details in params."""
     if args.input:
@@ -121,10 +129,7 @@ def _box_from_args(args, params: dict):
         k = degrees[0]
         if any(type(d) is not int or d != k for d in degrees) or k < 1:
             raise InputError("group description degree must be one positive integer")
-        if args.p is not None and args.p != p:
-            raise InputError("--p disagrees with the input file")
-        if _degree(args) not in (None, k):
-            raise InputError("--k/--n disagrees with the input file")
+        _check_flags(args, p, k)
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")
@@ -174,26 +179,22 @@ def _result_report(mode: str, args, result) -> dict:
     }
 
 
-def _mode_recognize_odd(args, params: dict) -> dict:
-    box, p, k = _box_from_args(args, params)
-    if p == 2:
-        raise InputError("recognize-odd wants odd characteristic; use recognize-char2")
-    result = recover_psl2(box, p, k, random.Random(args.seed), trials=args.trials)
-    result.params.update({"center_quotient": params["center_quotient"], "opaque": args.opaque})
-    return _result_report("recognize-odd", args, result)
-
-
-def _mode_recognize_char2(args, params: dict) -> dict:
-    if args.p not in (None, 2):
-        raise InputError("recognize-char2 works in characteristic 2 only")
-    if args.p is None:
+def _recognize(args, params: dict) -> dict:
+    """Recover the group of recognize-odd, recognize-char2 or field-report."""
+    if args.mode == "recognize-char2":
+        if args.p not in (None, 2):
+            raise InputError("recognize-char2 works in characteristic 2 only")
         args.p = 2
-    box, p, n = _box_from_args(args, params)
-    if p != 2:
-        raise InputError("recognize-char2 works in characteristic 2 only")
-    result = recover_char2(box, n, random.Random(args.seed), trials=args.trials)
-    result.params.update({"center_quotient": False, "opaque": args.opaque})
-    return _result_report("recognize-char2", args, result)
+    box, p, k = _box_from_args(args, params)
+    if args.mode == "recognize-odd" and p == 2:
+        raise InputError("recognize-odd wants odd characteristic; use recognize-char2")
+    rng = random.Random(args.seed)
+    if p == 2:
+        result = recover_char2(box, k, rng, trials=args.trials)
+    else:
+        result = recover_psl2(box, p, k, rng, trials=args.trials)
+    result.params.update({key: params[key] for key in ("center_quotient", "opaque")})
+    return _result_report(args.mode, args, result)
 
 
 def _mode_frobenius(args, params: dict) -> dict:
@@ -238,6 +239,7 @@ def _mode_field_report(args, params: dict) -> dict:
         desc = _load_json(args.input)
         if "c" in desc:
             explicit = ExplicitField.from_json(json.dumps(desc))
+            _check_flags(args, explicit.p, explicit.k)
             params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
             explicit.validate(rng)
             standard = ExplicitField.polynomial_field(explicit.p, explicit.k)
@@ -253,12 +255,7 @@ def _mode_field_report(args, params: dict) -> dict:
                 },
                 "structure_constants": _structure_json(explicit),
             }
-    box, p, k = _box_from_args(args, params)
-    if p == 2:
-        result = recover_char2(box, k, random.Random(args.seed), trials=args.trials)
-    else:
-        result = recover_psl2(box, p, k, random.Random(args.seed), trials=args.trials)
-    return _result_report("field-report", args, result)
+    return _recognize(args, params)
 
 
 def _mode_selftest(args, params: dict) -> dict:
@@ -333,8 +330,8 @@ def _mode_selftest(args, params: dict) -> dict:
 
 
 _MODES = {
-    "recognize-odd": _mode_recognize_odd,
-    "recognize-char2": _mode_recognize_char2,
+    "recognize-odd": _recognize,
+    "recognize-char2": _recognize,
     "frobenius": _mode_frobenius,
     "field-report": _mode_field_report,
     "selftest": _mode_selftest,

@@ -7,8 +7,9 @@ unity is recovered by linear algebra. Elements are plain ints in
 [0, p^k) whose base-p digits are the coordinates.
 
 ``explicit_isomorphism`` connects two presentations of the same field by
-mapping a generator of the first onto a root of its minimal polynomial
-in the second.
+mapping a generator of the first onto the smallest root, in integer
+order, of its minimal polynomial in the second; ``find_root`` finds it
+by one Horner scan over the second field's elements.
 
 For p = 2 an element already is its coordinate bit vector, so the
 definitions work on packed ints: a sum is an XOR, a product XORs the
@@ -36,7 +37,6 @@ from functools import cache, cached_property, partial
 from . import modp
 from .arith import factorint, is_prime
 from .errors import ContractViolation, InputError
-from .roots import find_root
 
 
 def _xor_rows(rows, x: int) -> int:
@@ -325,6 +325,8 @@ class ExplicitField:
         """
         if not is_prime(p):
             raise InputError(f"p = {p} is not a prime")
+        if k < 1:
+            raise InputError(f"need k >= 1, not k = {k}")
         f = modp.smallest_irreducible(p, k)
         powers = []  # x^s mod f; x^i * x^j depends on i + j only
         for s in range(2 * k - 1):
@@ -397,7 +399,7 @@ def explicit_isomorphism(
         return FieldIsomorphism(a_field, b_field, ident, ident)
     g = a_field.field_generator()
     minpoly = a_field.minimal_polynomial(g)
-    root = find_root(minpoly, b_field, rng)
+    root = find_root(minpoly, b_field)
     gmat = _power_matrix(a_field, g)
     rmat = _power_matrix(b_field, root)
     fwd = modp.mat_mul(modp.mat_inv(gmat, p), rmat, p)
@@ -405,6 +407,18 @@ def explicit_isomorphism(
     iso = FieldIsomorphism(a_field, b_field, fwd, bwd)
     _check_ring_map(iso, rng)
     return iso
+
+
+def find_root(f_over_fp: modp.Poly, F: ExplicitField) -> int:
+    """The smallest root in F, in integer order, of a polynomial over F_p."""
+    f = [F.scalar(c) for c in reversed(f_over_fp)]
+    for a in F.elements():
+        acc = 0
+        for c in f:
+            acc = F.add(F.mul(acc, a), c)
+        if acc == 0:
+            return a
+    raise ContractViolation("polynomial has no root in target field")
 
 
 def _power_matrix(F: ExplicitField, g: int) -> modp.Mat:

@@ -132,6 +132,17 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
         path.write_text(json.dumps(desc))
         assert main([mode, "--input", str(path), "--trials", "5"]) == 1, desc
         assert "bbsl2: rejected input" in capsys.readouterr().err
+    # a degree below 1, from the flags: rejected before any irreducible is searched for
+    for argv in (
+        ["recognize-odd", "--p", "5", "--k", "0"],
+        ["recognize-odd", "--p", "5", "--k", "-1"],
+        ["recognize-char2", "--n", "0"],
+        ["recognize-char2", "--n", "-1"],
+        ["field-report", "--p", "2", "--k", "0"],
+        ["frobenius", "--p", "3", "--k", "0"],
+    ):
+        assert main(argv) == 1, argv
+        assert "bbsl2: rejected input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -209,6 +220,33 @@ def test_field_report_accepts_explicit_field_json(tmp_path, schema):
     jsonschema.validate(rep, schema)
     assert rep["verification"]["ring_iso_to_standard"] is True
     assert rep["structure_constants"]["c"] == [[list(r) for r in pl] for pl in F.c]
+
+
+def test_field_report_checks_flags_against_field_file(tmp_path, capsys):
+    path = tmp_path / "gf9.json"
+    path.write_text(ExplicitField.polynomial_field(3, 2).to_json())
+    for flags in (["--p", "5", "--k", "7"], ["--p", "5"], ["--k", "7"], ["--n", "3"]):
+        assert main(["field-report", "--input", str(path)] + flags) == 1, flags
+        assert "disagrees with the input file" in capsys.readouterr().err
+    rep = _run(tmp_path, ["field-report", "--input", str(path), "--p", "3", "--n", "2"])
+    assert rep["params"] == {"p": 3, "k": 2, "q": 9}
+
+
+@pytest.mark.parametrize("mode, argv", [
+    ("recognize-odd", ["--p", "13", "--seed", "7", "--trials", "20"]),
+    ("recognize-odd", ["--input", "{psl13}", "--seed", "3", "--trials", "20", "--transparent"]),
+    ("recognize-char2", ["--p", "2", "--n", "3", "--seed", "2", "--trials", "20"]),
+], ids=["odd", "odd-input", "char2"])
+def test_field_report_on_a_group_is_the_recognition_report(mode, argv, tmp_path):
+    # one recognition path: the two reports differ in their mode and timings only
+    psl13 = tmp_path / "psl13.json"
+    psl13.write_text(json.dumps({"p": 13, "k": 1, "center_quotient": True,
+                                 "generators": [[[1, 1], [0, 1]], [[0, 1], [12, 0]]]}))
+    argv = [a.format(psl13=psl13) for a in argv]
+    want = _strip_timing(_run(tmp_path, [mode] + argv))
+    got = _strip_timing(_run(tmp_path, ["field-report"] + argv))
+    assert got.pop("mode") == "field-report" and want.pop("mode") == mode
+    assert got == want
 
 
 def test_monte_carlo_failure_exit_2_names_stage(tmp_path, schema):

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from bbsl2 import make_matrix_blackbox, modp
 from bbsl2.errors import ContractViolation, InputError
-from bbsl2.field import ExplicitField, explicit_isomorphism
-from bbsl2.roots import find_root
+from bbsl2.field import ExplicitField, explicit_isomorphism, find_root
 
 _SIZES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 1), (13, 1), (13, 2)]
 
@@ -136,6 +135,12 @@ def test_isomorphism_same_presentation_is_identity(F):
 def test_json_roundtrip(F):
     G = ExplicitField.from_json(F.to_json())
     assert G.same_presentation(F)
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (5, 0), (3, -1)])
+def test_standard_field_rejects_degree_below_one(p, k):
+    with pytest.raises(InputError):
+        ExplicitField.polynomial_field(p, k)
 
 
 def test_isomorphism_rejects_mismatched_orders():
@@ -350,22 +355,41 @@ def _evaluate(F: ExplicitField, f, a: int) -> int:
     return acc
 
 
-@pytest.mark.parametrize("k", [3, 4, 8])
-def test_char2_find_root_is_the_smallest_root(k):
-    # random polynomials over F_2, and minimal polynomials, which always
-    # have a root: the search returns the smallest root in integer order
-    F = _scrambled(ExplicitField.polynomial_field(2, k), seed=k)
-    rng = random.Random(k)
-    polys = [[rng.randrange(2) for _ in range(rng.randrange(2 * k))] + [1] for _ in range(30)]
+def _root_search_field(p: int, k: int) -> ExplicitField:
+    if k == 1:
+        return ExplicitField(p, 1, [[[5]]])  # basis_0^2 = 5 basis_0: 1 is not basis_0
+    return _scrambled(ExplicitField.polynomial_field(p, k), seed=p * 100 + k)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (2, 4), (2, 8), (3, 4), (5, 3), (13, 2), (13, 1)])
+def test_find_root_is_the_smallest_root(p, k):
+    # random polynomials over F_p, some times x so that 0 is a root, and
+    # minimal polynomials, which always have a root: the search returns the
+    # smallest root in integer order
+    F = _root_search_field(p, k)
+    rng = random.Random(p * 100 + k)
+    polys = [[rng.randrange(p) for _ in range(rng.randrange(2 * k))] + [1] for _ in range(30)]
+    polys += [[0] + f for f in polys[:5]]
     polys += [F.minimal_polynomial(rng.randrange(1, F.order)) for _ in range(10)]
     seen = set()
     for f in polys:
         roots = [a for a in F.elements() if _evaluate(F, f, a) == 0]
         if roots:
             seen.add("zero" if roots[0] == 0 else "nonzero")
-            assert find_root(f, F, rng) == roots[0], f
+            assert find_root(f, F) == roots[0], f
         else:
             seen.add("none")
             with pytest.raises(ContractViolation):
-                find_root(f, F, rng)
+                find_root(f, F)
     assert seen == {"zero", "nonzero", "none"}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_isomorphism_maps_the_generator_to_the_smallest_root(seed):
+    # q = 10,201: at every field size the generator goes to the smallest root
+    standard = ExplicitField.polynomial_field(101, 2)
+    G = _scrambled(standard, seed=seed)
+    g = G.field_generator()
+    f = G.minimal_polynomial(g)
+    smallest = next(a for a in standard.elements() if _evaluate(standard, f, a) == 0)
+    assert explicit_isomorphism(G, standard)(g) == smallest
