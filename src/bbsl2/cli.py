@@ -12,7 +12,9 @@ standard generators, or from --input, a JSON file {"p": int, "k": int,
 row-major 2x2 matrices whose entries are residues (k = 1) or
 length-k coordinate vectors over the prime field in the polynomial
 basis (k > 1). field-report also accepts an explicit field
-serialization {"p", "k", "c"} and then skips recognition.
+serialization {"p", "k", "c"} and then skips recognition. selftest
+builds its own boxes and takes only --seed, --out and
+--opaque/--transparent.
 
 Reports are JSON: {"mode", "seed", "params", "stages": [{name,
 samples_used, elapsed_ms, ok}], "verification": {...}} plus optional
@@ -28,10 +30,10 @@ import random
 import sys
 
 from . import oracle
-from .backend import MatrixBackend, make_matrix_blackbox, mat_inv2, mat_mul
+from .backend import MatrixBackend, mat_inv2, mat_mul
 from .blackbox import element_order, global_exponent_gl
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import ExplicitField, explicit_isomorphism
+from .field import ExplicitField, standard_isomorphism
 from .frobenius import frobenius_on_sl2
 from .sl2char2 import recover_char2
 from .sl2odd import check_trials, find_standard_generators, recover_psl2
@@ -46,12 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="JSON group description or explicit field file")
-    common.add_argument("--p", type=int, help="field characteristic")
-    common.add_argument("--k", type=int, help="field degree over the prime field")
-    common.add_argument("--n", type=int, help="degree synonym used in characteristic 2")
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--trials", type=int, default=200, help="verification trials")
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     opacity = common.add_mutually_exclusive_group()
     opacity.add_argument(
@@ -61,11 +58,18 @@ def _build_parser() -> _Parser:
         "--transparent", dest="opaque", action="store_false", help="canonical byte strings"
     )
     common.set_defaults(opaque=True)
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--input", help="JSON group description or explicit field file")
+    group.add_argument("--p", type=int, help="field characteristic")
+    group.add_argument("--k", type=int, help="field degree over the prime field")
+    group.add_argument("--n", type=int, help="degree synonym used in characteristic 2")
+    group.add_argument("--trials", type=int, default=200, help="verification trials")
 
     parser = _Parser(prog="bbsl2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("recognize-odd", "recognize-char2", "frobenius", "field-report", "selftest"):
-        sub.add_parser(mode, parents=[common])
+    for mode in ("recognize-odd", "recognize-char2", "frobenius", "field-report"):
+        sub.add_parser(mode, parents=[common, group])
+    sub.add_parser("selftest", parents=[common])
     return parser
 
 
@@ -84,9 +88,7 @@ def _entry_to_element(field: ExplicitField, entry) -> int:
     # type() and not isinstance(): JSON true is a bool, which is an int subclass
     if type(entry) is int:
         return field.scalar(entry)
-    if isinstance(entry, list):
-        if len(entry) != field.k or not all(type(x) is int for x in entry):
-            raise InputError("matrix entries must be residues or length-k residue vectors")
+    if isinstance(entry, list) and len(entry) == field.k and all(type(x) is int for x in entry):
         return field.element(tuple(x % field.p for x in entry))
     raise InputError("matrix entries must be residues or length-k residue vectors")
 
@@ -115,10 +117,23 @@ def _check_flags(args, p: int, k: int) -> None:
         raise InputError("--k/--n disagrees with the input file")
 
 
-def _box_from_args(args, params: dict):
+def _group_box(args, p: int, k: int, cq: bool = False, generators=None):
+    """The box over polynomial_field(p, k), its center quotient if cq: on the
+    standard generators, or on the matrices of a group file."""
+    field = ExplicitField.polynomial_field(p, k)
+    if generators is not None:
+        generators = [_parse_matrix(field, g) for g in generators]
+    backend = MatrixBackend(field, center_quotient=cq, opaque=args.opaque, seed=args.seed)
+    return backend.blackbox(generators)
+
+
+def _box_from_args(args, params: dict, desc: dict | None):
     """Build the black box, recording p, k, and input details in params."""
-    if args.input:
-        desc = _load_json(args.input)
+    if desc is None:
+        if args.p is None:
+            raise InputError("need --p (or --input)")
+        p, k, cq, mats = args.p, _degree(args, fallback=1), False, None
+    else:
         mats = desc.get("generators")
         if not isinstance(mats, list) or not mats:
             raise InputError("group description file needs a nonempty 'generators' list")
@@ -133,59 +148,32 @@ def _box_from_args(args, params: dict):
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")
-        field = ExplicitField.polynomial_field(p, k)
-        backend = MatrixBackend(
-            field, special=True, center_quotient=cq, opaque=args.opaque, seed=args.seed
-        )
-        box = backend.blackbox([_parse_matrix(field, g) for g in mats])
-    else:
-        if args.p is None:
-            raise InputError("need --p (or --input)")
-        p = args.p
-        k = _degree(args, fallback=1)
-        cq = False
-        box = make_matrix_blackbox(
-            p, k, special=True, center_quotient=False, opaque=args.opaque, seed=args.seed
-        )
+    box = _group_box(args, p, k, cq, mats)
     params.update({"p": p, "k": k, "q": p**k, "center_quotient": cq, "opaque": args.opaque})
     return box, p, k
 
 
-def _structure_json(explicit: ExplicitField) -> dict:
-    return {
-        "p": explicit.p,
-        "k": explicit.k,
-        "c": [[list(row) for row in plane] for plane in explicit.c],
-    }
-
-
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _result_report(mode: str, args, result) -> dict:
-    verification = {k: _jsonable(v) for k, v in result.verification.items()}
-    for key, value in result.extras.items():
-        verification.setdefault(key, _jsonable(value))
-    return {
-        "mode": mode,
+def _report(args, params: dict, stages, verification: dict, explicit=None) -> dict:
+    """The report of every mode, successful or not; json writes tuples as lists."""
+    report = {
+        "mode": args.mode,
         "seed": args.seed,
-        "params": dict(result.params),
-        "stages": [s.as_json() for s in result.stages],
+        "params": params,
+        "stages": [s.as_json() for s in stages],
         "verification": verification,
-        "structure_constants": _structure_json(result.explicit),
     }
+    if explicit is not None:
+        report["structure_constants"] = explicit.to_dict()
+    return report
 
 
-def _recognize(args, params: dict) -> dict:
+def _recognize(args, params: dict, desc: dict | None) -> dict:
     """Recover the group of recognize-odd, recognize-char2 or field-report."""
     if args.mode == "recognize-char2":
         if args.p not in (None, 2):
             raise InputError("recognize-char2 works in characteristic 2 only")
         args.p = 2
-    box, p, k = _box_from_args(args, params)
+    box, p, k = _box_from_args(args, params, desc)
     if args.mode == "recognize-odd" and p == 2:
         raise InputError("recognize-odd wants odd characteristic; use recognize-char2")
     rng = random.Random(args.seed)
@@ -193,12 +181,13 @@ def _recognize(args, params: dict) -> dict:
         result = recover_char2(box, k, rng, trials=args.trials)
     else:
         result = recover_psl2(box, p, k, rng, trials=args.trials)
-    result.params.update({key: params[key] for key in ("center_quotient", "opaque")})
-    return _result_report(args.mode, args, result)
+    params.update(result.params)
+    verification = {**result.extras, **result.verification}
+    return _report(args, params, result.stages, verification, result.explicit)
 
 
-def _mode_frobenius(args, params: dict) -> dict:
-    box, p, k = _box_from_args(args, params)
+def _mode_frobenius(args, params: dict, desc: dict | None) -> dict:
+    box, p, k = _box_from_args(args, params, desc)
     if p == 2:
         raise InputError("the Frobenius pipeline here wants odd characteristic")
     rng = random.Random(args.seed)
@@ -207,8 +196,7 @@ def _mode_frobenius(args, params: dict) -> dict:
     with rec.stage("frobenius"):
         fro = frobenius_on_sl2(box, frame.u, frame.h, frame.weyl, p, k, rng)
     with rec.stage("verify"):
-        order_passes = 0
-        mult_passes = 0
+        order_passes = mult_passes = 0
         for _ in range(args.trials):
             x = fro.sample(rng)
             if fro.compare(fro.rotate(x, k), x):
@@ -224,49 +212,29 @@ def _mode_frobenius(args, params: dict) -> dict:
             "torus_tuple_power_map": fro.compare(fro(fro.h_bar), fro.power(fro.h_bar, p)),
             "is_center_quotient": frame.is_psl,
         }
-    return {
-        "mode": "frobenius",
-        "seed": args.seed,
-        "params": dict(params),
-        "stages": [s.as_json() for s in rec.stages],
-        "verification": verification,
-    }
+    return _report(args, params, rec.stages, verification)
 
 
-def _mode_field_report(args, params: dict) -> dict:
-    rng = random.Random(args.seed)
-    if args.input:
-        desc = _load_json(args.input)
-        if "c" in desc:
-            explicit = ExplicitField.from_json(json.dumps(desc))
-            _check_flags(args, explicit.p, explicit.k)
-            params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
-            explicit.validate(rng)
-            standard = ExplicitField.polynomial_field(explicit.p, explicit.k)
-            iso = explicit_isomorphism(explicit, standard, rng)
-            return {
-                "mode": "field-report",
-                "seed": args.seed,
-                "params": dict(params),
-                "stages": [],
-                "verification": {
-                    "ring_iso_to_standard": True,
-                    "iso_matrix": _jsonable(iso.matrix),
-                },
-                "structure_constants": _structure_json(explicit),
-            }
-    return _recognize(args, params)
+def _mode_field_report(args, params: dict, desc: dict | None) -> dict:
+    if desc is None or "c" not in desc:
+        return _recognize(args, params, desc)
+    explicit = ExplicitField.from_dict(desc)
+    _check_flags(args, explicit.p, explicit.k)
+    params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
+    iso = standard_isomorphism(explicit, random.Random(args.seed))
+    verification = {"ring_iso_to_standard": True, "iso_matrix": iso.matrix}
+    return _report(args, params, (), verification, explicit)
 
 
-def _mode_selftest(args, params: dict) -> dict:
+def _mode_selftest(args, params: dict, desc: None) -> dict:
+    params["opaque"] = args.opaque
     rng = random.Random(args.seed)
     checks: dict[str, bool] = {}
 
     # one box per kernel: integers mod p, log/Zech tables with the PSL
     # canonical form, and log tables with XOR addition
     boxes = [
-        make_matrix_blackbox(p, k, center_quotient=cq, opaque=args.opaque, seed=args.seed)
-        for p, k, cq in [(5, 1, False), (3, 2, True), (2, 4, False)]
+        _group_box(args, p, k, cq) for p, k, cq in [(5, 1, False), (3, 2, True), (2, 4, False)]
     ]
     mul_ok = inv_ok = round_trip = True
     for box in boxes:
@@ -293,11 +261,12 @@ def _mode_selftest(args, params: dict) -> dict:
     checks["sl2_5_closure_order_120"] = (
         len(oracle.closure(be.field, be.standard_generators())) == 120
     )
-    f4 = ExplicitField.polynomial_field(2, 2)
-    be4 = MatrixBackend(f4, opaque=args.opaque, seed=args.seed)
-    checks["sl2_4_closure_order_60"] = len(oracle.closure(f4, be4.standard_generators())) == 60
+    be4 = _group_box(args, 2, 2).backend
+    checks["sl2_4_closure_order_60"] = (
+        len(oracle.closure(be4.field, be4.standard_generators())) == 60
+    )
 
-    box13 = make_matrix_blackbox(13, 1, opaque=args.opaque, seed=args.seed)
+    box13 = _group_box(args, 13, 1)
     be13 = box13.backend
     ok = True
     for _ in range(100):
@@ -320,13 +289,7 @@ def _mode_selftest(args, params: dict) -> dict:
         exc = ContractViolation(f"selftest failed: {failing}")
         exc.verification = checks
         raise exc
-    return {
-        "mode": "selftest",
-        "seed": args.seed,
-        "params": {"opaque": args.opaque},
-        "stages": [],
-        "verification": checks,
-    }
+    return _report(args, params, (), checks)
 
 
 _MODES = {
@@ -359,30 +322,22 @@ def _summarize(report: dict) -> None:
 
 def _failure_report(args, params: dict, exc: Exception) -> dict:
     stages = getattr(exc, "stages", [])
-    failed = next((s.name for s in stages if not s.ok), None)
-    verification = {
-        "ok": False,
-        "error": str(exc),
-        "failed_stage": failed if failed is not None else getattr(exc, "stage", None),
-    }
+    failed = next((s.name for s in stages if not s.ok), getattr(exc, "stage", None))
+    verification = {"ok": False, "error": str(exc), "failed_stage": failed}
     extra = getattr(exc, "verification", None)
     if isinstance(extra, dict):
         verification.update(extra)
-    return {
-        "mode": args.mode,
-        "seed": args.seed,
-        "params": dict(params),
-        "stages": [s.as_json() for s in stages],
-        "verification": verification,
-    }
+    return _report(args, params, stages, verification)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     params: dict = {}
     try:
-        check_trials(args.trials)
-        report = _MODES[args.mode](args, params)
+        if "trials" in args:  # selftest takes no trials
+            check_trials(args.trials)
+        desc = _load_json(args.input) if getattr(args, "input", None) else None
+        report = _MODES[args.mode](args, params, desc)
     except InputError as exc:
         sys.stderr.write(f"bbsl2: rejected input: {exc}\n")
         return 1

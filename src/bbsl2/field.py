@@ -298,20 +298,29 @@ class ExplicitField:
             if self.mul(a, b) != ab or self.add(a, b) != add(a, b):
                 raise ContractViolation("field tables disagree with the structure constants")
 
-    # -- serialization ----------------------------------------------------
+    # -- serialization: the dict {"p", "k", "c"} and its JSON text -----------
+    def to_dict(self) -> dict:
+        return {"p": self.p, "k": self.k, "c": [[list(r) for r in pl] for pl in self.c]}
+
     def to_json(self) -> str:
-        return json.dumps({"p": self.p, "k": self.k, "c": [[list(r) for r in pl] for pl in self.c]})
+        return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "ExplicitField":
+    def from_dict(cls, data: dict) -> "ExplicitField":
         try:
-            data = json.loads(text)
             p, k, c = data["p"], data["k"], data["c"]
             # JSON true and 3.9 are no integers, though int() takes them
             if any(type(x) is not int for x in (p, k, *(x for pl in c for r in pl for x in r))):
                 raise InputError("p, k and the structure constants must be integers")
             return cls(p, k, c)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"bad field JSON: {e}") from e
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExplicitField":
+        try:
+            return cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as e:
             raise InputError(f"bad field JSON: {e}") from e
 
     @classmethod
@@ -407,6 +416,15 @@ def explicit_isomorphism(
     iso = FieldIsomorphism(a_field, b_field, fwd, bwd)
     _check_ring_map(iso, rng)
     return iso
+
+
+def standard_isomorphism(explicit: ExplicitField, rng: random.Random) -> FieldIsomorphism:
+    """The structure-constants step: validate a presentation on
+    ``Random(rng.getrandbits(32))``, then map it onto ``polynomial_field(p, k)``,
+    checking the map with ``rng``; raises ContractViolation."""
+    explicit.validate(random.Random(rng.getrandbits(32)))
+    standard = ExplicitField.polynomial_field(explicit.p, explicit.k)
+    return explicit_isomorphism(explicit, standard, rng)
 
 
 def find_root(f_over_fp: modp.Poly, F: ExplicitField) -> int:

@@ -28,40 +28,43 @@ def vec_mat(v: Vec, m: Mat, p: int) -> Vec:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(len(m[0])))
 
 
-def mat_det(a: Mat, p: int) -> int:
-    m = [list(row) for row in a]
-    k = len(m)
-    det = 1
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+def _reduce(m: list[list[int]], ncols: int, p: int) -> tuple[list[int], int]:
+    """Gauss-Jordan on the rows m, entries in [0, p), over their first ncols columns.
+
+    Returns the pivot columns in order and the determinant of the first
+    ncols columns, which is 0 once a column has no pivot. The pivot rows
+    come first and are scaled to a leading 1.
+    """
+    pivots, det = [], 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, k):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
+        det = det * m[r][col] % p
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots, det % p
+
+
+def mat_det(a: Mat, p: int) -> int:
+    return _reduce([[x % p for x in row] for row in a], len(a), p)[1]
 
 
 def mat_inv(a: Mat, p: int) -> Mat:
     k = len(a)
-    m = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(a)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] % p), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix mod %d" % p)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], -1, p)
-        m[col] = [x * inv % p for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
+    m = [[x % p for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(a)]
+    if len(_reduce(m, k, p)[0]) < k:
+        raise ZeroDivisionError("singular matrix mod %d" % p)
     return tuple(tuple(row[k:]) for row in m)
 
 
@@ -71,30 +74,13 @@ def solve_rectangular(rows, rhs, p: int) -> Vec | None:
     Free variables are set to zero.
     """
     m = [[x % p for x in r] + [b % p] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    if any(m[i][ncols] for i in range(r, nrows)):
+    ncols = len(rows[0]) if m else 0
+    pivots, _ = _reduce(m, ncols, p)
+    if any(row[ncols] for row in m[len(pivots):]):
         return None
     x = [0] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][ncols]
+    for row, col in zip(m, pivots):
+        x[col] = row[ncols]
     return tuple(x)
 
 

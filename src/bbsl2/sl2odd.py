@@ -24,7 +24,7 @@ from .backend import _mul_kernel
 from .bbfield import build_field_on_U, ppd_prime
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import ExplicitField, explicit_isomorphism
+from .field import standard_isomorphism
 from .frobenius import frobenius_on_sl2
 from .involutions import random_involution
 from .stages import RecognitionResult, StageRecorder
@@ -258,9 +258,7 @@ def finish_recognition(
     """
     with rec.stage("structure-constants"):
         explicit = field.to_explicit()
-        explicit.validate(random.Random(rng.getrandbits(32)))
-        standard = ExplicitField.polynomial_field(field.p, field.k)
-        iso = explicit_isomorphism(explicit, standard, rng)
+        iso = standard_isomorphism(explicit, rng)
 
     with rec.stage("steinberg"):
         morphism = SteinbergMorphism(box, field, frame.weyl, project=project, explicit=explicit)

@@ -271,6 +271,33 @@ def test_contract_violation_exit_3(tmp_path, schema):
         assert rep["verification"]["ok"] is False
 
 
+@pytest.mark.parametrize("flags", [
+    ["--input", "/nonexistent.json"], ["--p", "4"], ["--k", "0"], ["--n", "3"], ["--trials", "5"],
+])
+def test_selftest_rejects_group_flags(flags, capsys):
+    # selftest builds its own boxes: a group flag would be ignored, so it is a usage error
+    with pytest.raises(SystemExit) as e:
+        main(["selftest", "--seed", "1"] + flags)
+    assert e.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_field_report_reads_a_group_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "psl13.json"
+    path.write_text(json.dumps({"p": 13, "k": 1, "center_quotient": True,
+                                "generators": [[[1, 1], [0, 1]], [[0, 1], [12, 0]]]}))
+    real_open, reads = open, []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    _run(tmp_path, ["field-report", "--input", str(path), "--seed", "3", "--trials", "5"])
+    assert len(reads) == 1
+
+
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "st.json"
     proc = subprocess.run(

@@ -11,10 +11,16 @@ stages, basis and verification keys. The ``frobenius-9`` verify stage
 ``DirectProductBox`` wrappers began to count on the base box; that
 weyl stage was re-captured again (25 -> 1) when PSL2 stopped searching
 the involution centralizer and began to share the SL2 sweep over
-random conjugates of u. Every other field is a pure function of the
-seed, so a refactor that keeps the oracle calls and the sampling order
-reproduces each report exactly: stage names, samples_used,
-verification, structure constants.
+random conjugates of u. Every field but ``elapsed_ms`` is a pure
+function of the seed, so a refactor that keeps the oracle calls and the
+sampling order reproduces each report exactly: stage names,
+samples_used, verification, structure constants.
+
+``field-report-gf81-input`` and ``selftest-1`` were captured just before
+the CLI began to read its input once and to build every report through
+one helper. The first reports the isomorphism from a recovered GF(3^4)
+presentation, the normal basis that ``recover_psl2`` finds for SL2(81),
+so the isomorphism search really runs.
 """
 import json
 from pathlib import Path
@@ -33,12 +39,27 @@ PSL13 = {
     "generators": [[[1, 1], [0, 1]], [[0, 1], [12, 0]]],
 }
 
+# GF(3^4) on the normal basis x, x^3, x^9, x^27 of the SL2(81) recognition
+# (box seed 1000, Random(0)): the unity is 2 * (sum of the basis), not basis 0
+GF81 = {
+    "p": 3,
+    "k": 4,
+    "c": [
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, 2, 2, 2]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [2, 2, 2, 2], [1, 0, 0, 0]],
+        [[0, 0, 0, 1], [2, 2, 2, 2], [1, 0, 0, 0], [0, 1, 0, 0]],
+        [[2, 2, 2, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    ],
+}
+
 CASES = {
     "recognize-odd-13": ["recognize-odd", "--p", "13", "--seed", "7", "--trials", "20"],
     "recognize-odd-9": ["recognize-odd", "--p", "3", "--k", "2", "--seed", "1", "--trials", "20"],
     "recognize-odd-psl13-input": ["recognize-odd", "--input", "{psl13}", "--seed", "3", "--trials", "20"],
     "recognize-char2-8": ["recognize-char2", "--n", "3", "--seed", "2", "--trials", "20"],
     "frobenius-9": ["frobenius", "--p", "3", "--k", "2", "--seed", "1", "--trials", "20"],
+    "field-report-gf81-input": ["field-report", "--input", "{gf81}", "--seed", "5"],
+    "selftest-1": ["selftest", "--seed", "1"],
 }
 
 # the frobenius report's single "frame" stage is now the four stages of
@@ -49,8 +70,10 @@ FRAME_STAGES = [("unipotent", 3), ("classify", 1), ("torus", 18), ("weyl", 3)]
 def run_case(argv, tmp_path) -> dict:
     psl13 = tmp_path / "psl13.json"
     psl13.write_text(json.dumps(PSL13))
+    gf81 = tmp_path / "gf81.json"
+    gf81.write_text(json.dumps(GF81))
     out = tmp_path / "report.json"
-    assert main([a.format(psl13=psl13) for a in argv] + ["--out", str(out)]) == 0
+    assert main([a.format(psl13=psl13, gf81=gf81) for a in argv] + ["--out", str(out)]) == 0
     report = json.loads(out.read_text())
     for stage in report["stages"]:
         del stage["elapsed_ms"]
