@@ -3,10 +3,12 @@
 The backend is the trusted side of every experiment: it knows the
 matrices. ``MatrixBackend.blackbox()`` wraps 2x2 matrices over an
 explicit field as a black box. In transparent mode strings are the
-canonical entry bytes. In opaque mode each string is a keyed 4-round
-Feistel encryption of the canonical bytes plus a fresh 8-byte nonce, so
-the same element gets a different string every time it is produced and
-nothing about the matrix leaks without the key.
+canonical entry bytes. In opaque mode each string is the canonical
+bytes encrypted with a fresh 8-byte nonce under two keyed hashes, in the
+shape of OAEP (Bellare and Rogaway, EUROCRYPT 1994), so the same element
+gets a different string every time it is produced, nothing about the
+matrix leaks without the key, and a string with a changed bit decodes
+to an unrelated matrix or to none.
 
 The nonce stream is drawn from a dedicated RNG owned by the backend, not
 from the caller's algorithm RNG: an algorithm run consumes exactly the
@@ -35,7 +37,6 @@ from .field import ExplicitField
 Matrix = tuple[tuple[int, ...], ...]
 
 _NONCE_BYTES = 8
-_ROUNDS = 4
 # strings per generation of the decode memo; a backend holds at most twice this
 _MEMO_SIZE = 64
 
@@ -180,8 +181,14 @@ class MatrixBackend:
         """Build the string codec as closures over its constants and state.
 
         A string is the four entries, row by row, as fixed-width
-        big-endian integers; an opaque one appends a fresh nonce and
-        runs rounds 0..3 of a Feistel network over the halves x, y.
+        big-endian integers. An opaque one is s || t for a fresh nonce r,
+        with s = entries ^ G(r) and t = r ^ H(s), where G (``pad``) and
+        H (``seal``) are BLAKE2b keyed with the backend's key and told
+        apart by their personalization. Decoding undoes it with the same
+        two hashes: r = t ^ H(s), then entries = s ^ G(r). A changed bit
+        of s or t changes r and with it the whole pad G(r), so a changed
+        string decodes to unrelated entries.
+
         Decoding an opaque string consults the decode memo, ciphertext
         -> canonical matrix, in two generations: when the recent one
         fills up it becomes the older one and the old older one is
@@ -191,25 +198,19 @@ class MatrixBackend:
         q, s, plain, size = self.field.order, 8 * self.width, 4 * self.width, self.string_bytes
         mask = (1 << s) - 1
         key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
-        # round r masks one half with the keyed hash of r and the other half;
-        # each round's state has absorbed the key and r already
-        nx = size // 2
-        ny = size - nx
-        c0, c1, c2, c3 = (
-            blake2b(bytes([r]), key=key, digest_size=ny if r % 2 else nx).copy
-            for r in range(_ROUNDS)
-        )
+        # each state has absorbed the key already; copying it is cheaper than keying
+        pad = blake2b(key=key, digest_size=plain, person=b"opacity-G").copy
+        seal = blake2b(key=key, digest_size=_NONCE_BYTES, person=b"opacity-H").copy
         nonce = random.Random(f"opacity-nonce:{seed}").getrandbits
-        nonce_bits, y_bits = 8 * _NONCE_BYTES, 8 * ny
-        y_mask = (1 << y_bits) - 1
+        nonce_bits = 8 * _NONCE_BYTES
         from_bytes = int.from_bytes
         recent: dict[bytes, Matrix] = {}
         older: dict[bytes, Matrix] = {}
         self._recent, self._older = recent, older
 
         def parse(blob: bytes) -> Matrix:
-            """The canonical matrix whose entries lead ``blob``."""
-            x = from_bytes(blob[:plain], "big")
+            """The canonical matrix whose entries are ``blob``."""
+            x = from_bytes(blob, "big")
             a, b, c, d = x >> 3 * s, x >> 2 * s & mask, x >> s & mask, x & mask
             if a >= q or b >= q or c >= q or d >= q:
                 raise InputError("string does not decode to field entries")
@@ -217,21 +218,14 @@ class MatrixBackend:
             return min(m, neg(m)) if canonical else m
 
         def decrypt(block: bytes) -> bytes:
-            # undo the rounds in the opposite order: y, x, y, x with 3..0
-            x, y = block[:nx], block[nx:]
-            h = c3()
-            h.update(x)
-            y = (from_bytes(y, "big") ^ from_bytes(h.digest(), "big")).to_bytes(ny, "big")
-            h = c2()
-            h.update(y)
-            x = (from_bytes(x, "big") ^ from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-            h = c1()
-            h.update(x)
-            y = (from_bytes(y, "big") ^ from_bytes(h.digest(), "big")).to_bytes(ny, "big")
-            h = c0()
-            h.update(y)
-            x = (from_bytes(x, "big") ^ from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-            return x + y
+            """The entry bytes of the opaque string ``block``."""
+            sb = block[:plain]
+            h = seal()
+            h.update(sb)
+            r = from_bytes(block[plain:], "big") ^ from_bytes(h.digest(), "big")
+            h = pad()
+            h.update(r.to_bytes(_NONCE_BYTES, "big"))
+            return (from_bytes(sb, "big") ^ from_bytes(h.digest(), "big")).to_bytes(plain, "big")
 
         def encode(m: Matrix) -> ElementString:
             nonlocal recent, older
@@ -241,21 +235,13 @@ class MatrixBackend:
             v = ((a << s | b) << s | c) << s | d
             if not opaque:
                 return ElementString(v.to_bytes(plain, "big"))
-            v = v << nonce_bits | nonce(nonce_bits)
-            x, y = v >> y_bits, v & y_mask
-            h = c0()
-            h.update(y.to_bytes(ny, "big"))
-            x ^= from_bytes(h.digest(), "big")
-            xb = x.to_bytes(nx, "big")
-            h = c1()
-            h.update(xb)
-            y ^= from_bytes(h.digest(), "big")
-            h = c2()
-            h.update(y.to_bytes(ny, "big"))
-            xb = (x ^ from_bytes(h.digest(), "big")).to_bytes(nx, "big")
-            h = c3()
-            h.update(xb)
-            data = xb + (y ^ from_bytes(h.digest(), "big")).to_bytes(ny, "big")
+            r = nonce(nonce_bits)
+            h = pad()
+            h.update(r.to_bytes(_NONCE_BYTES, "big"))
+            sb = (v ^ from_bytes(h.digest(), "big")).to_bytes(plain, "big")
+            h = seal()
+            h.update(sb)
+            data = sb + (r ^ from_bytes(h.digest(), "big")).to_bytes(_NONCE_BYTES, "big")
             recent[data] = m
             if len(recent) >= _MEMO_SIZE:
                 older, recent = recent, {}

@@ -12,9 +12,9 @@ standard generators, or from --input, a JSON file {"p": int, "k": int,
 row-major 2x2 matrices whose entries are residues (k = 1) or
 length-k coordinate vectors over the prime field in the polynomial
 basis (k > 1). field-report also accepts an explicit field
-serialization {"p", "k", "c"} and then skips recognition. selftest
-builds its own boxes and takes only --seed, --out and
---opaque/--transparent.
+serialization {"p", "k", "c"} and then skips recognition, so it takes
+no --trials or --opaque/--transparent. selftest builds its own boxes
+and takes only --seed, --out and --opaque/--transparent.
 
 Reports are JSON: {"mode", "seed", "params", "stages": [{name,
 samples_used, elapsed_ms, ok}], "verification": {...}} plus optional
@@ -50,6 +50,8 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument("--out", help="write the JSON report here instead of stdout")
+    # --opaque/--transparent and --trials parse to None when absent, so that a
+    # field file, which takes neither, can tell them from their defaults
     opacity = common.add_mutually_exclusive_group()
     opacity.add_argument(
         "--opaque", dest="opaque", action="store_true", help="encrypted strings (default)"
@@ -57,13 +59,13 @@ def _build_parser() -> _Parser:
     opacity.add_argument(
         "--transparent", dest="opaque", action="store_false", help="canonical byte strings"
     )
-    common.set_defaults(opaque=True)
+    common.set_defaults(opaque=None)
     group = argparse.ArgumentParser(add_help=False)
     group.add_argument("--input", help="JSON group description or explicit field file")
     group.add_argument("--p", type=int, help="field characteristic")
     group.add_argument("--k", type=int, help="field degree over the prime field")
     group.add_argument("--n", type=int, help="degree synonym used in characteristic 2")
-    group.add_argument("--trials", type=int, default=200, help="verification trials")
+    group.add_argument("--trials", type=int, help="verification trials (default 200)")
 
     parser = _Parser(prog="bbsl2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -107,6 +109,16 @@ def _degree(args, fallback: int | None = None) -> int | None:
         raise InputError("--k and --n disagree")
     k = args.k if args.k is not None else args.n
     return k if k is not None else fallback
+
+
+def _settle_flags(args) -> None:
+    """Give --opaque/--transparent and --trials their defaults, and check the trials."""
+    if args.opaque is None:
+        args.opaque = True
+    if "trials" in args:  # selftest takes no trials
+        if args.trials is None:
+            args.trials = 200
+        check_trials(args.trials)
 
 
 def _check_flags(args, p: int, k: int) -> None:
@@ -217,7 +229,10 @@ def _mode_frobenius(args, params: dict, desc: dict | None) -> dict:
 
 def _mode_field_report(args, params: dict, desc: dict | None) -> dict:
     if desc is None or "c" not in desc:
+        _settle_flags(args)
         return _recognize(args, params, desc)
+    if args.trials is not None or args.opaque is not None:
+        raise InputError("a field file takes no --trials, --opaque or --transparent")
     explicit = ExplicitField.from_dict(desc)
     _check_flags(args, explicit.p, explicit.k)
     params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
@@ -334,8 +349,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     params: dict = {}
     try:
-        if "trials" in args:  # selftest takes no trials
-            check_trials(args.trials)
+        if args.mode != "field-report":
+            _settle_flags(args)
         desc = _load_json(args.input) if getattr(args, "input", None) else None
         report = _MODES[args.mode](args, params, desc)
     except InputError as exc:

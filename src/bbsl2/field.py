@@ -29,7 +29,6 @@ object per (p, k) per process, so its tables are built once.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -226,21 +225,6 @@ class ExplicitField:
         log, exp, _ = self._tables
         return exp[self.order - 1 - log[a]]
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
-    def trace(self, a: int) -> int:
-        """Absolute trace down to F_p, returned as an int in [0, p)."""
-        acc, x = 0, a
-        for _ in range(self.k):
-            acc = self.add(acc, x)
-            x = self.frobenius(x)
-        # the trace is rational: express as a prime-field multiple of unity
-        for n in range(self.p):
-            if self.scalar(n) == acc:
-                return n
-        raise ContractViolation("trace not a prime-field multiple of unity")
-
     def minimal_polynomial(self, a: int) -> modp.Poly:
         """Monic minimal polynomial of a over F_p, low degree first.
 
@@ -298,12 +282,9 @@ class ExplicitField:
             if self.mul(a, b) != ab or self.add(a, b) != add(a, b):
                 raise ContractViolation("field tables disagree with the structure constants")
 
-    # -- serialization: the dict {"p", "k", "c"} and its JSON text -----------
+    # -- serialization: the dict {"p", "k", "c"} -----------------------------
     def to_dict(self) -> dict:
         return {"p": self.p, "k": self.k, "c": [[list(r) for r in pl] for pl in self.c]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExplicitField":
@@ -314,13 +295,6 @@ class ExplicitField:
                 raise InputError("p, k and the structure constants must be integers")
             return cls(p, k, c)
         except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"bad field JSON: {e}") from e
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExplicitField":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as e:
             raise InputError(f"bad field JSON: {e}") from e
 
     @classmethod

@@ -3,8 +3,9 @@
 The frame matrices u(t), v(t), h(t), n(t), conjugation, centralizers and
 the upper unipotent group, computed on plain matrices with no black box
 in sight: the tests' independent ground truth at desk scale, beside
-``bbsl2.oracle``; reference copies of box searches that the package
-now runs more cheaply; and random elements of a recovered field.
+``bbsl2.oracle``; the Frobenius map and absolute trace of an explicit
+field; reference copies of box searches that the package now runs more
+cheaply; and random elements of a recovered field.
 """
 import random
 
@@ -12,6 +13,20 @@ from bbsl2.backend import Matrix, mat_inv2, mat_mul
 from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
 from bbsl2.sl2char2 import Char2Field
+
+
+def frobenius(F: ExplicitField, a: int) -> int:
+    return F.pow(a, F.p)
+
+
+def trace(F: ExplicitField, a: int) -> int:
+    """Absolute trace down to F_p, returned as an int in [0, p)."""
+    acc, x = 0, a
+    for _ in range(F.k):
+        acc = F.add(acc, x)
+        x = frobenius(F, x)
+    # the trace is rational: a prime-field multiple of unity
+    return next(n for n in range(F.p) if F.scalar(n) == acc)
 
 
 def u_mat(F: ExplicitField, t: int) -> Matrix:

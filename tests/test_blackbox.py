@@ -171,13 +171,11 @@ def test_psl_canonicalization():
     assert box.compare(be.encode(m), be.encode(neg))
 
 
-def _codec_digest() -> str:
+def _codec_digest(opaque: bool) -> str:
     """sha256 over the strings and decoded matrices of a fixed sequence of box ops."""
     h = hashlib.sha256()
-    # entry widths 1 (q = 13, 81) and 2 (q = 729, 2^10); SL and PSL; both codecs
-    for (p, k), cq, opaque in itertools.product(
-        [(13, 1), (3, 4), (3, 6), (2, 10)], (False, True), (True, False)
-    ):
+    # entry widths 1 (q = 13, 81) and 2 (q = 729, 2^10); SL and PSL
+    for (p, k), cq in itertools.product([(13, 1), (3, 4), (3, 6), (2, 10)], (False, True)):
         box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=p**k + cq)
         rng = random.Random(p * k)
         xs = list(box.generators)
@@ -191,7 +189,12 @@ def _codec_digest() -> str:
 
 
 def test_codec_strings_pinned():
-    assert _codec_digest() == "383af1be8c0ab71e2ab524d0c1b73e2f38b7fabe2df9f4d7c26d3f257eb5f6d9"
+    # transparent strings are the entries themselves; they outlive any cipher
+    assert _codec_digest(False) == "056893782ccf14180c1090759ecbe43a282937731187964141086cfa1ae7f398"
+
+
+def test_opaque_codec_strings_pinned():
+    assert _codec_digest(True) == "4eea3e5c9567cd77331575eb9abb74ef47e019821db8f7d0f2dfa8cf76ec0ac9"
 
 
 def test_decode_rejects_malformed_strings():
@@ -273,6 +276,30 @@ def test_flipped_bit_decodes_as_the_cipher_says(pk, cq):
                     be.decode(ElementString(data))
             else:
                 assert be.decode(ElementString(data)) == want
+
+
+@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
+def test_flipped_bit_is_not_the_flipped_plaintext(pk, cq):
+    # a malleable cipher decodes a string with one bit flipped to its
+    # plaintext, entries || nonce, with the same bit flipped: the entries with
+    # that bit flipped, or the same entries when the bit lies in the nonce
+    p, k = pk
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=9)
+    be = box.backend
+    plain = 4 * be.width
+    for x in itertools.islice(_random_ops(box, random.Random(2), 20), 15, None):
+        entries = b"".join(e.to_bytes(be.width, "big") for row in be.decode(x) for e in row)
+        for bit in range(8 * len(x.data)):
+            data, forged = bytearray(x.data), bytearray(entries)
+            data[bit >> 3] ^= 1 << (bit & 7)
+            if bit < 8 * plain:
+                forged[bit >> 3] ^= 1 << (bit & 7)
+            try:
+                m = be.decode(ElementString(bytes(data)))
+                want = be._parse(bytes(forged))
+            except InputError:
+                continue
+            assert m != want
 
 
 def test_psl_decode_is_canonical():

@@ -215,7 +215,7 @@ def test_generator_file_with_coordinate_vectors(tmp_path, schema):
 def test_field_report_accepts_explicit_field_json(tmp_path, schema):
     F = ExplicitField.polynomial_field(3, 2)
     path = tmp_path / "field.json"
-    path.write_text(F.to_json())
+    path.write_text(json.dumps(F.to_dict()))
     rep = _run(tmp_path, ["field-report", "--input", str(path)])
     jsonschema.validate(rep, schema)
     assert rep["verification"]["ring_iso_to_standard"] is True
@@ -224,12 +224,23 @@ def test_field_report_accepts_explicit_field_json(tmp_path, schema):
 
 def test_field_report_checks_flags_against_field_file(tmp_path, capsys):
     path = tmp_path / "gf9.json"
-    path.write_text(ExplicitField.polynomial_field(3, 2).to_json())
+    path.write_text(json.dumps(ExplicitField.polynomial_field(3, 2).to_dict()))
     for flags in (["--p", "5", "--k", "7"], ["--p", "5"], ["--k", "7"], ["--n", "3"]):
         assert main(["field-report", "--input", str(path)] + flags) == 1, flags
         assert "disagrees with the input file" in capsys.readouterr().err
     rep = _run(tmp_path, ["field-report", "--input", str(path), "--p", "3", "--n", "2"])
     assert rep["params"] == {"p": 3, "k": 2, "q": 9}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "7", "--transparent"], ["--trials", "200"], ["--opaque"], ["--transparent"],
+])
+def test_field_report_rejects_flags_a_field_file_ignores(tmp_path, capsys, flags):
+    # a field file is not recognized, so it has no trials and no strings
+    path = tmp_path / "gf9.json"
+    path.write_text(json.dumps(ExplicitField.polynomial_field(3, 2).to_dict()))
+    assert main(["field-report", "--input", str(path)] + flags) == 1
+    assert "a field file takes no" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, argv", [

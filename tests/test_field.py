@@ -1,4 +1,5 @@
 """Structure-constant field presentations and isomorphisms between them."""
+import json
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from bbsl2 import make_matrix_blackbox, modp
 from bbsl2.errors import ContractViolation, InputError
 from bbsl2.field import ExplicitField, explicit_isomorphism, find_root
+
+from brute import frobenius, trace
 
 _SIZES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 1), (13, 1), (13, 2)]
 
@@ -52,16 +55,16 @@ def test_frobenius_is_field_automorphism(F):
         for b in F.elements():
             if F.order > 32:
                 break
-            assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
-            assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
+            assert frobenius(F, F.add(a, b)) == F.add(frobenius(F, a), frobenius(F, b))
+            assert frobenius(F, F.mul(a, b)) == F.mul(frobenius(F, a), frobenius(F, b))
     x = F.order - 1
     for _ in range(F.k):
-        x = F.frobenius(x)
+        x = frobenius(F, x)
     assert x == F.order - 1 or F.k == 1  # phi^k is the identity map
     y = 3 % F.order
     z = y
     for _ in range(F.k):
-        z = F.frobenius(z)
+        z = frobenius(F, z)
     assert z == y
 
 
@@ -70,14 +73,14 @@ def test_trace_values(F):
     p, k = F.p, F.k
     seen = set()
     for a in F.elements():
-        t = F.trace(a)
+        t = trace(F, a)
         assert 0 <= t < p
         seen.add(t)
         if F.order > 256:
             break
     if F.order <= 256:
         assert seen == set(range(p))
-    assert F.trace(F.one) == k % p
+    assert trace(F, F.one) == k % p
 
 
 def test_primitive_element_order(F):
@@ -133,7 +136,7 @@ def test_isomorphism_same_presentation_is_identity(F):
 
 
 def test_json_roundtrip(F):
-    G = ExplicitField.from_json(F.to_json())
+    G = ExplicitField.from_dict(json.loads(json.dumps(F.to_dict())))
     assert G.same_presentation(F)
 
 
