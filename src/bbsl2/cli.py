@@ -33,7 +33,7 @@ from . import oracle
 from .backend import MatrixBackend, mat_inv2, mat_mul
 from .blackbox import element_order, global_exponent_gl
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import ExplicitField, standard_isomorphism
+from .field import ExplicitField
 from .frobenius import frobenius_on_sl2
 from .sl2char2 import recover_char2
 from .sl2odd import check_trials, find_standard_generators, recover_psl2
@@ -236,7 +236,7 @@ def _mode_field_report(args, params: dict, desc: dict | None) -> dict:
     explicit = ExplicitField.from_dict(desc)
     _check_flags(args, explicit.p, explicit.k)
     params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
-    iso = standard_isomorphism(explicit, random.Random(args.seed))
+    iso = explicit.validate()
     verification = {"ring_iso_to_standard": True, "iso_matrix": iso.matrix}
     return _report(args, params, (), verification, explicit)
 

@@ -22,14 +22,22 @@ For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
 lookups in log, antilog and Zech tables built on first use: the powers
 of a primitive element are walked by the linear map "times it", whose
-rows come from the definition ``_mul_raw``. ``_mul_raw`` and
-``_add_raw`` stay the definitions that ``validate`` checks the tables
-against. The standard presentation ``polynomial_field(p, k)`` is one
-object per (p, k) per process, so its tables are built once.
+rows come from the definition ``_mul_raw``. The standard presentation
+``polynomial_field(p, k)`` is one object per (p, k) per process, so its
+tables are built once.
+
+``validate`` proves a presentation to be F_q, with no sampling. Any
+tables make a field with the coordinate sum: g^i * g^j = g^(i+j), on the
+q - 1 images of the unity under the powers of a linear map R, is the
+product of the field F_p[R]. So the map M onto the standard field that
+``explicit_isomorphism`` builds from them is invertible. The definition
+``_mul_raw`` and the standard product are bilinear, so M(1) = 1 and
+M(b_i * b_j) = M(b_i) * M(b_j) on the k^2 ordered basis pairs make M a
+field isomorphism, and the tables compute the definition. For k = 1 the
+ring operations are the definitions, and M is a nonzero scalar.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
@@ -260,27 +268,11 @@ class ExplicitField:
         """The first element, in integer order, of multiplicative order p^k - 1."""
         return self._tables[1][1]
 
-    def validate(self, rng: random.Random, trials: int = 64) -> None:
-        """Spot-check the field axioms on the definitions and the tables against
-        them; raises ContractViolation."""
-        one, add, mul = self.one, self._add_raw, self._mul_raw
-        for _ in range(trials):
-            a = rng.randrange(self.order)
-            b = rng.randrange(self.order)
-            c = rng.randrange(self.order)
-            ab = mul(a, b)
-            if ab != mul(b, a):
-                raise ContractViolation("multiplication not commutative")
-            if mul(a, mul(b, c)) != mul(ab, c):
-                raise ContractViolation("multiplication not associative")
-            if mul(a, add(b, c)) != add(ab, mul(a, c)):
-                raise ContractViolation("multiplication not distributive")
-            if mul(one, a) != a:
-                raise ContractViolation("unity fails")
-            if a and b and ab == 0:
-                raise ContractViolation("zero divisors present")
-            if self.mul(a, b) != ab or self.add(a, b) != add(a, b):
-                raise ContractViolation("field tables disagree with the structure constants")
+    def validate(self) -> "FieldIsomorphism":
+        """The structure-constants step: the isomorphism onto
+        ``polynomial_field(p, k)``, proved exact on the basis products;
+        raises ContractViolation if the presentation is not F_q."""
+        return explicit_isomorphism(self, ExplicitField.polynomial_field(self.p, self.k))
 
     # -- serialization: the dict {"p", "k", "c"} -----------------------------
     def to_dict(self) -> dict:
@@ -328,17 +320,12 @@ class FieldIsomorphism:
     src: ExplicitField
     dst: ExplicitField
     matrix: modp.Mat
-    inverse: modp.Mat
 
     def __post_init__(self):
         self._fwd = _linear_map(self.src, self.dst, self.matrix)
-        self._bwd = _linear_map(self.dst, self.src, self.inverse)
 
     def __call__(self, a: int) -> int:
         return self._fwd(a)
-
-    def inverse_map(self, b: int) -> int:
-        return self._bwd(b)
 
 
 def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
@@ -369,36 +356,20 @@ def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
     return apply
 
 
-def explicit_isomorphism(
-    a_field: ExplicitField, b_field: ExplicitField, rng: random.Random | None = None
-) -> FieldIsomorphism:
+def explicit_isomorphism(a_field: ExplicitField, b_field: ExplicitField) -> FieldIsomorphism:
     """Field isomorphism between two presentations of the same finite field."""
     if a_field.order != b_field.order or a_field.p != b_field.p:
         raise InputError("fields have different orders")
-    rng = rng or random.Random(0x15)
-    k, p = a_field.k, a_field.p
     if a_field.same_presentation(b_field):
-        ident = modp.mat_identity(k)
-        return FieldIsomorphism(a_field, b_field, ident, ident)
+        return FieldIsomorphism(a_field, b_field, modp.mat_identity(a_field.k))
+    p = a_field.p
     g = a_field.field_generator()
-    minpoly = a_field.minimal_polynomial(g)
-    root = find_root(minpoly, b_field)
+    root = find_root(a_field.minimal_polynomial(g), b_field)
     gmat = _power_matrix(a_field, g)
     rmat = _power_matrix(b_field, root)
-    fwd = modp.mat_mul(modp.mat_inv(gmat, p), rmat, p)
-    bwd = modp.mat_mul(modp.mat_inv(rmat, p), gmat, p)
-    iso = FieldIsomorphism(a_field, b_field, fwd, bwd)
-    _check_ring_map(iso, rng)
+    iso = FieldIsomorphism(a_field, b_field, modp.mat_mul(modp.mat_inv(gmat, p), rmat, p))
+    _check_basis_products(iso)
     return iso
-
-
-def standard_isomorphism(explicit: ExplicitField, rng: random.Random) -> FieldIsomorphism:
-    """The structure-constants step: validate a presentation on
-    ``Random(rng.getrandbits(32))``, then map it onto ``polynomial_field(p, k)``,
-    checking the map with ``rng``; raises ContractViolation."""
-    explicit.validate(random.Random(rng.getrandbits(32)))
-    standard = ExplicitField.polynomial_field(explicit.p, explicit.k)
-    return explicit_isomorphism(explicit, standard, rng)
 
 
 def find_root(f_over_fp: modp.Poly, F: ExplicitField) -> int:
@@ -421,15 +392,15 @@ def _power_matrix(F: ExplicitField, g: int) -> modp.Mat:
     return tuple(rows)
 
 
-def _check_ring_map(iso: FieldIsomorphism, rng: random.Random, trials: int = 64) -> None:
+def _check_basis_products(iso: FieldIsomorphism) -> None:
+    """M(1) = 1 and M(b_i * b_j) = M(b_i) * M(b_j) on all k^2 ordered basis
+    pairs, the source product by its definition: by bilinearity, M is then
+    multiplicative everywhere."""
     A, B = iso.src, iso.dst
     if iso(A.one) != B.one:
         raise ContractViolation("isomorphism does not preserve unity")
-    for _ in range(trials):
-        x, y = rng.randrange(A.order), rng.randrange(A.order)
-        if iso(A.add(x, y)) != B.add(iso(x), iso(y)):
-            raise ContractViolation("isomorphism not additive")
-        if iso(A.mul(x, y)) != B.mul(iso(x), iso(y)):
-            raise ContractViolation("isomorphism not multiplicative")
-        if iso.inverse_map(iso(x)) != x:
-            raise ContractViolation("isomorphism not invertible")
+    basis = [A.p**i for i in range(A.k)]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            if iso(A._mul_raw(x, y)) != B.mul(iso(x), iso(y)):
+                raise ContractViolation(f"isomorphism not multiplicative on basis pair ({i}, {j})")

@@ -24,7 +24,6 @@ from .backend import _mul_kernel
 from .bbfield import build_field_on_U, ppd_prime
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import standard_isomorphism
 from .frobenius import frobenius_on_sl2
 from .involutions import random_involution
 from .stages import RecognitionResult, StageRecorder
@@ -251,14 +250,14 @@ def finish_recognition(
 ) -> RecognitionResult:
     """The tail both characteristics share, from a recovered field to the result.
 
-    Reads the field's structure constants and matches them to the
-    standard presentation, builds the Steinberg morphism on
-    ``frame.weyl``, and verifies it as a homomorphism on ``trials``
-    random pairs; ``checks`` joins the verification record.
+    Reads the field's structure constants and proves them F_q by their
+    isomorphism onto the standard presentation, builds the Steinberg
+    morphism on ``frame.weyl``, and verifies it as a homomorphism on
+    ``trials`` random pairs; ``checks`` joins the verification record.
     """
     with rec.stage("structure-constants"):
         explicit = field.to_explicit()
-        iso = standard_isomorphism(explicit, rng)
+        iso = explicit.validate()
 
     with rec.stage("steinberg"):
         morphism = SteinbergMorphism(box, field, frame.weyl, project=project, explicit=explicit)

@@ -4,11 +4,13 @@ The frame matrices u(t), v(t), h(t), n(t), conjugation, centralizers and
 the upper unipotent group, computed on plain matrices with no black box
 in sight: the tests' independent ground truth at desk scale, beside
 ``bbsl2.oracle``; the Frobenius map and absolute trace of an explicit
-field; reference copies of box searches that the package now runs more
-cheaply; and random elements of a recovered field.
+field, and its presentation on a random new basis; reference copies of
+box searches that the package now runs more cheaply; and random
+elements of a recovered field.
 """
 import random
 
+from bbsl2 import modp
 from bbsl2.backend import Matrix, mat_inv2, mat_mul
 from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
@@ -27,6 +29,26 @@ def trace(F: ExplicitField, a: int) -> int:
         x = frobenius(F, x)
     # the trace is rational: a prime-field multiple of unity
     return next(n for n in range(F.p) if F.scalar(n) == acc)
+
+
+def scrambled(F: ExplicitField, seed: int) -> ExplicitField:
+    """Rewrite F's structure constants on a random new basis."""
+    rng = random.Random(seed)
+    p, k = F.p, F.k
+    while True:
+        T = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
+        if modp.mat_det(T, p) != 0:
+            break
+    Tinv = modp.mat_inv(T, p)
+    # new basis vectors are rows of T in old coordinates
+    new_c = []
+    for i in range(k):
+        plane = []
+        for j in range(k):
+            prod = F.mul(F.element(T[i]), F.element(T[j]))
+            plane.append(modp.vec_mat(F.coords(prod), Tinv, p))
+        new_c.append(tuple(plane))
+    return ExplicitField(p, k, tuple(new_c))
 
 
 def u_mat(F: ExplicitField, t: int) -> Matrix:

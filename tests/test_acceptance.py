@@ -44,7 +44,7 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> bool:
 
 def _iso_to_standard_checked(explicit: ExplicitField, pair_budget: int, rng) -> bool:
     standard = ExplicitField.polynomial_field(explicit.p, explicit.k)
-    iso = explicit_isomorphism(explicit, standard, rng)
+    iso = explicit_isomorphism(explicit, standard)
     q = explicit.order
     if q * q <= pair_budget:
         pairs = ((a, b) for a in range(q) for b in range(q))

@@ -94,7 +94,7 @@ def test_gram_determinant_nonzero(recovered):
 
 def test_explicit_presentation_validates(recovered):
     E = recovered.explicit
-    E.validate(random.Random(3), trials=128)
+    E.validate()
     assert E.same_presentation(recovered.field.to_explicit())
 
 

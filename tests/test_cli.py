@@ -11,6 +11,8 @@ from bbsl2.backend import MatrixBackend
 from bbsl2.cli import main
 from bbsl2.field import ExplicitField
 
+from brute import scrambled
+
 
 @pytest.fixture(scope="module")
 def schema():
@@ -64,10 +66,7 @@ def test_field_report_q9_has_eight_structure_entries(tmp_path, schema):
     c = rep["structure_constants"]["c"]
     entries = [x for plane in c for row in plane for x in row]
     assert len(entries) == 8
-    F = ExplicitField(3, 2, c)
-    import random
-
-    F.validate(random.Random(0))
+    ExplicitField(3, 2, c).validate()
 
 
 def test_selftest_mode(tmp_path, schema):
@@ -280,6 +279,17 @@ def test_contract_violation_exit_3(tmp_path, schema):
         rep = _run(tmp_path, ["field-report", "--input", str(path)], expect=3)
         jsonschema.validate(rep, schema)
         assert rep["verification"]["ok"] is False
+
+
+def test_changed_structure_constant_names_the_basis_pair(tmp_path, capsys):
+    # GF(2^4) on a scrambled basis with one constant flipped: it keeps a unity
+    # and a primitive element, and only a basis product tells it from a field
+    desc = scrambled(ExplicitField.polynomial_field(2, 4), 11).to_dict()
+    desc["c"][1][0][0] ^= 1
+    path = tmp_path / "bad16.json"
+    path.write_text(json.dumps(desc))
+    _run(tmp_path, ["field-report", "--input", str(path)], expect=3)
+    assert "basis pair" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

@@ -56,11 +56,11 @@ def test_opacity_benchmark_reports_clean():
     assert rows == [["SL2(16)", "1.13", "0.00", "0.00"], ["SL2(2^8)", "3.02", "0.00", "0.00"]]
     # the off-box rows: ms of each step of the structure-constants stage
     assert lines[22].startswith("off-box field work")
-    assert lines[23].split() == ["field", "tables", "validate", "iso"]
+    assert lines[23].split() == ["field", "tables", "validate"]
     rows = [line.split() for line in lines[24:29]]
     assert [r[0] for r in rows] == ["GF(2^4)", "GF(2^8)", "GF(2^12)", "GF(3^4)", "GF(13^2)"]
     for r in rows:
-        assert len(r) == 4 and all(float(c) > 0 for c in r[1:]), r
+        assert len(r) == 3 and all(float(c) > 0 for c in r[1:]), r
     # the cold-start rows: ms and peak MB of a fresh interpreter's import,
     # then of its building the odd-grid boxes
     assert lines[29].startswith("cold start")
