@@ -1,0 +1,260 @@
+#!/usr/bin/env python3
+"""Measure the costs of recognition and print them as one JSON document.
+
+Oracle counts are complete base-box totals from
+``perfbench/counting.count_base_ops``, which also sees the raw calls of
+``SubgroupBox`` and the Frobenius tuple group. Times are the best of five
+rounds unless said otherwise. The sections:
+
+- ``per_op``: us per backend op over 200 calls, on opaque and transparent
+  strings: mul, inv, compare and encode on strings the backend made
+  lately, and decode of a string in the opaque memo (``decode_hit``, null
+  for transparent strings) or never seen (``decode_miss``, which decrypts).
+- ``images``: per morphism-apply group and kind of string, us per image of
+  a recovered morphism, and the muls, invs and compares of ``images``
+  images once the unipotents their inputs need are lifted.
+- ``lifts``: the muls, invs and compares of ``lift_int`` over the ``lifts``
+  nonzero elements of the field recovered from SL2(2^n): popcount(j) - 1
+  muls for j, and no witness, so no inv or compare.
+- ``off_box``: ms of the oracle-free steps of the structure-constants
+  stage on a recovered presentation: a fresh copy's log tables, then
+  ``validate``, which finds and proves the isomorphism to the standard one.
+- ``cold_start``: ms and peak RSS (MB) of a fresh interpreter's import of
+  bbsl2, then of its building the ten odd-grid boxes; best of three.
+- ``runs``: per group of the grid and seed, the stage samples,
+  verification, base-box counts and seconds of a run on opaque strings.
+  Seed 0 also runs on transparent strings, each kind timed after a
+  warm-up as the fastest of three runs, and all but the seconds must
+  match (``identical``): else an algorithm peeked at string internals.
+  A failed, inexact or not identical run makes the script exit 1.
+
+    python3 scripts/bench.py --odd 13,1 29,1 --char2 3 4 --seeds 10 --center-quotient
+"""
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import bbsl2
+from bbsl2 import make_matrix_blackbox, oracle, recover_char2, recover_psl2
+from bbsl2.backend import MatrixBackend
+from bbsl2.errors import ContractViolation, MonteCarloFailure
+from bbsl2.field import ExplicitField
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from counting import count_base_ops  # noqa: E402
+
+_ROUNDS = 5
+_CALLS = 200
+# strings cycled by the ops on recent strings; fewer than a memo generation
+_RECENT = 40
+_STRINGS = {True: "opaque", False: "transparent"}
+_OPS = ("muls", "invs", "compares")
+# (p, k, center quotient) of the per-op, image and lift rows; (p, k) of the off-box rows
+_OP_GROUPS = [(13, 1, True), (3, 4, False), (13, 2, False), (2, 8, False)]
+_IMAGE_GROUPS = [(13, 1, True), (3, 4, False), (2, 4, False)]
+_LIFT_GROUPS = [(2, 4, False), (2, 8, False)]
+_FIELDS = [(2, 4), (2, 8), (2, 12), (3, 4), (13, 2)]
+# run in a fresh interpreter: import bbsl2, then build the odd-grid boxes
+# (q = 9, 13, 29, 81, 169, as SL2 and PSL2); prints ms and peak MB of each
+_COLD_START = """
+import json, resource, time
+t0 = time.perf_counter()
+import bbsl2
+t1 = time.perf_counter()
+rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+boxes = [bbsl2.make_matrix_blackbox(p, k, center_quotient=cq, seed=0)
+         for p, k in ((3, 2), (13, 1), (29, 1), (3, 4), (13, 2)) for cq in (False, True)]
+t2 = time.perf_counter()
+rss2 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([[1e3 * (t1 - t0), rss1], [1e3 * (t2 - t1), rss2]]))
+"""
+
+
+def _label(p: int, k: int, cq: bool) -> str:
+    return f"SL2(2^{k})" if p == 2 else f"{'P' if cq else ''}SL2({p**k})"
+
+
+def _pair(text: str) -> tuple:
+    p, k = map(int, text.split(","))
+    return p, k
+
+
+def _recognize(group, seed: int, opaque: bool, trials: int):
+    """The result, live base-box counter and seconds of a recognition on a fresh box."""
+    p, k, cq = group
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=seed)
+    ops = count_base_ops(box)
+    rng = random.Random(seed)
+    t0 = time.perf_counter()
+    if p == 2:
+        res = recover_char2(box, k, rng, trials=trials)
+    else:
+        res = recover_psl2(box, p, k, rng, trials=trials)
+    return res, ops, time.perf_counter() - t0
+
+
+def _cost(ops, work) -> dict:
+    """The base-box muls, invs and compares that ``work()`` makes."""
+    before = ops.snapshot()
+    work()
+    return dict(zip(_OPS, (b - a for a, b in zip(before, ops.snapshot()))))
+
+
+def _best_us(run, fresh=lambda: None) -> float:
+    """us per call of ``run(fresh())`` over _CALLS calls, the best of _ROUNDS; untimed ``fresh``."""
+    best = float("inf")
+    for _ in range(_ROUNDS):
+        arg = fresh()
+        t0 = time.perf_counter()
+        run(arg)
+        best = min(best, time.perf_counter() - t0)
+    return best / _CALLS * 1e6
+
+
+def _per_op(group, opaque: bool) -> dict:
+    p, k, cq = group
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=0)
+    be = box.backend
+    rng = random.Random(0)
+    mats = [be.decode(box.sample(rng)) for _ in range(_CALLS)]
+    # ops on strings the backend made lately, as in a recognition, where
+    # most decodes hit the memo; cycling a few of them keeps them in it
+    xs = [be.encode(m) for m in mats[:_RECENT]] * (_CALLS // _RECENT)
+    pairs = list(zip(xs, xs[1:] + xs[:1]))
+
+    def mul(_):
+        for x, y in pairs:
+            box._mul(x, y)
+
+    def inv(_):
+        for x in xs:
+            box._inv(x)
+
+    def compare(_):
+        for x, y in pairs:
+            box._compare(x, y)
+
+    def encode(_):
+        for m in mats:
+            be.encode(m)
+
+    def decode(arg):
+        backend, strings = arg
+        for x in strings:
+            backend.decode(x)
+
+    def fresh():
+        return MatrixBackend(be.field, center_quotient=cq, opaque=opaque, seed=0)
+
+    row = {"group": _label(*group), "strings": _STRINGS[opaque], "decode_hit": None}
+    row.update((op.__name__, _best_us(op)) for op in (mul, inv, compare, encode))
+    if opaque:
+        hb = fresh()
+        made = [hb.encode(m) for m in mats[:_RECENT]] * (_CALLS // _RECENT)
+        row["decode_hit"] = _best_us(decode, lambda: (hb, made))
+    strings = [be.encode(m) for m in mats]
+    row["decode_miss"] = _best_us(decode, lambda: (fresh(), strings))
+    return row
+
+
+def _images(group, opaque: bool, trials: int) -> dict:
+    res, ops, _ = _recognize(group, 0, opaque, trials)
+    rng = random.Random(1)
+    mats = [oracle.random_sl2(res.explicit, rng) for _ in range(_CALLS)]
+
+    def images(_):
+        for m in mats:
+            res.morphism(m)
+
+    images(None)  # lifts the unipotents the inputs need
+    return {"group": _label(*group), "strings": _STRINGS[opaque], "us": _best_us(images),
+            "images": _CALLS, **_cost(ops, lambda: images(None))}
+
+
+def _lifts(group, trials: int) -> dict:
+    res, ops, _ = _recognize(group, 0, True, trials)
+    lifts = range(1, 1 << group[1])
+    cost = _cost(ops, lambda: [res.field.lift_int(j) for j in lifts])
+    return {"group": _label(*group), "lifts": len(lifts), **cost}
+
+
+def _off_box(p: int, k: int, trials: int) -> dict:
+    c = _recognize((p, k, False), 0, True, trials)[0].explicit.c
+    tables = validate = float("inf")
+    for _ in range(_ROUNDS):
+        E = ExplicitField(p, k, c)
+        t0 = time.perf_counter()
+        E._tables
+        t1 = time.perf_counter()
+        E.validate()
+        t2 = time.perf_counter()
+        tables, validate = min(tables, t1 - t0), min(validate, t2 - t1)
+    return {"field": f"GF({p}^{k})", "tables_ms": 1e3 * tables, "validate_ms": 1e3 * validate}
+
+
+def _cold_start() -> list:
+    env = dict(os.environ, PYTHONPATH=str(Path(bbsl2.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-c", _COLD_START]
+    runs = [json.loads(subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout)
+            for _ in range(3)]
+    return [{"step": step, "ms": min(ms), "maxrss_mb": min(mb)}
+            for step, (ms, mb) in zip(("import", "boxes"), (zip(*s) for s in zip(*runs)))]
+
+
+def _stats(res, ops, seconds: float) -> dict:
+    """What a run on one kind of string gave; all but ``s`` must match across kinds."""
+    return {"samples": {s.name: s.samples_used for s in res.stages},
+            "verification": res.verification, **dict(zip(_OPS, ops.snapshot())), "s": seconds}
+
+
+def _run(group, seed: int, trials: int) -> dict:
+    """One record of ``runs``; seed 0 runs on both kinds of string, timed as best of three."""
+    record = {"group": _label(*group), "seed": seed}
+    for opaque in (True, False) if seed == 0 else (True,):
+        try:
+            res, ops, seconds = _recognize(group, seed, opaque, trials)
+            if seed == 0:
+                seconds = min(_recognize(group, seed, opaque, trials)[2] for _ in range(3))
+        except (MonteCarloFailure, ContractViolation) as exc:
+            record.update(exact=False, error=f"{type(exc).__name__}: {exc}")
+            return record
+        record[_STRINGS[opaque]] = _stats(res, ops, seconds)
+    checks = record["opaque"]["verification"]["phi_homomorphism_checks"]
+    record["exact"] = checks["passes"] == checks["trials"]
+    if seed == 0:
+        strip = [{k: v for k, v in record[s].items() if k != "s"} for s in _STRINGS.values()]
+        record["identical"] = strip[0] == strip[1]
+    return record
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--odd", nargs="*", type=_pair, metavar="p,k", help="odd prime powers of the grid",
+                    default=[(3, 2), (13, 1), (29, 1), (3, 4), (13, 2)])
+    ap.add_argument("--char2", nargs="*", type=int, metavar="n", default=[2, 3, 4, 8],
+                    help="degrees of the grid's SL2(2^n)")
+    ap.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1 per group of the grid")
+    ap.add_argument("--trials", type=int, default=200, help="verification trials per recognition")
+    ap.add_argument("--center-quotient", action="store_true", help="run the grid's odd groups as PSL")
+    ns = ap.parse_args()
+    grid = [(p, k, ns.center_quotient) for p, k in ns.odd] + [(2, n, False) for n in ns.char2]
+
+    doc = {
+        "per_op": [_per_op(g, opaque) for g in _OP_GROUPS for opaque in (True, False)],
+        "images": [_images(g, opaque, ns.trials) for g in _IMAGE_GROUPS for opaque in (True, False)],
+        "lifts": [_lifts(g, ns.trials) for g in _LIFT_GROUPS],
+        "off_box": [_off_box(p, k, ns.trials) for p, k in _FIELDS],
+        "cold_start": _cold_start(),
+        "runs": [_run(g, seed, ns.trials) for g in grid for seed in range(ns.seeds)],
+    }
+    print(json.dumps(doc, indent=1))
+    return int(any(not r["exact"] or not r.get("identical", True) for r in doc["runs"]))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -286,7 +286,6 @@ def finish_recognition(
         stages=rec.stages,
         verification=verification,
         frobenius=frobenius,
-        structure=explicit.c,
         extras={"iso_matrix": iso.matrix},
     )
 

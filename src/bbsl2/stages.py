@@ -67,5 +67,4 @@ class RecognitionResult:
     stages: list[StageInfo]
     verification: dict
     frobenius: Any = None
-    structure: Any = None
     extras: dict = field(default_factory=dict)

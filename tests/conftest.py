@@ -1,9 +1,14 @@
 """Shared fixtures and the acceptance summary hook."""
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from bbsl2 import make_matrix_blackbox
+
+# the tests count oracle calls with the benchmark's counter, perfbench/counting.py
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 # acceptance tests register "CRITERION n ...: PASS/FAIL" lines here; the
 # terminal summary prints them even when capture is on

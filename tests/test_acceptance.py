@@ -26,6 +26,7 @@ from bbsl2.sl2odd import recover_psl2
 import brute
 
 from conftest import ACCEPTANCE_LINES
+from counting import count_base_ops
 
 _ODD_SIZES = [(3, 2), (13, 1), (29, 1), (3, 4), (13, 2)]  # q = 9, 13, 29, 81, 169
 _RUNS_PER_SIZE = 20
@@ -348,15 +349,18 @@ def test_criterion_7_gram_determinant_always_invertible(criterion1_runs):
 
 
 def test_criterion_8_opaque_transparent_identical_statistics(tmp_path):
+    # the statistics are the verification, the stage samples and the
+    # complete base-box muls, invs and compares, wrapper calls included
     ok = True
     details = []
     for p, k in [(13, 1), (3, 4)]:
         stats = []
         for opaque in (True, False):
             box = make_matrix_blackbox(p, k, opaque=opaque, seed=8)
+            ops = count_base_ops(box)
             res = recover_psl2(box, p, k, random.Random(8), trials=60)
             stats.append(
-                (res.verification, [s.samples_used for s in res.stages])
+                (res.verification, [s.samples_used for s in res.stages], ops.snapshot())
             )
         same = stats[0] == stats[1]
         details.append(f"q={p**k}: {'identical' if same else 'DIFFER'}")
@@ -364,8 +368,9 @@ def test_criterion_8_opaque_transparent_identical_statistics(tmp_path):
     stats = []
     for opaque in (True, False):
         box = make_matrix_blackbox(2, 3, opaque=opaque, seed=8)
+        ops = count_base_ops(box)
         res = recover_char2(box, 3, random.Random(8), trials=60)
-        stats.append((res.verification, [s.samples_used for s in res.stages]))
+        stats.append((res.verification, [s.samples_used for s in res.stages], ops.snapshot()))
     same = stats[0] == stats[1]
     details.append(f"n=3: {'identical' if same else 'DIFFER'}")
     ok = ok and same

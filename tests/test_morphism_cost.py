@@ -2,8 +2,9 @@
 
 ``box.stats`` misses the work that ``SubgroupBox`` wrappers (including
 the Frobenius tuple group, a subgroup of box^k) route to the base box's
-raw ``_mul``, ``_inv`` and ``_compare``, so the counter here wraps
-those on the base box instance itself.
+raw ``_mul``, ``_inv`` and ``_compare``, so the counts here come from
+``perfbench/counting.count_base_ops``, which wraps those on the base box
+instance itself: the counter of the benchmark and of ``scripts/bench.py``.
 """
 import random
 
@@ -11,31 +12,7 @@ import pytest
 
 from bbsl2 import make_matrix_blackbox, recover_char2, recover_psl2
 
-
-class RawOps:
-    """Running counts of the raw muls, invs and compares of one box."""
-
-    def __init__(self, box):
-        self.muls = self.invs = self.compares = 0
-        mul, inv, compare = box._mul, box._inv, box._compare
-
-        def _mul(a, b):
-            self.muls += 1
-            return mul(a, b)
-
-        def _inv(a):
-            self.invs += 1
-            return inv(a)
-
-        def _compare(a, b):
-            self.compares += 1
-            return compare(a, b)
-
-        box._mul, box._inv, box._compare = _mul, _inv, _compare
-
-    def snapshot(self):
-        return (self.muls, self.invs, self.compares)
-
+from counting import count_base_ops
 
 # (label, p, k, center quotient): the groups of the morphism-apply benchmark
 _GROUPS = [("PSL2(13)", 13, 1, True), ("SL2(81)", 3, 4, False), ("SL2(16)", 2, 4, False)]
@@ -45,7 +22,7 @@ _GROUPS = [("PSL2(13)", 13, 1, True), ("SL2(81)", 3, 4, False), ("SL2(16)", 2, 4
 def recognized(request):
     _, p, k, cq = request.param
     box = make_matrix_blackbox(p, k, center_quotient=cq, seed=7)
-    ops = RawOps(box)
+    ops = count_base_ops(box)
     rng = random.Random(3)
     if p == 2:
         res = recover_char2(box, k, rng, trials=20)
@@ -87,7 +64,7 @@ def test_sl2_81_recognition_cost_is_pinned():
     # the count of every raw operation is fixed by the seed; the muls match
     # the pin of the benchmark's own counter test
     box = make_matrix_blackbox(3, 4, seed=1000)
-    ops = RawOps(box)
+    ops = count_base_ops(box)
     res = recover_psl2(box, 3, 4, random.Random(0), trials=200)
     assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
     assert ops.muls == 13_340
@@ -99,7 +76,7 @@ def test_psl2_81_recognition_cost_is_pinned():
     # a separate search through Bray's involution centralizer this run
     # took 13,492 muls, 910 invs and 873 compares
     box = make_matrix_blackbox(3, 4, center_quotient=True, seed=1000)
-    ops = RawOps(box)
+    ops = count_base_ops(box)
     res = recover_psl2(box, 3, 4, random.Random(0), trials=200)
     assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
     assert ops.snapshot() == (13_434, 1_475, 1_298)
@@ -113,7 +90,7 @@ def test_sl2_256_recognition_cost_is_pinned():
     # search computes the order of its accepted candidate alone; before
     # that the run took 7,653 muls, 254 invs and 395 compares
     box = make_matrix_blackbox(2, 8, seed=1001)
-    ops = RawOps(box)
+    ops = count_base_ops(box)
     res = recover_char2(box, 8, random.Random(1), trials=200)
     assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
     assert ops.snapshot() == (5_992, 254, 339)
