@@ -1,17 +1,20 @@
 """Brute-force matrices and sets in SL2 over an explicit field, for the tests.
 
-The frame matrices u(t), v(t), h(t), n(t), conjugation, centralizers and
+The frame matrices u(t), v(t), h(t), n(t), conjugation, the center
+quotient's coset representatives, the subgroup generated by a set of
+matrices, element orders by repeated multiplication, centralizers and
 the upper unipotent group, computed on plain matrices with no black box
-in sight: the tests' independent ground truth at desk scale, beside
-``bbsl2.oracle``; the Frobenius map and absolute trace of an explicit
-field, and its presentation on a random new basis; reference copies of
-box searches that the package now runs more cheaply; and random
-elements of a recovered field.
+in sight: the tests' independent ground truth at desk scale. They use
+only the reference ``mat_mul`` and ``mat_inv2``, never a backend kernel.
+Also the Frobenius map and absolute trace of an explicit field, and its
+presentation on a random new basis; reference copies of box searches
+that the package now runs more cheaply; and random elements of a
+recovered field.
 """
 import random
 
 from bbsl2 import modp
-from bbsl2.backend import Matrix, mat_inv2, mat_mul
+from bbsl2.backend import Matrix, mat_identity, mat_inv2, mat_mul, mat_neg
 from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
 from bbsl2.sl2char2 import Char2Field
@@ -70,6 +73,43 @@ def n_mat(F: ExplicitField, t: int) -> Matrix:
 
 def conj_mat(F: ExplicitField, x: Matrix, g: Matrix) -> Matrix:
     return mat_mul(F, mat_inv2(F, g), mat_mul(F, x, g))
+
+
+def psl_canon(F: ExplicitField):
+    """Canonical coset representative map for the center quotient."""
+    if F.p == 2:
+        return lambda m: m
+    return lambda m: min(m, mat_neg(F, m))
+
+
+def closure(F: ExplicitField, gens, canon=None, limit: int = 3_000_000):
+    """The subgroup generated by gens, as a set of (canonical) matrices."""
+    canon = canon or (lambda m: m)
+    gens = [canon(g) for g in gens]
+    seen = {canon(mat_identity(F))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = canon(mat_mul(F, x, g))
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        assert len(seen) <= limit, "closure too large to enumerate"
+        frontier = new
+    return seen
+
+
+def matrix_order_direct(F: ExplicitField, m: Matrix) -> int:
+    """Order by repeated multiplication, no exponent arithmetic."""
+    ident = mat_identity(F)
+    x, o = m, 1
+    while x != ident:
+        x = mat_mul(F, x, m)
+        o += 1
+        assert o <= F.order ** 4, "matrix order exceeds the group bound"
+    return o
 
 
 def centralizer_set(F: ExplicitField, elements, m: Matrix, canon=None):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from bbsl2 import modp, oracle
+from bbsl2 import modp
 from bbsl2.arith import factorint
 from bbsl2.backend import MatrixBackend, make_matrix_blackbox
 from bbsl2.bbfield import ppd_prime
@@ -201,8 +201,8 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=False, seed=40)
         be = box.backend
         F = be.field
-        canon = oracle.psl_canon(F) if cq else (lambda m: m)
-        group = oracle.closure(F, be.standard_generators(), canon=canon)
+        canon = brute.psl_canon(F) if cq else (lambda m: m)
+        group = brute.closure(F, be.standard_generators(), canon=canon)
         res = recover_psl2(box, p, k, random.Random(4), trials=10)
         f, frame = res.field, res.frame
         # field carriers live in the Frobenius tuple group: project down first
@@ -216,7 +216,7 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         u_want = {
             m
             for m in brute.centralizer_set(F, group, u_dec, canon=canon)
-            if oracle.matrix_order_direct(F, m) in unip_orders
+            if brute.matrix_order_direct(F, m) in unip_orders
         }
         # V: the opposite unipotent subgroup, image of U under the Weyl element
         v_set = {
@@ -228,7 +228,7 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
             for m in brute.centralizer_set(
                 F, group, brute.conj_mat(F, u_dec, be.decode(frame.weyl)), canon=canon
             )
-            if oracle.matrix_order_direct(F, m) in unip_orders
+            if brute.matrix_order_direct(F, m) in unip_orders
         }
         # torus: centralizer of the sampled torus element
         t_set = _canon_set(
@@ -251,7 +251,7 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         box = make_matrix_blackbox(2, n, opaque=False, seed=41)
         be = box.backend
         F = be.field
-        group = oracle.closure(F, be.standard_generators())
+        group = brute.closure(F, be.standard_generators())
         rng = random.Random(4)
         r = involution_sample(box, rng)
         theta = find_order3_inverted(box, r, rng)
@@ -261,7 +261,7 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         u_want = brute.centralizer_set(F, group, be.decode(r))
         v_set = {be.decode(box.conj(x, frame.weyl)) for x in elements}
         v_want = brute.centralizer_set(F, group, be.decode(frame.v1))
-        span = oracle.closure(F, [be.decode(r), be.decode(theta)])
+        span = brute.closure(F, [be.decode(r), be.decode(theta)])
         good = u_set == u_want and v_set == v_want and len(span) == 6
         details.append(f"n={n} {'ok' if good else 'MISMATCH'}")
         ok = ok and good
@@ -284,7 +284,7 @@ def test_criterion_5_element_order_vs_direct_powering():
         agree = 0
         for _ in range(1000):
             x = box.sample(rng)
-            agree += element_order(box, x) == oracle.matrix_order_direct(F, be.decode(x))
+            agree += element_order(box, x) == brute.matrix_order_direct(F, be.decode(x))
         details.append(f"GL2({p**k}): {agree}/1000")
         ok = ok and agree == 1000
     assert _report(5, "element_order agrees with direct powering", ok, ", ".join(details))

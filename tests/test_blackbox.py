@@ -70,13 +70,15 @@ def test_power_matches_decode(rng):
 
 
 def test_sampling_is_spread_out(rng):
-    # near-uniform sampling should hit most of SL2(5) in 400 draws
-    box = make_matrix_blackbox(5, 1, opaque=False, seed=2)
-    be = box.backend
-    seen = {be.decode(box.sample(rng)) for _ in range(400)}
-    assert len(seen) >= 100  # |SL2(5)| = 120
-    closure = oracle.closure(be.field, be.standard_generators())
-    assert seen <= closure
+    # near-uniform sampling should hit most of SL2(5) and SL2(4) in 400 draws
+    for p, k, order in [(5, 1, 120), (2, 2, 60)]:
+        box = make_matrix_blackbox(p, k, opaque=False, seed=2)
+        be = box.backend
+        seen = {be.decode(box.sample(rng)) for _ in range(400)}
+        assert len(seen) >= order * 5 // 6
+        closure = brute.closure(be.field, be.standard_generators())
+        assert len(closure) == order
+        assert seen <= closure
 
 
 def test_element_order_vs_direct_powering(rng):
@@ -84,7 +86,7 @@ def test_element_order_vs_direct_powering(rng):
     be = box.backend
     for _ in range(120):
         x = box.sample(rng)
-        assert element_order(box, x) == oracle.matrix_order_direct(be.field, be.decode(x))
+        assert element_order(box, x) == brute.matrix_order_direct(be.field, be.decode(x))
     assert element_order(box, box.identity) == 1
 
 

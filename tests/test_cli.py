@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from bbsl2 import backend
 from bbsl2.backend import MatrixBackend
 from bbsl2.cli import main
 from bbsl2.field import ExplicitField
@@ -70,12 +71,35 @@ def test_field_report_q9_has_eight_structure_entries(tmp_path, schema):
 
 
 def test_selftest_mode(tmp_path, schema):
-    for codec in ("--opaque", "--transparent"):
-        rep = _run(tmp_path, ["selftest", "--seed", "0", codec])
-        jsonschema.validate(rep, schema)
-        assert all(rep["verification"].values())
-        for key in ("codec_round_trip", "backend_inverse_matches_matrices"):
-            assert rep["verification"][key] is True
+    rep = _run(tmp_path, ["selftest", "--seed", "0"])
+    jsonschema.validate(rep, schema)
+    assert rep["params"] == {"trials": 200}
+    assert all(rep["verification"].values())
+    for group in ("sl2_5", "psl2_9", "sl2_16"):
+        assert rep["verification"][f"{group}_verified"] is True
+        assert rep["verification"][f"{group}_opaque_matches_transparent"] is True
+    assert rep["verification"]["identity_encodings_differ_bitwise"] is True
+
+
+def test_selftest_names_every_group_under_a_broken_kernel(tmp_path, monkeypatch, capsys):
+    real = backend._mul_kernel
+
+    def swapped(F):
+        mul = real(F)
+
+        def bad(a, b):
+            (w, x), (y, z) = mul(a, b)
+            return ((x, w), (y, z))
+
+        return bad
+
+    monkeypatch.setattr(backend, "_mul_kernel", swapped)
+    rep = _run(tmp_path, ["selftest"], expect=3)
+    err = capsys.readouterr().err
+    for group in ("sl2_5", "psl2_9", "sl2_16"):
+        assert f"{group}_verified" in err
+        assert rep["verification"][f"{group}_verified"] is False
+        assert rep["verification"][f"{group}_opaque_matches_transparent"] is False
 
 
 def test_determinism_same_seed_bitwise(tmp_path):
@@ -294,9 +318,11 @@ def test_changed_structure_constant_names_the_basis_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--input", "/nonexistent.json"], ["--p", "4"], ["--k", "0"], ["--n", "3"], ["--trials", "5"],
+    ["--opaque"], ["--transparent"],
 ])
 def test_selftest_rejects_group_flags(flags, capsys):
-    # selftest builds its own boxes: a group flag would be ignored, so it is a usage error
+    # selftest builds its own boxes and runs both string kinds: a group or
+    # codec flag would be ignored, so it is a usage error
     with pytest.raises(SystemExit) as e:
         main(["selftest", "--seed", "1"] + flags)
     assert e.value.code == 1

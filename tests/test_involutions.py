@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bbsl2 import involutions, oracle
+from bbsl2 import involutions
 from bbsl2.blackbox import element_order
 from bbsl2.backend import make_matrix_blackbox
 from bbsl2.errors import InputError
@@ -65,13 +65,13 @@ def test_bray_centralizer_generates_full_centralizer(rng):
     # PSL2(13): the centralizer of an involution is dihedral of order 12
     box = make_matrix_blackbox(13, 1, center_quotient=True, opaque=False, seed=2)
     be = box.backend
-    canon = oracle.psl_canon(be.field)
+    canon = brute.psl_canon(be.field)
     i = random_involution(box, rng)
     gens = bray_centralizer(box, i, rng, count=40)
     for z in gens:
         assert box.commutes(z, i)
-    got = oracle.closure(be.field, [be.decode(z) for z in gens], canon=canon)
-    group = oracle.closure(be.field, be.standard_generators(), canon=canon)
+    got = brute.closure(be.field, [be.decode(z) for z in gens], canon=canon)
+    group = brute.closure(be.field, be.standard_generators(), canon=canon)
     want = brute.centralizer_set(be.field, group, be.decode(i), canon=canon)
     assert got == want
     assert len(want) == 12
@@ -82,8 +82,8 @@ def test_bray_centralizer_char2_is_unipotent_group(rng):
     be = box.backend
     i = random_involution(box, rng)
     gens = bray_centralizer(box, i, rng, count=40)
-    got = oracle.closure(be.field, [be.decode(z) for z in gens])
-    group = oracle.closure(be.field, be.standard_generators())
+    got = brute.closure(be.field, [be.decode(z) for z in gens])
+    group = brute.closure(be.field, be.standard_generators())
     want = brute.centralizer_set(be.field, group, be.decode(i))
     assert got == want
     assert len(want) == 8  # C(r) is the full unipotent subgroup, order q
@@ -102,7 +102,7 @@ def test_find_order3_inverted_span(rng):
     be = box.backend
     r = random_involution(box, rng)
     theta = find_order3_inverted(box, r, rng)
-    span = oracle.closure(be.field, [be.decode(r), be.decode(theta)])
+    span = brute.closure(be.field, [be.decode(r), be.decode(theta)])
     assert len(span) == 6
 
 

@@ -16,11 +16,14 @@ function of the seed, so a refactor that keeps the oracle calls and the
 sampling order reproduces each report exactly: stage names,
 samples_used, verification, structure constants.
 
-``field-report-gf81-input`` and ``selftest-1`` were captured just before
-the CLI began to read its input once and to build every report through
-one helper. The first reports the isomorphism from a recovered GF(3^4)
-presentation, the normal basis that ``recover_psl2`` finds for SL2(81),
-so the isomorphism search really runs.
+``field-report-gf81-input`` was captured just before the CLI began to
+read its input once and to build every report through one helper. It
+reports the isomorphism from a recovered GF(3^4) presentation, the
+normal basis that ``recover_psl2`` finds for SL2(81), so the isomorphism
+search really runs. ``selftest-1`` was re-captured when selftest began
+to run three recognitions on both string kinds instead of checking the
+backend against brute-force matrices: its verification keys name the
+groups, and its ``params`` hold the trial count instead of ``opaque``.
 """
 import json
 from pathlib import Path

@@ -68,7 +68,7 @@ def test_enumerate_unipotent_is_the_full_subgroup(n, rng):
     assert len(basis) == n
     assert box.is_identity(elements[0])
     decoded = {be.decode(x) for x in elements}
-    group = oracle.closure(be.field, be.standard_generators())
+    group = brute.closure(be.field, be.standard_generators())
     want = brute.centralizer_set(be.field, group, be.decode(r))
     assert decoded == want  # C(r) is exactly the unipotent subgroup through r
     # index arithmetic: products track bitwise xor of indices
@@ -286,7 +286,7 @@ def test_recover_char2_image_generates_whole_group(rng):
         be.decode(phi(((0, one), (one, 0)))),
         be.decode(phi(((tau, 0), (0, E.inv(tau))))),
     ]
-    assert len(oracle.closure(be.field, imgs)) == 504  # |SL2(8)|
+    assert len(brute.closure(be.field, imgs)) == 504  # |SL2(8)|
 
 
 def test_recover_char2_morphism_preserves_traces(rng):
