@@ -77,7 +77,10 @@ def mat_neg(F: ExplicitField, m: Matrix) -> Matrix:
 
 
 def _mul_kernel(F: ExplicitField):
-    """``mat_mul`` over F, inlined for its representation (see field.py)."""
+    """``mat_mul`` over F, inlined for its representation. For k > 1 it
+    reads F's tables as they are: a product is E[L[a] + L[b]], and a sum
+    of two logs with Z, the log of zero, in it lands in the zero tail of E
+    (see ``ExplicitField._tables``)."""
     p = F.p
     if F.k == 1:
         c = F._c00
@@ -91,13 +94,8 @@ def _mul_kernel(F: ExplicitField):
             )
 
         return mul
-    log, exp, zech = F._tables
-    n = F.order - 1
-    # Z, the log of zero, exceeds every sum of two logs of nonzero elements,
-    # and a sum with Z in it lands in the zero tail of E
-    Z = 3 * n
-    L = [Z] + log[1:]
-    E = exp[:n] * 3 + [0] * (Z + 1)
+    L, E, zech = F._tables
+    Z = L[0]
     if p == 2:
 
         def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -112,23 +110,20 @@ def _mul_kernel(F: ExplicitField):
 
         return mul
     # g^s + g^t = g^(s + zech(t - s)), or g^t when s is the log of zero;
-    # a zech of -1 (a zero sum) reads Z, and two periods of zech cover
-    # every difference of two sums of logs
-    zc = [Z if z < 0 else z for z in zech] * 2
-
+    # two periods of zech cover every difference of two sums of logs
     def mul(a: Matrix, b: Matrix) -> Matrix:
         (a00, a01), (a10, a11) = a
         (b00, b01), (b10, b11) = b
         l00, l01, l10, l11 = L[a00], L[a01], L[a10], L[a11]
         m00, m01, m10, m11 = L[b00], L[b01], L[b10], L[b11]
         s, t = l00 + m00, l01 + m10
-        e00 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        e00 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
         s, t = l00 + m01, l01 + m11
-        e01 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        e01 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
         s, t = l10 + m00, l11 + m10
-        e10 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        e10 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
         s, t = l10 + m01, l11 + m11
-        e11 = E[t] if s >= Z else E[s] if t >= Z else E[s + zc[t - s]]
+        e11 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
         return ((e00, e01), (e10, e11))
 
     return mul

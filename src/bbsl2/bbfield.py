@@ -15,19 +15,11 @@ equality goes through the box.
 from __future__ import annotations
 
 from . import modp
-from .arith import factorint
+from .arith import factorint, p_part
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError
 from .field import ExplicitField
-
-
-def _mult_order(a: int, r: int) -> int:
-    """Multiplicative order of a modulo prime r."""
-    o = r - 1
-    for q in factorint(o):
-        while o % q == 0 and pow(a, o // q, r) == 1:
-            o //= q
-    return o
+from .frobenius import FrobeniusMap
 
 
 def ppd_prime(p: int, n: int) -> int | None:
@@ -38,11 +30,8 @@ def ppd_prime(p: int, n: int) -> int | None:
     """
     if n < 1:
         raise InputError("need n >= 1")
-    best = None
-    for r in factorint(p**n - 1):
-        if _mult_order(p, r) == n and (best is None or r > best):
-            best = r
-    return best
+    ppds = [r for r in factorint(p**n - 1) if all(pow(p, i, r) != 1 for i in range(1, n))]
+    return max(ppds, default=None)
 
 
 def trace_form(T, p: int, k: int):
@@ -210,32 +199,24 @@ class BlackBoxField:
         return ExplicitField(self.p, self.k, self.structure)
 
 
-def build_field_on_U(
-    box: BlackBoxGroup,
-    unity: ElementString,
-    h_tilde: ElementString | None,
-    phi,
-    p: int,
-    k: int,
-    sqrt_override: ElementString | None = None,
-) -> BlackBoxField:
-    """Assemble the field: pick the conjugation twist, then build.
+def build_field_on_U(fro: FrobeniusMap, torus_order: int) -> BlackBoxField:
+    """The field on the unipotent subgroup through ``fro.u_bar``, over
+    p and k of the Frobenius box, with the conjugation twist chosen here.
 
-    For k = 1 the identity twist is canonical (any twist works; the
-    identity makes the lone structure constant exactly 1). Otherwise the
-    twist is the square root h_tilde^((m+1)/2) of the odd-order torus
-    part, unless the caller supplies an explicit square root, which is
-    how fields without a primitive prime divisor are handled.
+    For k = 1 the twist is the identity: any twist works, and the identity
+    makes the lone structure constant exactly 1. For k > 1 it is the
+    square root h_tilde^((m+1)/2) of h_tilde, the part of ``fro.h_bar``
+    whose order m is r = ``ppd_prime(p, k)``, an odd prime. Where p^k - 1
+    has no primitive prime divisor (the Zsigmondy exceptions, such as
+    q = 9) it is h_bar itself, a square root of h_bar^2.
     """
+    p, k = fro.p, fro.k
     if k == 1:
-        conj = box.identity
-    elif sqrt_override is not None:
-        conj = sqrt_override
+        conj = fro.identity
+    elif (r := ppd_prime(p, k)) is None:
+        conj = fro.h_bar
     else:
-        if h_tilde is None:
-            raise InputError("need a torus element for k >= 2")
-        m = element_order(box, h_tilde)
-        if m % 2 == 0:
-            raise InputError("torus twist must have odd order unless a root is supplied")
-        conj = box.power(h_tilde, (m + 1) // 2)
-    return BlackBoxField(box, unity, conj, phi, p, k)
+        h_tilde = fro.power(fro.h_bar, torus_order // p_part(torus_order, r))
+        # m is r, but the box is asked, as the pinned oracle counts include it
+        conj = fro.power(h_tilde, (element_order(fro, h_tilde) + 1) // 2)
+    return BlackBoxField(fro, fro.u_bar, conj, fro, p, k)

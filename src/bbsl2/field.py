@@ -20,11 +20,12 @@ linear map adds digit multiples of its rows, packed into slots of ints.
 
 For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
-lookups in log, antilog and Zech tables built on first use: the powers
-of a primitive element are walked by the linear map "times it", whose
-rows come from the definition ``_mul_raw``. The standard presentation
-``polynomial_field(p, k)`` is one object per (p, k) per process, so its
-tables are built once.
+lookups in one set of log, power and Zech tables (``_tables``), built on
+first use, once per field, by walking the powers of a primitive element
+with the linear map "times it", whose rows come from the definition
+``_mul_raw``. The backend's matrix kernels read the same tables as they
+are. The standard presentation ``polynomial_field(p, k)`` is one object
+per (p, k) per process, so its tables are built once per process.
 
 ``validate`` proves a presentation to be F_q, with no sampling. Any
 tables make a field with the coordinate sum: g^i * g^j = g^(i+j), on the
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 from . import modp
-from .arith import factorint, is_prime
+from .arith import is_prime
 from .errors import ContractViolation, InputError
 
 
@@ -138,25 +139,24 @@ class ExplicitField:
 
     @cached_property
     def _tables(self) -> tuple[list[int], list[int], list[int] | None]:
-        """(log, exp, zech) on the powers of g, the first element of order q - 1.
+        """(L, E, zech) on the powers of g, the first element of order q - 1.
 
-        exp[i] = g^i over two periods, so a sum of two logs needs no
-        reduction; log[0] = -1; for odd p and k > 1, zech[n] = log(1 + g^n).
-        k = 1 uses the tables only for g. A walk step is the linear map
-        ``_times(g)``, k calls of ``_mul_raw`` to build. For odd p a
-        candidate is walked only if no g^((q - 1)/r), r a prime divisor of
-        q - 1, is one: in a field that makes its order q - 1, and in any
-        ring the walk needs it. For p = 2 the XOR walk is cheaper than the
-        test, whose powers multiply by the definition.
+        The one layout, read by the ring operations below and as is by the
+        backend's kernels. With n = q - 1, L[x] is the log of x, and the log
+        of zero, L[0] = Z = 3n, exceeds every sum of two logs of nonzero
+        elements. E[i] = g^i for i < 3n, then Z + 1 zeros, so a sum of logs
+        with Z in it reads zero. For odd p and k > 1, zech[t] = L[1 + g^t]
+        over two periods, so Z where 1 + g^t = 0. k = 1 uses only g. The
+        walk tries g = 1, 2, ... once each, following the powers of g by the
+        linear map ``_times(g)`` until one repeats, and stops at the first g
+        whose q - 1 powers are distinct and close at the unity.
         """
-        n, one, mul = self.order - 1, self.one, self._mul_raw
-        cofactors = [n // r for r in factorint(n)] if self.p > 2 else []
+        n, one = self.order - 1, self.one
+        Z = 3 * n
         for g in range(1, self.order):
-            if any(_power(mul, one, g, e) == one for e in cofactors):
-                continue
             times = self._times(g)
-            log, exp, x = [-1] * self.order, [], one
-            while x and log[x] < 0:
+            log, exp, x = [Z] * self.order, [], one
+            while x and log[x] == Z:
                 log[x] = len(exp)
                 exp.append(x)
                 x = times(x)
@@ -164,8 +164,8 @@ class ExplicitField:
                 break
         else:
             raise ContractViolation("no element of order q - 1: not a field")
-        zech = None if self.p == 2 or self.k == 1 else [log[self._add_raw(one, e)] for e in exp]
-        return log, exp + exp, zech
+        zech = None if self.p == 2 or self.k == 1 else [log[self._add_raw(one, e)] for e in exp] * 2
+        return log, exp * 3 + [0] * (Z + 1), zech
 
     # -- ring operations ------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -173,21 +173,18 @@ class ExplicitField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if not a or not b:
-            return a or b
-        log, exp, zech = self._tables
-        la = log[a]
-        # a + b = g^la * (1 + g^(lb - la)); a negative index wraps mod q - 1
-        z = zech[log[b] - la]
-        return 0 if z < 0 else exp[la + z]
+        L, E, zech = self._tables
+        s, t, Z = L[a], L[b], L[0]
+        # a + b = g^s * (1 + g^(t - s)), or one term when the other is zero
+        return E[t] if s == Z else E[s] if t == Z else E[s + zech[t - s]]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return -a % self.p
-        if self.p == 2 or not a:
+        if self.p == 2:
             return a
-        log, exp, _ = self._tables
-        return exp[log[a] + (self.order - 1) // 2]  # -1 = g^((q - 1) / 2)
+        L, E, _ = self._tables
+        return E[L[a] + (self.order - 1) // 2]  # -1 = g^((q - 1) / 2)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -195,10 +192,8 @@ class ExplicitField:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b * self._c00 % self.p
-        if not a or not b:
-            return 0
-        log, exp, _ = self._tables
-        return exp[log[a] + log[b]]
+        L, E, _ = self._tables
+        return E[L[a] + L[b]]
 
     @property
     def one(self) -> int:
@@ -230,8 +225,8 @@ class ExplicitField:
         if self.k == 1:
             one = self.one  # 1 / c[0][0][0], so a * x * c = one at x = one^2 / a
             return pow(a, -1, self.p) * one * one % self.p
-        log, exp, _ = self._tables
-        return exp[self.order - 1 - log[a]]
+        L, E, _ = self._tables
+        return E[self.order - 1 - L[a]]
 
     def minimal_polynomial(self, a: int) -> modp.Poly:
         """Monic minimal polynomial of a over F_p, low degree first.

@@ -98,7 +98,6 @@ def enumerate_unipotent(
     r: ElementString,
     rng: random.Random,
     n: int,
-    candidate_budget: int | None = None,
 ) -> tuple[list[ElementString], list[ElementString]]:
     """All 2^n elements of the unipotent subgroup through r, plus a basis.
 
@@ -106,12 +105,10 @@ def enumerate_unipotent(
     product of the basis elements at the set bits of i.
     """
     size = 1 << n
-    if candidate_budget is None:
-        candidate_budget = 40 * n + 200
     elements = [box.identity]
     basis: list[ElementString] = []
     spent = 0
-    while len(elements) < size and spent < candidate_budget:
+    while len(elements) < size and spent < 40 * n + 200:
         for cand in bray_centralizer(box, r, rng, count=8):
             spent += 1
             if len(elements) >= size:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import oracle
 from .arith import coprime_part, is_prime, p_part
 from .backend import _mul_kernel
-from .bbfield import build_field_on_U, ppd_prime
+from .bbfield import build_field_on_U
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .frobenius import frobenius_on_sl2
@@ -223,6 +223,9 @@ class SteinbergMorphism:
         E = self.explicit
         a, b = mat[0]
         c, d = mat[1]
+        q = E.order
+        if not (0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q):
+            raise InputError("matrix entries must be field elements in [0, q)")
         if E.sub(E.mul(a, d), E.mul(b, c)) != E.one:
             raise InputError("matrix does not have determinant 1 over the recovered field")
         if c != 0:
@@ -307,20 +310,7 @@ def recover_psl2(
         fro = frobenius_on_sl2(box, frame.u, frame.h, frame.weyl, p, k, rng)
 
     with rec.stage("field"):
-        h_tilde = None
-        sqrt_override = None
-        if k >= 2:
-            r = ppd_prime(p, k)
-            if r is not None:
-                rp = p_part(torus_order, r)
-                if rp == 1:
-                    raise ContractViolation("full-order torus misses the primitive prime part")
-                h_tilde = fro.power(fro.h_bar, torus_order // rp)
-            else:
-                # no primitive prime divisor (e.g. q = 9): the torus
-                # element itself is a working square root of its square
-                sqrt_override = fro.h_bar
-        field = build_field_on_U(fro, fro.u_bar, h_tilde, fro, p, k, sqrt_override)
+        field = build_field_on_U(fro, torus_order)
 
     checks = {
         "gram_det_nonzero": field.gram_det != 0,

@@ -283,14 +283,15 @@ def test_every_changed_structure_constant_is_rejected(pk):
 @pytest.mark.parametrize("pk", [(3, 4), (5, 2), (7, 3), (11, 2), (13, 2)], ids=str)
 @pytest.mark.parametrize("scramble", [None, 3, 19])
 def test_odd_tables_walk_only_the_primitive_element(pk, scramble, monkeypatch):
-    # a candidate of order below q - 1 fails the power test before its walk;
-    # a fresh copy, as the shared standard field may have its tables already
+    # the walk stops at the primitive element g: it tries 1, 2, ..., g once
+    # each and nothing past g; a fresh copy, as the shared standard field
+    # may have its tables already
     F = ExplicitField.polynomial_field(*pk)
     F = ExplicitField(F.p, F.k, F.c) if scramble is None else scrambled(F, seed=scramble)
     walked, times = [], ExplicitField._times
     monkeypatch.setattr(ExplicitField, "_times", lambda self, g: walked.append(g) or times(self, g))
     g = F.primitive_element()
-    assert walked == [g]
+    assert walked == list(range(1, g + 1))
     assert next(a for a in range(1, F.order) if _order(F, a) == F.order - 1) == g
 
 
@@ -324,11 +325,13 @@ def test_tables_match_a_walk_by_the_definition():
         exp = [F.one]
         while len(exp) < F.order - 1:
             exp.append(F._mul_raw(exp[-1], g))
-        log = [-1] * F.order
+        # the log of zero is Z = 3(q - 1); E is three periods and a zero tail
+        Z = 3 * (F.order - 1)
+        log = [Z] * F.order
         for i, x in enumerate(exp):
             log[x] = i
-        zech = None if F.k == 1 else [log[F._add_raw(F.one, x)] for x in exp]
-        assert F._tables == (log, exp + exp, zech), F.c
+        zech = None if F.k == 1 else [log[F._add_raw(F.one, x)] for x in exp] * 2
+        assert F._tables == (log, exp * 3 + [0] * (Z + 1), zech), F.c
 
 
 def test_standard_field_and_its_tables_are_built_once_per_process(monkeypatch):
@@ -339,7 +342,7 @@ def test_standard_field_and_its_tables_are_built_once_per_process(monkeypatch):
     sl2 = make_matrix_blackbox(3, 4, seed=1)
     psl2 = make_matrix_blackbox(3, 4, center_quotient=True, seed=1)
     assert sl2.backend.field is psl2.backend.field is ExplicitField.polynomial_field(3, 4)
-    assert walked == [_PRIMITIVE[3, 4]]
+    assert walked == list(range(1, _PRIMITIVE[3, 4] + 1))
 
 
 def _evaluate(F: ExplicitField, f, a: int) -> int:

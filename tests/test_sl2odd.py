@@ -5,7 +5,7 @@ import pytest
 
 from bbsl2 import oracle
 from bbsl2.backend import make_matrix_blackbox
-from bbsl2.bbfield import build_field_on_U
+from bbsl2.bbfield import BlackBoxField
 from bbsl2.blackbox import element_order
 from bbsl2.errors import ContractViolation, InputError, MonteCarloFailure
 from bbsl2.field import ExplicitField
@@ -132,7 +132,7 @@ def _standard_morphism(p, k, cq=False):
     assert k == 1, "helper only supports prime fields"
     u = be.encode(brute.u_mat(F, F.one))
     n = be.encode(brute.n_mat(F, F.one))
-    field = build_field_on_U(box, u, None, lambda x: x, p, 1)
+    field = BlackBoxField(box, u, box.identity, lambda x: x, p, 1)
     return box, be, SteinbergMorphism(box, field, n)
 
 
@@ -165,9 +165,17 @@ def test_steinberg_images_match_standard_matrices():
 
 
 def test_steinberg_rejects_non_unit_determinant():
+    # an entry outside [0, q) is rejected too: it would wrap as a list
+    # index, overflow a table, or reduce mod p to a valid entry
     box, be, phi = _standard_morphism(13, 1)
-    with pytest.raises(InputError):
-        phi(((2, 0), (0, 2)))
+    for m in [((2, 0), (0, 2)), ((1, 13), (0, 1)), ((14, 0), (0, 14)), ((1, -1), (0, 1))]:
+        with pytest.raises(InputError):
+            phi(m)
+    res = recover_psl2(make_matrix_blackbox(3, 2, seed=1000), 3, 2, random.Random(0), trials=10)
+    one = res.explicit.one
+    for m in [((one, -1), (0, one)), ((one, 9), (0, one))]:
+        with pytest.raises(InputError):
+            res.morphism(m)
 
 
 def test_steinberg_build_check_rejects_mismatched_weyl():
@@ -176,7 +184,7 @@ def test_steinberg_build_check_rejects_mismatched_weyl():
     F = be.field
     u = be.encode(brute.u_mat(F, F.one))
     wrong = be.encode(brute.n_mat(F, 2))  # n(2) is not matched to u(1)
-    field = build_field_on_U(box, u, None, lambda x: x, 13, 1)
+    field = BlackBoxField(box, u, box.identity, lambda x: x, 13, 1)
     with pytest.raises(ContractViolation):
         SteinbergMorphism(box, field, wrong)
 
