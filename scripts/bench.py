@@ -6,6 +6,8 @@ Oracle counts are complete base-box totals from
 ``SubgroupBox`` and the Frobenius tuple group. Times are the best of five
 rounds unless said otherwise. The sections:
 
+- ``meta``: the Python version, ``os.cpu_count()`` and ``src_lines``, the
+  line count of the package, as ``cat src/bbsl2/*.py src/bbsl2/*.json | wc -l``.
 - ``per_op``: us per backend op over 200 calls, on opaque and transparent
   strings: mul, inv, compare and encode on strings the backend made
   lately, and decode of a string in the opaque memo (``decode_hit``, null
@@ -232,6 +234,16 @@ def _run(group, seed: int, trials: int) -> dict:
     return record
 
 
+def _meta() -> dict:
+    src = Path(bbsl2.__file__).parent
+    files = [*src.glob("*.py"), *src.glob("*.json")]
+    return {
+        "python": sys.version.split()[0],
+        "cpu_count": os.cpu_count(),
+        "src_lines": sum(f.read_bytes().count(b"\n") for f in files),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--odd", nargs="*", type=_pair, metavar="p,k", help="odd prime powers of the grid",
@@ -245,6 +257,7 @@ def main() -> int:
     grid = [(p, k, ns.center_quotient) for p, k in ns.odd] + [(2, n, False) for n in ns.char2]
 
     doc = {
+        "meta": _meta(),
         "per_op": [_per_op(g, opaque) for g in _OP_GROUPS for opaque in (True, False)],
         "images": [_images(g, opaque, ns.trials) for g in _IMAGE_GROUPS for opaque in (True, False)],
         "lifts": [_lifts(g, ns.trials) for g in _LIFT_GROUPS],

@@ -7,7 +7,7 @@ the black box. A transparent matrix backend doubles as the test oracle.
 """
 from .backend import MatrixBackend, MatrixBlackBox, make_matrix_blackbox
 from .bbfield import BlackBoxField, build_field_on_U, ppd_prime
-from .blackbox import BlackBoxGroup, ElementString, SubgroupBox, element_order, global_exponent_gl
+from .blackbox import BlackBoxGroup, ElementString, SubgroupBox, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, FieldIsomorphism, explicit_isomorphism
 from .frobenius import FrobeniusMap, frobenius_on_sl2
@@ -42,7 +42,6 @@ __all__ = [
     "explicit_isomorphism",
     "find_standard_generators",
     "frobenius_on_sl2",
-    "global_exponent_gl",
     "make_matrix_blackbox",
     "ppd_prime",
     "recover_char2",

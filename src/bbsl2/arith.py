@@ -1,4 +1,5 @@
-"""Integer helpers: primality, factorization, p-parts.
+"""Integer helpers: primality, factorization, p-parts, and the one
+square-and-multiply, shared by box, field and polynomial powers.
 
 Factorization is trial division by the 168 primes below 1,000, then
 Pollard's rho with Brent cycling on any cofactor left. The inputs are
@@ -106,3 +107,16 @@ def p_part(n: int, p: int) -> int:
 
 def coprime_part(n: int, p: int) -> int:
     return n // p_part(n, p)
+
+
+def power(mul, one, x, e: int):
+    """x^e for e >= 0 under the product ``mul``, from ``one``: one product
+    per set bit of e and one squaring per bit below the top one."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc

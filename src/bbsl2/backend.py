@@ -30,7 +30,7 @@ import random
 from functools import partial
 from hashlib import blake2b
 
-from .blackbox import BlackBoxGroup, ElementString, global_exponent_gl
+from .blackbox import BlackBoxGroup, ElementString
 from .errors import InputError
 from .field import ExplicitField
 
@@ -150,7 +150,6 @@ class MatrixBackend:
         if center_quotient and not special:
             raise InputError("center quotient is only supported over the special group")
         self.field = field
-        self.n = 2
         self.special = special
         self.center_quotient = center_quotient
         self.opaque = opaque
@@ -280,8 +279,8 @@ class MatrixBackend:
     def validate_element(self, m: Matrix) -> Matrix:
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise InputError("elements must be 2x2 matrices")
-        m = tuple(tuple(int(x) for x in row) for row in m)
-        if any(x < 0 or x >= self.field.order for row in m for x in row):
+        m = tuple(tuple(row) for row in m)
+        if any(type(x) is not int or x < 0 or x >= self.field.order for row in m for x in row):
             raise InputError("matrix entries must be field elements in [0, q)")
         d = mat_det2(self.field, m)
         if d == 0:
@@ -307,9 +306,9 @@ class MatrixBlackBox(BlackBoxGroup):
     def __init__(self, backend: MatrixBackend, generator_matrices):
         F = backend.field
         encode, decode, kernel, inv = backend.encode, backend.decode, backend.mul, backend.inv
-        exponent = global_exponent_gl(backend.n, F.p, F.k)
         gens = [encode(m) for m in generator_matrices]
-        super().__init__(backend.string_bytes, exponent, gens, encode(mat_identity(F)))
+        # every element order of GL2(q) divides p(q - 1) or q^2 - 1
+        super().__init__(backend.string_bytes, F.p * (F.order**2 - 1), gens, encode(mat_identity(F)))
         self.backend = backend
 
         def _mul(a, b):

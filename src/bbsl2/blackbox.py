@@ -14,10 +14,9 @@ subgroup of the base box; the Frobenius construction uses k > 1.
 from __future__ import annotations
 
 import random
-from math import lcm
 from operator import attrgetter
 
-from .arith import factorint
+from .arith import factorint, power
 from .errors import ContractViolation, InputError
 
 _BURN_IN = 100
@@ -93,14 +92,7 @@ class BlackBoxGroup:
         if e < 0:
             x = self.inv(x)
             e = -e
-        acc = self.identity
-        while e:
-            if e & 1:
-                acc = self.mul(acc, x)
-            e >>= 1
-            if e:
-                x = self.mul(x, x)
-        return acc
+        return power(self.mul, self.identity, x, e)
 
     def conj(self, x: ElementString, g: ElementString, g_inv: ElementString | None = None) -> ElementString:
         """x conjugated by g, i.e. g^-1 x g; a caller holding g^-1 passes it as g_inv."""
@@ -161,14 +153,6 @@ def element_order(box: BlackBoxGroup, x: ElementString) -> int:
         while o % q == 0 and box.is_identity(box.power(x, o // q)):
             o //= q
     return o
-
-
-def global_exponent_gl(n: int, p: int, k: int) -> int:
-    """Exponent of GL_n(p^k): every element order divides this."""
-    e = 1
-    while p**e < n:
-        e += 1
-    return p**e * lcm(*[p ** (i * k) - 1 for i in range(1, n + 1)])
 
 
 class SubgroupBox(BlackBoxGroup):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 from . import modp
-from .arith import is_prime
+from .arith import is_prime, power
 from .errors import ContractViolation, InputError
 
 
@@ -57,22 +57,14 @@ def _xor_rows(rows, x: int) -> int:
     return out
 
 
-def _power(mul, one: int, a: int, e: int) -> int:
-    """a^e for e >= 0, by square and multiply with the product ``mul``."""
-    out = one
-    while e:
-        if e & 1:
-            out = mul(out, a)
-        a = mul(a, a)
-        e >>= 1
-    return out
-
-
 class ExplicitField:
     def __init__(self, p: int, k: int, c):
+        # no bool, float or str: int() would truncate or parse it
+        if any(type(x) is not int for x in (p, k, *(x for plane in c for row in plane for x in row))):
+            raise InputError("p, k and the structure constants must be integers")
         if not is_prime(p) or k < 1:
             raise InputError("need a prime p and k >= 1")
-        c = tuple(tuple(tuple(int(x) % p for x in row) for row in plane) for plane in c)
+        c = tuple(tuple(tuple(x % p for x in row) for row in plane) for plane in c)
         if len(c) != k or any(len(pl) != k or any(len(r) != k for r in pl) for pl in c):
             raise InputError("structure constants must form a k*k*k array")
         self.p = p
@@ -80,7 +72,6 @@ class ExplicitField:
         self.c = c
         self.order = p**k
         self._c00 = c[0][0][0]
-        self._one: int | None = None
         # for p = 2, basis_i * basis_j as a bit vector: the packed product XORs these
         self._rows = tuple(tuple(self.element(r) for r in plane) for plane in c) if p == 2 else None
 
@@ -195,20 +186,18 @@ class ExplicitField:
         L, E, _ = self._tables
         return E[L[a] + L[b]]
 
-    @property
+    @cached_property
     def one(self) -> int:
-        if self._one is None:
-            # solve e * basis_i = basis_i for all i
-            rows, rhs = [], []
-            for i in range(self.k):
-                for l in range(self.k):
-                    rows.append(tuple(self.c[j][i][l] for j in range(self.k)))
-                    rhs.append(1 if l == i else 0)
-            sol = modp.solve_rectangular(rows, rhs, self.p)
-            if sol is None:
-                raise ContractViolation("presentation has no unity")
-            self._one = self.element(sol)
-        return self._one
+        # solve e * basis_i = basis_i for all i
+        rows, rhs = [], []
+        for i in range(self.k):
+            for l in range(self.k):
+                rows.append(tuple(self.c[j][i][l] for j in range(self.k)))
+                rhs.append(1 if l == i else 0)
+        sol = modp.solve_rectangular(rows, rhs, self.p)
+        if sol is None:
+            raise ContractViolation("presentation has no unity")
+        return self.element(sol)
 
     def scalar(self, n: int) -> int:
         """Image of the integer n in the prime subfield."""
@@ -217,7 +206,7 @@ class ExplicitField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        return _power(self.mul, self.one, a, e)
+        return power(self.mul, self.one, a, e)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -231,27 +220,16 @@ class ExplicitField:
     def minimal_polynomial(self, a: int) -> modp.Poly:
         """Monic minimal polynomial of a over F_p, low degree first.
 
-        One elimination over the powers 1, a, a^2, ...: each power is
-        reduced against the earlier ones, with the combination of powers
-        it has become, and the first that reduces to zero gives it.
+        Its degree d is the least with a^(p^d) = a. The powers below a^d
+        are then independent, so ``modp.solve_rectangular`` finds the one
+        combination a^d = sum_(i<d) x_i * a^i, and the polynomial is
+        (-x_0, ..., -x_(d-1), 1).
         """
-        p, k = self.p, self.k
-        rows, x = [], self.one  # (pivot, vector with 1 there, its combination)
-        for d in range(k + 1):
-            v, comb = list(self.coords(x)), [0] * (k + 1)
-            comb[d] = 1
-            for piv, u, w in rows:
-                f = v[piv]
-                if f:
-                    v = [(s - f * t) % p for s, t in zip(v, u)]
-                    comb = [(s - f * t) % p for s, t in zip(comb, w)]
-            piv = next((i for i, s in enumerate(v) if s), None)
-            if piv is None:
-                return modp.poly_trim(comb)
-            inv = pow(v[piv], -1, p)
-            rows.append((piv, [s * inv % p for s in v], [s * inv % p for s in comb]))
-            x = self.mul(x, a)
-        raise ContractViolation("no minimal polynomial of degree <= k")
+        p = self.p
+        d = next(d for d in range(1, self.k + 1) if self.pow(a, p**d) == a)
+        powers = [self.coords(self.pow(a, i)) for i in range(d + 1)]
+        sol = modp.solve_rectangular(list(zip(*powers[:d])), powers[d], p)
+        return tuple(-s % p for s in sol) + (1,)
 
     def field_generator(self) -> int:
         for a in range(1, self.order):
@@ -276,11 +254,7 @@ class ExplicitField:
     @classmethod
     def from_dict(cls, data: dict) -> "ExplicitField":
         try:
-            p, k, c = data["p"], data["k"], data["c"]
-            # JSON true and 3.9 are no integers, though int() takes them
-            if any(type(x) is not int for x in (p, k, *(x for pl in c for r in pl for x in r))):
-                raise InputError("p, k and the structure constants must be integers")
-            return cls(p, k, c)
+            return cls(data["p"], data["k"], data["c"])
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"bad field JSON: {e}") from e
 
@@ -303,7 +277,7 @@ class ExplicitField:
             rem = modp.poly_mod((0,) * s + (1,), f, p)
             powers.append(tuple(rem) + (0,) * (k - len(rem)))
         fld = cls(p, k, tuple(tuple(powers[i + j] for j in range(k)) for i in range(k)))
-        fld._one = 1  # basis vector 0 is the polynomial 1
+        fld.one = 1  # basis vector 0 is the polynomial 1
         return fld
 
     def same_presentation(self, other: "ExplicitField") -> bool:

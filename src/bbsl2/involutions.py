@@ -18,7 +18,8 @@ _ORDER3_SAMPLES = 600
 
 
 def is_involution(box: BlackBoxGroup, x: ElementString) -> bool:
-    return not box.is_identity(x) and box.is_identity(box.mul(x, x))
+    """x^2 = 1 and x != 1, tested in that order: a random x mostly fails the first."""
+    return box.is_identity(box.mul(x, x)) and not box.is_identity(x)
 
 
 def to_involution(box: BlackBoxGroup, x: ElementString) -> ElementString | None:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from functools import cache
 
+from .arith import factorint, power
+
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
@@ -131,14 +133,7 @@ def poly_mod(f: Poly, g: Poly, p: int) -> Poly:
 
 
 def poly_powmod(f: Poly, e: int, g: Poly, p: int) -> Poly:
-    out: Poly = (1,)
-    f = poly_mod(f, g, p)
-    while e:
-        if e & 1:
-            out = poly_mod(poly_mul(out, f, p), g, p)
-        f = poly_mod(poly_mul(f, f, p), g, p)
-        e >>= 1
-    return out
+    return power(lambda a, b: poly_mod(poly_mul(a, b, p), g, p), (1,), poly_mod(f, g, p), e)
 
 
 def poly_gcd(f: Poly, g: Poly, p: int) -> Poly:
@@ -160,8 +155,6 @@ def is_irreducible(f: Poly, p: int) -> bool:
     x: Poly = (0, 1)
     if poly_powmod(x, p**k, f, p) != poly_mod(x, f, p):
         return False
-    from .arith import factorint
-
     for ell in factorint(k):
         h = poly_add(poly_powmod(x, p ** (k // ell), f, p), tuple(-c % p for c in x), p)
         if len(poly_gcd(h, f, p)) > 1:

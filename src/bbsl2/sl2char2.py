@@ -70,7 +70,7 @@ def involution_sample(
     """
     for _ in range(budget):
         x = box.sample(rng)
-        if box.is_identity(box.mul(x, x)) and not box.is_identity(x):
+        if is_involution(box, x):
             return x
     raise MonteCarloFailure("involution sample", "no element of order 2")
 

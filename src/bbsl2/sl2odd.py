@@ -224,7 +224,7 @@ class SteinbergMorphism:
         a, b = mat[0]
         c, d = mat[1]
         q = E.order
-        if not (0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q):
+        if not (type(a) is type(b) is type(c) is type(d) is int and 0 <= min(a, b, c, d) and max(a, b, c, d) < q):
             raise InputError("matrix entries must be field elements in [0, q)")
         if E.sub(E.mul(a, d), E.mul(b, c)) != E.one:
             raise InputError("matrix does not have determinant 1 over the recovered field")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from bbsl2 import backend, oracle
-from bbsl2.blackbox import ElementString, SubgroupBox, element_order, global_exponent_gl
+from bbsl2.blackbox import ElementString, SubgroupBox, element_order
 from bbsl2.backend import MatrixBackend, make_matrix_blackbox, mat_neg
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
@@ -15,10 +15,9 @@ import brute
 
 
 def test_global_exponent_frozen_values():
-    assert global_exponent_gl(2, 13, 1) == 2184
-    assert global_exponent_gl(2, 3, 2) == 240
-    assert global_exponent_gl(2, 2, 3) == 2 * (2**6 - 1)
-    assert global_exponent_gl(2, 2, 1) == 6
+    # p(q^2 - 1), the exponent of GL2(q)
+    for p, k, exponent in [(13, 1, 2184), (3, 2, 240), (2, 3, 2 * (2**6 - 1)), (2, 1, 6)]:
+        assert make_matrix_blackbox(p, k).exponent == exponent
 
 
 def test_exponent_kills_all_samples(rng):
@@ -60,13 +59,21 @@ def test_power_matches_decode(rng):
     be = box.backend
     from bbsl2.backend import mat_mul
 
-    for e in [0, 1, 2, 7, 80, -1, -5]:
+    for e in [0, 1, 2, 7, 80, 100, -1, -5]:
         x = box.sample(rng)
         want = ((be.field.one, 0), (0, be.field.one))
         base = be.decode(x) if e >= 0 else be.decode(box.inv(x))
         for _ in range(abs(e)):
             want = mat_mul(be.field, want, base)
+        before = dict(box.stats)
         assert be.decode(box.power(x, e)) == want
+        # square and multiply from the identity: bitlen(e) - 1 squarings and
+        # popcount(e) products, so 5 muls for e = 7 and 9 for e = 100; an
+        # inverse first for e < 0, and nothing at all for e = 0
+        n = abs(e)
+        muls = n.bit_length() + bin(n).count("1") - 1 if n else 0
+        spent = {key: box.stats[key] - before[key] for key in before}
+        assert spent == {"samples": 0, "muls": muls, "invs": int(e < 0), "compares": 0}, e
 
 
 def test_sampling_is_spread_out(rng):
@@ -161,6 +168,10 @@ def test_backend_rejects_bad_generators():
         be.blackbox([((1, 0), (0, 2))])  # det 2
     with pytest.raises(InputError):
         be.blackbox([((0, 0), (0, 0))])
+    # no entry but an int: int() would read 1.9, True and "1" as 1, the identity
+    for x in (1.9, True, "1"):
+        with pytest.raises(InputError):
+            be.blackbox([((x, 0), (0, 1))])
     with pytest.raises(InputError):
         MatrixBackend(F, special=False, center_quotient=True)
 

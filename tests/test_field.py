@@ -145,6 +145,10 @@ def test_degenerate_presentations_rejected():
     bad = ExplicitField(3, 2, (((0, 0), (0, 0)), ((0, 0), (0, 1))))
     with pytest.raises(ContractViolation):
         bad.validate()
+    # p, k and c hold ints only: int() would read 1.5 and True as c = 1
+    for p, k, c in [(13, 1, [[[1.5]]]), (13, 1, [[[True]]]), (13.0, 1, [[[1]]]), (13, True, [[[1]]])]:
+        with pytest.raises(InputError):
+            ExplicitField(p, k, c)
 
 
 def test_minimal_polynomial_is_irreducible_and_annihilates(F):

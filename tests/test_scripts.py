@@ -1,6 +1,7 @@
 """A smoke run of scripts/bench.py on the six groups of its opacity check."""
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,17 @@ def bench():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return json.loads(proc.stdout)
+
+
+def test_bench_meta(bench):
+    # src_lines is what `cat src/bbsl2/*.py src/bbsl2/*.json | wc -l` prints
+    src = ROOT / "src" / "bbsl2"
+    lines = sum(f.read_bytes().count(b"\n") for f in [*src.glob("*.py"), *src.glob("*.json")])
+    assert bench["meta"] == {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "src_lines": lines,
+    }
 
 
 def test_bench_measurements(bench):

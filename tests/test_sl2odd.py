@@ -167,8 +167,10 @@ def test_steinberg_images_match_standard_matrices():
 def test_steinberg_rejects_non_unit_determinant():
     # an entry outside [0, q) is rejected too: it would wrap as a list
     # index, overflow a table, or reduce mod p to a valid entry
+    # and so is an entry that is no int, which would index a table as a float
     box, be, phi = _standard_morphism(13, 1)
-    for m in [((2, 0), (0, 2)), ((1, 13), (0, 1)), ((14, 0), (0, 14)), ((1, -1), (0, 1))]:
+    bad = [((2, 0), (0, 2)), ((1, 13), (0, 1)), ((14, 0), (0, 14)), ((1, -1), (0, 1))]
+    for m in bad + [((1, 0.5), (0, 1)), ((1.0, 1), (0, 1)), ((1, True), (0, 1))]:
         with pytest.raises(InputError):
             phi(m)
     res = recover_psl2(make_matrix_blackbox(3, 2, seed=1000), 3, 2, random.Random(0), trials=10)
