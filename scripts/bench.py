@@ -9,9 +9,10 @@ rounds unless said otherwise. The sections:
 - ``meta``: the Python version, ``os.cpu_count()`` and ``src_lines``, the
   line count of the package, as ``cat src/bbsl2/*.py src/bbsl2/*.json | wc -l``.
 - ``per_op``: us per backend op over 200 calls, on opaque and transparent
-  strings: mul, inv, compare and encode on strings the backend made
-  lately, and decode of a string in the opaque memo (``decode_hit``, null
-  for transparent strings) or never seen (``decode_miss``, which decrypts).
+  strings: mul, inv, compare and encode on strings the backend made,
+  which are handles; decode of such a string (``decode``) and of a copy
+  given by its bytes (``decode_bytes``, which decrypts when opaque); and
+  ``seal``, the first read of a handle's ``data``.
 - ``images``: per morphism-apply group and kind of string, us per image of
   a recovered morphism, and the muls, invs and compares of ``images``
   images once the unipotents their inputs need are lifted.
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import bbsl2
 from bbsl2 import make_matrix_blackbox, oracle, recover_char2, recover_psl2
-from bbsl2.backend import MatrixBackend
+from bbsl2.blackbox import ElementString
 from bbsl2.errors import ContractViolation, MonteCarloFailure
 from bbsl2.field import ExplicitField
 
@@ -52,8 +53,6 @@ from counting import count_base_ops  # noqa: E402
 
 _ROUNDS = 5
 _CALLS = 200
-# strings cycled by the ops on recent strings; fewer than a memo generation
-_RECENT = 40
 _STRINGS = {True: "opaque", False: "transparent"}
 _OPS = ("muls", "invs", "compares")
 # (p, k, center quotient) of the per-op, image and lift rows; (p, k) of the off-box rows
@@ -124,10 +123,9 @@ def _per_op(group, opaque: bool) -> dict:
     be = box.backend
     rng = random.Random(0)
     mats = [be.decode(box.sample(rng)) for _ in range(_CALLS)]
-    # ops on strings the backend made lately, as in a recognition, where
-    # most decodes hit the memo; cycling a few of them keeps them in it
-    xs = [be.encode(m) for m in mats[:_RECENT]] * (_CALLS // _RECENT)
+    xs = [be.encode(m) for m in mats]
     pairs = list(zip(xs, xs[1:] + xs[:1]))
+    copies = [ElementString(x.data) for x in xs]
 
     def mul(_):
         for x, y in pairs:
@@ -145,22 +143,19 @@ def _per_op(group, opaque: bool) -> dict:
         for m in mats:
             be.encode(m)
 
-    def decode(arg):
-        backend, strings = arg
+    def decode(strings):
         for x in strings:
-            backend.decode(x)
+            be.decode(x)
 
-    def fresh():
-        return MatrixBackend(be.field, center_quotient=cq, opaque=opaque, seed=0)
+    def seal(strings):
+        for x in strings:
+            x.data
 
-    row = {"group": _label(*group), "strings": _STRINGS[opaque], "decode_hit": None}
+    row = {"group": _label(*group), "strings": _STRINGS[opaque]}
     row.update((op.__name__, _best_us(op)) for op in (mul, inv, compare, encode))
-    if opaque:
-        hb = fresh()
-        made = [hb.encode(m) for m in mats[:_RECENT]] * (_CALLS // _RECENT)
-        row["decode_hit"] = _best_us(decode, lambda: (hb, made))
-    strings = [be.encode(m) for m in mats]
-    row["decode_miss"] = _best_us(decode, lambda: (fresh(), strings))
+    row["decode"] = _best_us(decode, lambda: xs)
+    row["decode_bytes"] = _best_us(decode, lambda: copies)
+    row["seal"] = _best_us(seal, lambda: [be.encode(m) for m in mats])
     return row
 
 

@@ -2,9 +2,9 @@
 
 The backend is the trusted side of every experiment: it knows the
 matrices. ``MatrixBackend.blackbox()`` wraps 2x2 matrices over an
-explicit field as a black box. In transparent mode strings are the
-canonical entry bytes. In opaque mode each string is the canonical
-bytes encrypted with a fresh 8-byte nonce under two keyed hashes, in the
+explicit field as a black box. In transparent mode a string's bytes are
+the canonical entry bytes. In opaque mode they are the canonical bytes
+encrypted with a fresh 8-byte nonce under two keyed hashes, in the
 shape of OAEP (Bellare and Rogaway, EUROCRYPT 1994), so the same element
 gets a different string every time it is produced, nothing about the
 matrix leaks without the key, and a string with a changed bit decodes
@@ -14,10 +14,10 @@ The nonce stream is drawn from a dedicated RNG owned by the backend, not
 from the caller's algorithm RNG: an algorithm run consumes exactly the
 same randomness against the opaque box as against the transparent one.
 
-Nearly every string a box is handed was made by its own backend shortly
-before, so an opaque backend remembers the matrices of its recent
-strings and decrypts only strings it has not seen lately. A box's raw
-operations are closures bound once per box: decode, kernel, encode.
+Every string a backend makes is a handle that holds its canonical
+matrix and nonce and seals its bytes, ciphertext when opaque, on first
+read; decoding it reads the matrix, and any other string is decoded
+from its bytes. A box's raw operations are closures bound once per box.
 
 The module functions ``mat_mul``, ``mat_neg`` and ``mat_inv2`` are the
 reference definitions over ``ExplicitField``. A backend multiplies,
@@ -37,8 +37,6 @@ from .field import ExplicitField
 Matrix = tuple[tuple[int, ...], ...]
 
 _NONCE_BYTES = 8
-# strings per generation of the decode memo; a backend holds at most twice this
-_MEMO_SIZE = 64
 
 
 def mat_mul(F: ExplicitField, a: Matrix, b: Matrix) -> Matrix:
@@ -134,9 +132,9 @@ class MatrixBackend:
 
     ``mul``, ``neg`` and ``inv`` act on matrices: ``mat_mul``,
     ``mat_neg`` and ``mat_inv2`` over the backend's field; on a special
-    group ``inv`` is the adjugate. ``encode`` and ``decode``, with the
-    decoder's steps ``_parse`` and ``_decrypt``, are closures built once
-    per instance (see ``_bind_codec``).
+    group ``inv`` is the adjugate. ``encode``, which makes handles, and
+    ``decode``, with the steps ``_parse`` and ``_decrypt`` of its bytes
+    path, are closures built once per instance (see ``_bind_codec``).
     """
 
     def __init__(
@@ -174,7 +172,7 @@ class MatrixBackend:
     def _bind_codec(self, seed: int) -> None:
         """Build the string codec as closures over its constants and state.
 
-        A string is the four entries, row by row, as fixed-width
+        A string's bytes are the four entries, row by row, as fixed-width
         big-endian integers. An opaque one is s || t for a fresh nonce r,
         with s = entries ^ G(r) and t = r ^ H(s), where G (``pad``) and
         H (``seal``) are BLAKE2b keyed with the backend's key and told
@@ -183,10 +181,10 @@ class MatrixBackend:
         of s or t changes r and with it the whole pad G(r), so a changed
         string decodes to unrelated entries.
 
-        Decoding an opaque string consults the decode memo, ciphertext
-        -> canonical matrix, in two generations: when the recent one
-        fills up it becomes the older one and the old older one is
-        dropped. ``_recent`` and ``_older`` show the current generations.
+        ``encode`` makes a handle: the canonical matrix, the nonce drawn
+        now, and ``to_bytes``, which packs and encrypts only when the
+        string's ``data`` is first read. ``decode`` returns the matrix of
+        a handle of its own and decodes any other string from its bytes.
         """
         neg, canonical, opaque = self.neg, self._canonical, self.opaque
         q, s, plain, size = self.field.order, 8 * self.width, 4 * self.width, self.string_bytes
@@ -198,9 +196,6 @@ class MatrixBackend:
         nonce = random.Random(f"opacity-nonce:{seed}").getrandbits
         nonce_bits = 8 * _NONCE_BYTES
         from_bytes = int.from_bytes
-        recent: dict[bytes, Matrix] = {}
-        older: dict[bytes, Matrix] = {}
-        self._recent, self._older = recent, older
 
         def parse(blob: bytes) -> Matrix:
             """The canonical matrix whose entries are ``blob``."""
@@ -221,45 +216,32 @@ class MatrixBackend:
             h.update(r.to_bytes(_NONCE_BYTES, "big"))
             return (from_bytes(sb, "big") ^ from_bytes(h.digest(), "big")).to_bytes(plain, "big")
 
-        def encode(m: Matrix) -> ElementString:
-            nonlocal recent, older
-            if canonical:
-                m = min(m, neg(m))
+        def to_bytes(m: Matrix, r: int | None) -> bytes:
+            """The bytes of the string of canonical matrix ``m`` and nonce ``r``."""
             (a, b), (c, d) = m
             v = ((a << s | b) << s | c) << s | d
             if not opaque:
-                return ElementString(v.to_bytes(plain, "big"))
-            r = nonce(nonce_bits)
+                return v.to_bytes(plain, "big")
             h = pad()
             h.update(r.to_bytes(_NONCE_BYTES, "big"))
             sb = (v ^ from_bytes(h.digest(), "big")).to_bytes(plain, "big")
             h = seal()
             h.update(sb)
-            data = sb + (r ^ from_bytes(h.digest(), "big")).to_bytes(_NONCE_BYTES, "big")
-            recent[data] = m
-            if len(recent) >= _MEMO_SIZE:
-                older, recent = recent, {}
-                self._older, self._recent = older, recent
-            return ElementString(data)
+            return sb + (r ^ from_bytes(h.digest(), "big")).to_bytes(_NONCE_BYTES, "big")
+
+        def encode(m: Matrix) -> ElementString:
+            if canonical:
+                m = min(m, neg(m))
+            return ElementString(None, m, to_bytes, nonce(nonce_bits) if opaque else None)
 
         def decode(e: ElementString) -> Matrix:
             """The canonical matrix of ``e``."""
-            nonlocal recent, older
+            if e._seal is to_bytes:
+                return e._value
             data = e.data
             if len(data) != size:
                 raise InputError("string has the wrong length for this box")
-            if not opaque:
-                return parse(data)
-            m = recent.get(data)
-            if m is None:
-                m = older.get(data)
-                if m is None:
-                    m = parse(decrypt(data))
-                recent[data] = m
-                if len(recent) >= _MEMO_SIZE:
-                    older, recent = recent, {}
-                    self._older, self._recent = older, recent
-            return m
+            return parse(decrypt(data) if opaque else data)
 
         self._parse, self._decrypt, self.encode, self.decode = parse, decrypt, encode, decode
 
@@ -300,7 +282,8 @@ class MatrixBlackBox(BlackBoxGroup):
     """A black box on a ``MatrixBackend``.
 
     The raw operations are closures bound per instance: decode, the
-    backend's kernel, encode, with no attribute lookup per call.
+    backend's kernel, encode, with no attribute lookup per call. Each
+    result, generator and the identity is a handle, sealed only if read.
     """
 
     def __init__(self, backend: MatrixBackend, generator_matrices):

@@ -14,7 +14,6 @@ subgroup of the base box; the Frobenius construction uses k > 1.
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 
 from .arith import factorint, power
 from .errors import ContractViolation, InputError
@@ -25,20 +24,27 @@ _BURN_IN = 100
 class ElementString:
     """Opaque handle for one group element. Compare only via the box.
 
-    ``data`` is read-only; equality and hash are identity. A plain slot
-    behind a property is about half the cost of a frozen dataclass,
-    whose ``__init__`` sets the field through ``object.__setattr__``.
+    ``ElementString(data)`` is a string given by its bytes. A box makes
+    its strings as handles instead: ``value`` is what the box reads back
+    (a canonical matrix, or a tuple of parts), ``nonce`` was drawn when
+    the string was made, and ``seal(value, nonce)`` computes the bytes
+    on the first read of ``data``. Equality and hash are identity.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_value", "_nonce", "_seal")
 
-    def __init__(self, data: bytes):
-        self._data = data
+    def __init__(self, data: bytes | None, value=None, seal=None, nonce=None):
+        self._data, self._value, self._seal, self._nonce = data, value, seal, nonce
 
-    data = property(attrgetter("_data"), doc="The string's bytes.")
+    @property
+    def data(self) -> bytes:
+        """The string's bytes, sealed on first read."""
+        if self._data is None:
+            self._data = self._seal(self._value, self._nonce)
+        return self._data
 
     def __repr__(self) -> str:
-        return f"ElementString(data={self._data!r})"
+        return f"ElementString(data={self.data!r})"
 
 
 class BlackBoxGroup:
@@ -155,10 +161,15 @@ def element_order(box: BlackBoxGroup, x: ElementString) -> int:
     return o
 
 
+def _join_bytes(parts, nonce) -> bytes:
+    return b"".join(p.data for p in parts)
+
+
 class SubgroupBox(BlackBoxGroup):
     """The subgroup generated by ``gens`` inside base^k, with its own sampler.
 
-    A string is k base strings concatenated, and k is read from the
+    A string is a handle over k base strings, its bytes theirs joined; a
+    string given by its bytes is sliced into k. k is read from the
     generators' length; k = 1 is a plain subgroup of ``base``. The raw
     operations act on each coordinate through the base box's raw ones,
     looked up per call, so a counter rebinding them on the base instance
@@ -176,13 +187,15 @@ class SubgroupBox(BlackBoxGroup):
         super().__init__(n, base.exponent, gens, self.join([base.identity] * self.k))
         self._pr = ProductReplacer(self, self.generators, rng)
 
-    def split(self, x: ElementString) -> list[ElementString]:
+    def split(self, x: ElementString) -> tuple[ElementString, ...]:
+        if x._seal is _join_bytes:
+            return x._value
         d, w = x.data, self.base.string_bytes
-        return [ElementString(d[i : i + w]) for i in range(0, len(d), w)]
+        return tuple(ElementString(d[i : i + w]) for i in range(0, len(d), w))
 
     @staticmethod
     def join(parts) -> ElementString:
-        return ElementString(b"".join(p.data for p in parts))
+        return ElementString(None, tuple(parts), _join_bytes)
 
     def _mul(self, a, b):
         return self.join(map(self.base._mul, self.split(a), self.split(b)))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -324,6 +325,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     params: dict = {}
     try:
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise InputError(f"--out is a directory or in a missing one: {args.out}")
         if args.mode not in ("field-report", "selftest"):
             _settle_flags(args)
         desc = _load_json(args.input) if getattr(args, "input", None) else None

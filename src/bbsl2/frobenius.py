@@ -40,7 +40,7 @@ class FrobeniusMap(SubgroupBox):
 
     def project(self, y: ElementString) -> ElementString:
         """Coordinate-0 projection back into the base group."""
-        return ElementString(y.data[: self.base.string_bytes])
+        return self.split(y)[0]
 
 
 def frobenius_on_sl2(

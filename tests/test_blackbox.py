@@ -229,7 +229,7 @@ def test_decode_rejects_malformed_strings():
 
 
 # entry widths 1 (q = 13, 81) and 2 (q = 729, 2^10), SL and PSL
-_MEMO_CASES = list(itertools.product([(13, 1), (3, 4), (3, 6), (2, 10)], (False, True)))
+_CODEC_CASES = list(itertools.product([(13, 1), (3, 4), (3, 6), (2, 10)], (False, True)))
 
 
 def _random_ops(box, rng, n):
@@ -241,38 +241,46 @@ def _random_ops(box, rng, n):
         yield x
 
 
-@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
-def test_memo_agrees_with_fresh_decrypt(pk, cq):
+@pytest.mark.parametrize("pk, cq", _CODEC_CASES)
+def test_foreign_strings_decode_from_their_bytes(pk, cq):
     (p, k), seed = pk, 40 + cq
     box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=seed)
     be = box.backend
-    # decoded right after it is made, each string is served by the memo
+    # the box's own backend reads each handle's matrix; a fresh backend of
+    # the same key decrypts the handle's bytes
     seen = [(x, be.decode(x)) for x in _random_ops(box, random.Random(p * k), 300)]
     fresh = MatrixBackend(be.field, center_quotient=cq, opaque=True, seed=seed)
     for x, m in seen:
         assert fresh.decode(x) == m
 
 
-@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
-def test_memo_stays_bounded(pk, cq):
+@pytest.mark.parametrize("pk, cq", _CODEC_CASES)
+def test_strings_are_sealed_only_when_read(pk, cq):
+    # a box's strings hold no bytes until ``data`` is read, and then hold the
+    # bytes a twin backend of the same seed makes from the same nonces
     p, k = pk
-    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=7)
-    be = box.backend
-    for _ in _random_ops(box, random.Random(k), 10_000):
-        pass
-    assert len(be._recent) + len(be._older) <= 2 * backend._MEMO_SIZE
+    for opaque in (True, False):
+        box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=13)
+        assert all(x._data is None for x in (*box.generators, box.identity))
+        twin = MatrixBackend(box.backend.field, center_quotient=cq, opaque=opaque, seed=13)
+        twin.blackbox()
+        rng = random.Random(p * k + cq)
+        xs = list(box.generators)
+        for _ in range(50):
+            x, y = rng.choice(xs), rng.choice(xs)
+            if rng.random() < 0.25:
+                z = box.inv(x)
+                assert z._data is None
+                want = twin.encode(twin.inv(twin.decode(x)))
+            else:
+                z = box.mul(x, y)
+                assert z._data is None
+                want = twin.encode(twin.mul(twin.decode(x), twin.decode(y)))
+            assert z.data == want.data
+            xs.append(z)
 
 
-def test_decode_checks_length_before_memo():
-    box = make_matrix_blackbox(13, 1, opaque=True, seed=3)
-    be = box.backend
-    short = box.generators[0].data[:-1]
-    be._recent[short] = be._older[short] = ((1, 0), (0, 1))
-    with pytest.raises(InputError):
-        be.decode(ElementString(short))
-
-
-@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
+@pytest.mark.parametrize("pk, cq", _CODEC_CASES)
 def test_flipped_bit_decodes_as_the_cipher_says(pk, cq):
     p, k = pk
     box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=True, seed=5)
@@ -291,7 +299,7 @@ def test_flipped_bit_decodes_as_the_cipher_says(pk, cq):
                 assert be.decode(ElementString(data)) == want
 
 
-@pytest.mark.parametrize("pk, cq", _MEMO_CASES)
+@pytest.mark.parametrize("pk, cq", _CODEC_CASES)
 def test_flipped_bit_is_not_the_flipped_plaintext(pk, cq):
     # a malleable cipher decodes a string with one bit flipped to its
     # plaintext, entries || nonce, with the same bit flipped: the entries with
@@ -324,9 +332,9 @@ def test_psl_decode_is_canonical():
         canon = min(pair)
         for mat in pair:
             s = be.encode(mat)
-            assert be.decode(s) == canon  # a memo hit when opaque
+            assert be.decode(s) == canon  # the matrix the handle holds
             fresh = MatrixBackend(be.field, center_quotient=True, opaque=opaque, seed=2)
-            assert fresh.decode(s) == canon  # a memo miss when opaque
+            assert fresh.decode(s) == canon  # decoded from the bytes
             # a string whose plain bytes are not the canonical entries: the
             # same key and nonce stream over SL2(13), which does not canonicalize
             raw = MatrixBackend(be.field, opaque=opaque, seed=2).encode(mat)
@@ -436,5 +444,3 @@ def test_fused_raw_ops_match_the_backend_steps(p, k, cq, opaque):
             z, want = box._mul(x, y), twin.encode(twin.mul(twin.decode(x), twin.decode(y)))
         assert z.data == want.data
         xs.append(z)
-    for be in (box.backend, twin):
-        assert len(be._recent) + len(be._older) <= 2 * backend._MEMO_SIZE

@@ -131,6 +131,10 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
     assert main(["recognize-odd"]) == 1
     assert main(["recognize-odd", "--input", str(tmp_path / "missing.json")]) == 1
     assert main(["recognize-odd", "--p", "13", "--k", "1", "--n", "2"]) == 1
+    # an --out that is a directory, or in a missing one: rejected before the run
+    for out in (tmp_path, tmp_path / "missing" / "report.json"):
+        assert main(["recognize-odd", "--p", "13", "--out", str(out)]) == 1
+        assert "bbsl2: rejected input" in capsys.readouterr().err
     # a generators value that is not a list, and a generator whose rows are not lists
     for n, gens in enumerate([5, [[1, 2]]]):
         path = tmp_path / f"bad{n}.json"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bbsl2.backend import make_matrix_blackbox
+from bbsl2.blackbox import ElementString
 from bbsl2.errors import InputError
 from bbsl2.frobenius import frobenius_on_sl2
 
@@ -52,6 +53,26 @@ def test_project_recovers_base_coordinates(fro9, rng):
     # projection is a homomorphism onto the base box
     y = fro9.sample(rng)
     assert box.compare(fro9.project(fro9.mul(x, y)), box.mul(fro9.project(x), fro9.project(y)))
+
+
+@pytest.mark.parametrize("opaque", (True, False))
+def test_tuple_strings_given_by_bytes_agree_with_handles(opaque):
+    # a string from outside the box is given by its bytes: the box splits it
+    # into base strings of bytes, where its own strings hold their parts
+    box = make_matrix_blackbox(3, 2, opaque=opaque, seed=12)
+    fro = frobenius_on_sl2(box, *_standard_frame(box), 3, 2, random.Random(0))
+    rng = random.Random(1)
+    for _ in range(20):
+        x, y = fro.sample(rng), fro.sample(rng)
+        bx, by = ElementString(x.data), ElementString(y.data)
+        assert fro.compare(bx, x) and fro.compare(x, bx)
+        for a, b in ((bx, by), (bx, y), (x, by)):
+            assert fro.compare(fro.mul(a, b), fro.mul(x, y))
+            assert fro.compare(a, b) == fro.compare(x, y)
+        assert fro.compare(fro.inv(bx), fro.inv(x))
+        assert fro.compare(fro(bx), fro(x))
+        assert fro.project(bx).data == fro.project(x).data
+        assert box.compare(fro.project(bx), fro.project(x))
 
 
 def test_lift_constant_is_fixed_by_shift(fro9, rng):
