@@ -153,7 +153,6 @@ class MatrixBackend:
         self.opaque = opaque
         self.width = max(1, (field.order - 1).bit_length() + 7 >> 3)
         self.string_bytes = 4 * self.width + (_NONCE_BYTES if opaque else 0)
-        self._canonical = center_quotient and field.p != 2
         self.mul = _mul_kernel(field)
         N = [field.neg(x) for x in range(field.order)]
 
@@ -186,7 +185,7 @@ class MatrixBackend:
         string's ``data`` is first read. ``decode`` returns the matrix of
         a handle of its own and decodes any other string from its bytes.
         """
-        neg, canonical, opaque = self.neg, self._canonical, self.opaque
+        neg, canonical, opaque = self.neg, self.center_quotient, self.opaque
         q, s, plain, size = self.field.order, 8 * self.width, 4 * self.width, self.string_bytes
         mask = (1 << s) - 1
         key = blake2b(f"opacity-key:{seed}".encode(), digest_size=32).digest()
@@ -252,7 +251,7 @@ class MatrixBackend:
         tau = F.primitive_element()
         u1 = ((one, one), (zero, one))
         h_tau = ((tau, zero), (zero, F.inv(tau)))
-        n1 = ((zero, one), (one if F.p == 2 else F.neg(one), zero))
+        n1 = ((zero, one), (F.neg(one), zero))
         gens = [u1, h_tau, n1]
         if not self.special:
             gens.append(((tau, zero), (zero, one)))

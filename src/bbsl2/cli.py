@@ -36,7 +36,7 @@ from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
 from .frobenius import frobenius_on_sl2
 from .sl2char2 import recover_char2
-from .sl2odd import check_trials, find_standard_generators, recover_psl2
+from .sl2odd import check_odd_params, check_trials, find_standard_generators, recover_psl2
 from .stages import StageRecorder
 
 
@@ -149,6 +149,10 @@ def _box_from_args(args, params: dict, desc: dict | None):
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")
+    if p != 2:  # reject a bad p, k or q before any field table is built
+        check_odd_params(p, k)
+    elif args.mode in ("recognize-odd", "frobenius"):
+        raise InputError(f"{args.mode} wants odd characteristic; use recognize-char2")
     field = ExplicitField.polynomial_field(p, k)
     if mats is not None:
         mats = [_parse_matrix(field, g) for g in mats]
@@ -187,8 +191,6 @@ def _recognize(args, params: dict, desc: dict | None) -> dict:
             raise InputError("recognize-char2 works in characteristic 2 only")
         args.p = 2
     box, p, k = _box_from_args(args, params, desc)
-    if args.mode == "recognize-odd" and p == 2:
-        raise InputError("recognize-odd wants odd characteristic; use recognize-char2")
     result = _recover(box, p, k, args.seed, args.trials)
     params.update(result.params)
     verification = {**result.extras, **result.verification}
@@ -197,8 +199,6 @@ def _recognize(args, params: dict, desc: dict | None) -> dict:
 
 def _mode_frobenius(args, params: dict, desc: dict | None) -> dict:
     box, p, k = _box_from_args(args, params, desc)
-    if p == 2:
-        raise InputError("the Frobenius pipeline here wants odd characteristic")
     rng = random.Random(args.seed)
     rec = StageRecorder(box)
     frame = find_standard_generators(box, p, k, rng, rec)
@@ -207,8 +207,10 @@ def _mode_frobenius(args, params: dict, desc: dict | None) -> dict:
     with rec.stage("verify"):
         order_passes = mult_passes = 0
         for _ in range(args.trials):
-            x = fro.sample(rng)
-            if fro.compare(fro.rotate(x, k), x):
+            x = y = fro.sample(rng)
+            for _ in range(k):
+                y = fro(y)
+            if fro.compare(y, x):
                 order_passes += 1
             a, b = fro.sample(rng), fro.sample(rng)
             if fro.compare(fro(fro.mul(a, b)), fro.mul(fro(a), fro(b))):

@@ -12,11 +12,12 @@ order, of its minimal polynomial in the second; ``find_root`` finds it
 by one Horner scan over the second field's elements.
 
 For p = 2 an element already is its coordinate bit vector, so the
-definitions work on packed ints: a sum is an XOR, a product XORs the
+ring sum ``add`` is an XOR, the definition ``_mul_raw`` XORs the
 precomputed products of basis elements over the set bits of both
 factors, and every F_2-linear map (multiplication by a fixed element,
-an isomorphism) XORs the images of the basis elements. For odd p a
-linear map adds digit multiples of its rows, packed into slots of ints.
+an isomorphism) XORs the images of the basis elements. The digit sum
+``_add_raw`` serves only the odd-p Zech column. For odd p a linear map
+adds digit multiples of its rows, packed into slots of ints.
 
 For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
@@ -94,8 +95,6 @@ class ExplicitField:
 
     # -- the definitions: coordinate-wise sum, product by structure constants
     def _add_raw(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         return self.element(x + y for x, y in zip(self.coords(a), self.coords(b)))
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -327,7 +326,7 @@ def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
 
 def explicit_isomorphism(a_field: ExplicitField, b_field: ExplicitField) -> FieldIsomorphism:
     """Field isomorphism between two presentations of the same finite field."""
-    if a_field.order != b_field.order or a_field.p != b_field.p:
+    if a_field.order != b_field.order:
         raise InputError("fields have different orders")
     if a_field.same_presentation(b_field):
         return FieldIsomorphism(a_field, b_field, modp.mat_identity(a_field.k))

@@ -7,8 +7,8 @@ coordinates one step to the left is computable on strings, restricts to
 an automorphism of Y, fixes both constant generators, and raises the
 torus tuple to its p-th power: on Y it behaves exactly like the field
 Frobenius, which is what the field recovery downstream needs.
-``FrobeniusMap`` is Y itself: a ``SubgroupBox`` over X^k that also
-carries the rotation and the projection onto coordinate 0.
+``FrobeniusMap`` is Y itself: a ``SubgroupBox`` over X^k whose call is
+the one-step rotation, and which projects onto coordinate 0.
 """
 from __future__ import annotations
 
@@ -19,24 +19,20 @@ from .errors import ContractViolation, InputError
 
 
 class FrobeniusMap(SubgroupBox):
-    """Y = <u_bar, h_bar, n_bar> inside X^k, with the rotation acting as Frobenius.
+    """Y = <u_bar, h_bar, n_bar> inside X^k; calling it is the Frobenius.
 
-    Rotation works on raw strings because a tuple's string concatenates
-    its coordinates; no re-encoding is involved, so the operation stays
-    legal on opaque boxes.
+    The call shifts a raw string's coordinates one step to the left: a
+    tuple's string concatenates its coordinates, so no re-encoding is
+    involved and the operation stays legal on opaque boxes.
     """
 
     def __init__(self, base, p, u_bar, h_bar, n_bar, rng: random.Random):
         super().__init__(base, (u_bar, h_bar, n_bar), rng)
         self.p, self.u_bar, self.h_bar, self.n_bar = p, u_bar, h_bar, n_bar
 
-    def rotate(self, y: ElementString, j: int = 1) -> ElementString:
-        parts = self.split(y)
-        j %= self.k
-        return self.join(parts[j:] + parts[:j])
-
     def __call__(self, y: ElementString) -> ElementString:
-        return self.rotate(y, 1)
+        parts = self.split(y)
+        return self.join(parts[1:] + parts[:1])
 
     def project(self, y: ElementString) -> ElementString:
         """Coordinate-0 projection back into the base group."""

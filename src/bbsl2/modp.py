@@ -168,8 +168,6 @@ def smallest_irreducible(p: int, k: int) -> Poly:
 
     A pure function of (p, k), so it is computed once per process.
     """
-    if k == 1:
-        return (0, 1)
     # enumerate constant-first coefficient tuples in numeric order
     for code in range(p**k):
         coeffs = []

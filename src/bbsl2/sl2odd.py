@@ -109,13 +109,14 @@ def weyl_element(
     A random conjugate v0 of u that does not commute with u but commutes
     with its h-conjugate is an opposite unipotent. The word
     u * v0^(h^j) * u is a Weyl element exactly when the hidden parameters
-    multiply to -1, which happens for at most one torus translate; the
-    order test (square is the central involution h^(torus_order/2) in
-    SL2, or trivial in the center quotient) detects it without seeing
-    any parameter. Each candidate covers the matched parameter with
-    probability 1/2.
+    multiply to -1, which happens for at most one torus translate. One
+    test finds it without seeing any parameter: the word's square is the
+    central element, h^(torus_order/2) in SL2 and 1 in PSL2. The word is
+    never 1, for then vj = u^-2 would lie in U, which h normalizes and v0
+    avoids. Each candidate covers the matched parameter with probability
+    1/2.
     """
-    central = None if is_psl else box.power(h, torus_order // 2)
+    central = box.identity if is_psl else box.power(h, torus_order // 2)
     h_inv = box.inv(h)
     sweeps = 0
     for _ in range(_WEYL_SAMPLES):
@@ -130,12 +131,7 @@ def weyl_element(
             if j:
                 vj = box.conj(vj, h, h_inv)
             m = box.mul(box.mul(u, vj), u)
-            m2 = box.mul(m, m)
-            if is_psl:
-                hit = box.is_identity(m2) and not box.is_identity(m)
-            else:
-                hit = box.compare(m2, central)
-            if not hit:
+            if not box.compare(box.mul(m, m), central):
                 continue
             if not box.compare(m, box.mul(box.mul(u, box.conj(u, m)), u)):
                 raise ContractViolation("Weyl candidate fails the standard-triple identity")
@@ -145,8 +141,8 @@ def weyl_element(
     raise MonteCarloFailure("weyl element", "no opposite unipotent produced a zero-trace word")
 
 
-def _check_odd_params(p: int, k: int) -> int:
-    if p == 2 or p < 2:
+def check_odd_params(p: int, k: int) -> int:
+    if p <= 2:
         raise InputError("this pipeline wants odd characteristic")
     if not is_prime(p):
         raise InputError(f"p = {p} is not a prime")
@@ -162,7 +158,7 @@ def find_standard_generators(
     box: BlackBoxGroup, p: int, k: int, rng: random.Random, rec: StageRecorder
 ) -> StandardFrame:
     """The frame (u, h, weyl), one recorded stage per step."""
-    q = _check_odd_params(p, k)
+    q = check_odd_params(p, k)
     with rec.stage("unipotent"):
         u = unipotent_element(box, p, rng)
     with rec.stage("classify"):
@@ -189,13 +185,13 @@ class SteinbergMorphism:
     each one is a fresh string. An image costs 6 box muls.
     """
 
-    def __init__(self, box, field, weyl, project=None, explicit=None):
+    def __init__(self, box, field, weyl, project, explicit):
         self.box = box
         self.field = field
         self.weyl = weyl
         self.weyl_inv = box.inv(weyl)
-        self.project = project if project is not None else (lambda s: s)
-        self.explicit = explicit if explicit is not None else field.to_explicit()
+        self.project = project
+        self.explicit = explicit
         self._unipotents: dict[int, ElementString] = {}
         # n(1) = u(1) v(-1) u(1) from the carriers themselves, so the check
         # also exercises the recovered field's own inversion

@@ -194,6 +194,23 @@ def test_composite_p_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["recognize-odd", "--p", "7"],
+    ["recognize-odd", "--p", "1000003"],
+    ["frobenius", "--p", "2", "--k", "3"],
+    ["field-report", "--p", "11"],
+])
+def test_bad_group_parameters_exit_1_before_a_field_is_built(argv, monkeypatch, capsys):
+    # q = 3 mod 4 or p = 2 in an odd mode: the field of a large p would cost
+    # seconds and hundreds of MB before the pipeline said no
+    def no_field(p, k):
+        raise AssertionError(f"built GF({p}^{k}) for rejected parameters")
+
+    monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
+    assert main(argv) == 1
+    assert "bbsl2: rejected input" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as e:
         main(["bogus-mode"])

@@ -133,7 +133,7 @@ def _standard_morphism(p, k, cq=False):
     u = be.encode(brute.u_mat(F, F.one))
     n = be.encode(brute.n_mat(F, F.one))
     field = BlackBoxField(box, u, box.identity, lambda x: x, p, 1)
-    return box, be, SteinbergMorphism(box, field, n)
+    return box, be, SteinbergMorphism(box, field, n, lambda s: s, field.to_explicit())
 
 
 def test_steinberg_morphism_is_identity_on_standard_frame(rng):
@@ -188,7 +188,7 @@ def test_steinberg_build_check_rejects_mismatched_weyl():
     wrong = be.encode(brute.n_mat(F, 2))  # n(2) is not matched to u(1)
     field = BlackBoxField(box, u, box.identity, lambda x: x, 13, 1)
     with pytest.raises(ContractViolation):
-        SteinbergMorphism(box, field, wrong)
+        SteinbergMorphism(box, field, wrong, lambda s: s, field.to_explicit())
 
 
 def test_recover_psl2_image_generates_whole_group(rng):

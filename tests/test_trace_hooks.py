@@ -36,10 +36,14 @@ def test_all_tables_found():
 
 @pytest.mark.parametrize("module, qualname, name", HOOKS, ids=[h[2] for h in HOOKS])
 def test_hook_resolves(module, qualname, name):
+    # the tracer reads a method from its owner's own __dict__, so a method
+    # inherited from a base class would fail the traced run
+    *path, attr = qualname.split(".")
     owner = importlib.import_module(module)
-    for attr in qualname.split("."):
-        owner = getattr(owner, attr)
-    assert callable(owner)
+    for part in path:
+        owner = getattr(owner, part)
+    raw = vars(owner)[attr]
+    assert callable(getattr(raw, "__func__", raw))
 
 
 def test_polynomial_field_is_a_classmethod():
