@@ -258,15 +258,17 @@ class MatrixBackend:
         return gens
 
     def validate_element(self, m: Matrix) -> Matrix:
-        if len(m) != 2 or any(len(r) != 2 for r in m):
-            raise InputError("elements must be 2x2 matrices")
-        m = tuple(tuple(row) for row in m)
+        try:
+            (a, b), (c, d) = m
+        except (TypeError, ValueError) as exc:
+            raise InputError("elements must be 2x2 matrices") from exc
+        m = ((a, b), (c, d))
         if any(type(x) is not int or x < 0 or x >= self.field.order for row in m for x in row):
             raise InputError("matrix entries must be field elements in [0, q)")
-        d = mat_det2(self.field, m)
-        if d == 0:
+        det = mat_det2(self.field, m)
+        if det == 0:
             raise InputError("matrix is singular")
-        if self.special and d != self.field.one:
+        if self.special and det != self.field.one:
             raise InputError("matrix determinant is not 1")
         return m
 

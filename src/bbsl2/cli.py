@@ -1,11 +1,12 @@
 """Command-line driver for the recognition pipelines.
 
 Modes: recognize-odd (odd-characteristic (P)SL2(p^k) recovery),
-recognize-char2 (SL2(2^n) recovery), frobenius (build and verify the
-cyclic-shift Frobenius map), field-report (emit structure constants and
-the isomorphism to the standard presentation), selftest (recognize
-SL2(5), PSL2(9) and SL2(16), one box per backend kernel, on opaque and
-on transparent strings).
+recognize-char2 (SL2(2^n) recovery), frobenius (find the frame and
+build the cyclic-shift Frobenius map, checking its action on the torus
+tuple), field-report (emit structure constants and the isomorphism to
+the standard presentation), selftest (recognize SL2(5), PSL2(9) and
+SL2(16), one box per backend kernel, on opaque and on transparent
+strings).
 
 The group comes either from --p/--k/--n, building a backend over the
 standard generators, or from --input, a JSON file {"p": int, "k": int,
@@ -14,8 +15,10 @@ row-major 2x2 matrices whose entries are residues (k = 1) or
 length-k coordinate vectors over the prime field in the polynomial
 basis (k > 1). field-report also accepts an explicit field
 serialization {"p", "k", "c"} and then skips recognition, so it takes
-no --trials or --opaque/--transparent. selftest builds its own boxes,
-runs both string kinds and 200 trials, and takes only --seed and --out.
+no --trials or --opaque/--transparent. frobenius runs no trials and
+takes no --trials. selftest builds its own boxes, runs both string kinds
+and 200 trials, and takes only --seed and --out. A seed below 0 is
+rejected in every mode.
 
 Reports are JSON: {"mode", "seed", "params", "stages": [{name,
 samples_used, elapsed_ms, ok}], "verification": {...}} plus optional
@@ -52,7 +55,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     group = argparse.ArgumentParser(add_help=False)
     # --opaque/--transparent and --trials parse to None when absent, so that a
-    # field file, which takes neither, can tell them from their defaults
+    # field file, which takes neither, can tell them from their defaults;
+    # frobenius runs no trials, so only the recognition modes take --trials
     opacity = group.add_mutually_exclusive_group()
     opacity.add_argument(
         "--opaque", dest="opaque", action="store_true", help="encrypted strings (default)"
@@ -65,12 +69,13 @@ def _build_parser() -> _Parser:
     group.add_argument("--p", type=int, help="field characteristic")
     group.add_argument("--k", type=int, help="field degree over the prime field")
     group.add_argument("--n", type=int, help="degree synonym used in characteristic 2")
-    group.add_argument("--trials", type=int, help="verification trials (default 200)")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, help="verification trials (default 200)")
 
     parser = _Parser(prog="bbsl2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in ("recognize-odd", "recognize-char2", "frobenius", "field-report"):
-        sub.add_parser(mode, parents=[common, group])
+        sub.add_parser(mode, parents=[common, group] + ([] if mode == "frobenius" else [trials]))
     sub.add_parser("selftest", parents=[common])
     return parser
 
@@ -79,7 +84,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
@@ -109,15 +114,6 @@ def _degree(args, fallback: int | None = None) -> int | None:
         raise InputError("--k and --n disagree")
     k = args.k if args.k is not None else args.n
     return k if k is not None else fallback
-
-
-def _settle_flags(args) -> None:
-    """Give --opaque/--transparent and --trials their defaults, and check the trials."""
-    if args.opaque is None:
-        args.opaque = True
-    if args.trials is None:
-        args.trials = 200
-    check_trials(args.trials)
 
 
 def _check_flags(args, p: int, k: int) -> None:
@@ -156,9 +152,10 @@ def _box_from_args(args, params: dict, desc: dict | None):
     field = ExplicitField.polynomial_field(p, k)
     if mats is not None:
         mats = [_parse_matrix(field, g) for g in mats]
-    backend = MatrixBackend(field, center_quotient=cq, opaque=args.opaque, seed=args.seed)
+    opaque = args.opaque is not False  # None: neither flag given
+    backend = MatrixBackend(field, center_quotient=cq, opaque=opaque, seed=args.seed)
     box = backend.blackbox(mats)
-    params.update({"p": p, "k": k, "q": p**k, "center_quotient": cq, "opaque": args.opaque})
+    params.update({"p": p, "k": k, "q": p**k, "center_quotient": cq, "opaque": opaque})
     return box, p, k
 
 
@@ -186,12 +183,14 @@ def _recover(box, p: int, k: int, seed: int, trials: int):
 
 def _recognize(args, params: dict, desc: dict | None) -> dict:
     """Recover the group of recognize-odd, recognize-char2 or field-report."""
+    trials = 200 if args.trials is None else args.trials
+    check_trials(trials)
     if args.mode == "recognize-char2":
         if args.p not in (None, 2):
             raise InputError("recognize-char2 works in characteristic 2 only")
         args.p = 2
     box, p, k = _box_from_args(args, params, desc)
-    result = _recover(box, p, k, args.seed, args.trials)
+    result = _recover(box, p, k, args.seed, trials)
     params.update(result.params)
     verification = {**result.extras, **result.verification}
     return _report(args, params, result.stages, verification, result.explicit)
@@ -203,34 +202,21 @@ def _mode_frobenius(args, params: dict, desc: dict | None) -> dict:
     rec = StageRecorder(box)
     frame = find_standard_generators(box, p, k, rng, rec)
     with rec.stage("frobenius"):
-        fro = frobenius_on_sl2(box, frame.u, frame.h, frame.weyl, p, k, rng)
-    with rec.stage("verify"):
-        order_passes = mult_passes = 0
-        for _ in range(args.trials):
-            x = y = fro.sample(rng)
-            for _ in range(k):
-                y = fro(y)
-            if fro.compare(y, x):
-                order_passes += 1
-            a, b = fro.sample(rng), fro.sample(rng)
-            if fro.compare(fro(fro.mul(a, b)), fro.mul(fro(a), fro(b))):
-                mult_passes += 1
-        verification = {
-            "shift_order_identity": {"trials": args.trials, "passes": order_passes},
-            "shift_multiplicative": {"trials": args.trials, "passes": mult_passes},
-            # proved in the frobenius stage: frobenius_on_sl2 raises
-            # ContractViolation unless all three hold
-            "fixes_unipotent_tuple": True,
-            "fixes_weyl_tuple": True,
-            "torus_tuple_power_map": True,
-            "is_center_quotient": frame.is_psl,
-        }
+        frobenius_on_sl2(box, frame.u, frame.h, frame.weyl, p, k, rng)
+    verification = {
+        # the shift fixes the constant tuples by construction; its action on
+        # the torus tuple depends on h, and frobenius_on_sl2 raises
+        # ContractViolation unless it is the p-th power
+        "fixes_unipotent_tuple": True,
+        "fixes_weyl_tuple": True,
+        "torus_tuple_power_map": True,
+        "is_center_quotient": frame.is_psl,
+    }
     return _report(args, params, rec.stages, verification)
 
 
 def _mode_field_report(args, params: dict, desc: dict | None) -> dict:
     if desc is None or "c" not in desc:
-        _settle_flags(args)
         return _recognize(args, params, desc)
     if args.trials is not None or args.opaque is not None:
         raise InputError("a field file takes no --trials, --opaque or --transparent")
@@ -327,10 +313,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     params: dict = {}
     try:
+        if args.seed < 0:  # Random(-s) draws the stream of Random(s)
+            raise InputError(f"--seed must be at least 0, got {args.seed}")
         if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise InputError(f"--out is a directory or in a missing one: {args.out}")
-        if args.mode not in ("field-report", "selftest"):
-            _settle_flags(args)
         desc = _load_json(args.input) if getattr(args, "input", None) else None
         report = _MODES[args.mode](args, params, desc)
     except InputError as exc:

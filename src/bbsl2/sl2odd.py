@@ -217,8 +217,10 @@ class SteinbergMorphism:
     def __call__(self, mat) -> ElementString:
         """Apply to a 2x2 matrix with entries in self.explicit (ints)."""
         E = self.explicit
-        a, b = mat[0]
-        c, d = mat[1]
+        try:
+            (a, b), (c, d) = mat
+        except (TypeError, ValueError) as exc:
+            raise InputError("the matrix must be 2x2") from exc
         q = E.order
         if not (type(a) is type(b) is type(c) is type(d) is int and 0 <= min(a, b, c, d) and max(a, b, c, d) < q):
             raise InputError("matrix entries must be field elements in [0, q)")

@@ -172,6 +172,9 @@ def test_backend_rejects_bad_generators():
     for x in (1.9, True, "1"):
         with pytest.raises(InputError):
             be.blackbox([((x, 0), (0, 1))])
+    for m in ([[1, 0, 0], [0, 1]], 5, [[1, 0]]):
+        with pytest.raises(InputError):
+            be.blackbox([m])
     with pytest.raises(InputError):
         MatrixBackend(F, special=False, center_quotient=True)
 

@@ -1,8 +1,10 @@
 """CLI contract: modes, report schema, exit codes, determinism."""
 import importlib.resources
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,6 +15,8 @@ from bbsl2.cli import main
 from bbsl2.field import ExplicitField
 
 from brute import scrambled
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +56,22 @@ def test_recognize_char2_success_and_schema(tmp_path, schema):
     assert rep["verification"]["phi_homomorphism_checks"]["passes"] == 40
 
 
-def test_frobenius_mode(tmp_path, schema):
-    rep = _run(tmp_path, ["frobenius", "--p", "3", "--k", "2", "--seed", "1", "--trials", "40"])
+def test_frobenius_mode(tmp_path, schema, capsys):
+    rep = _run(tmp_path, ["frobenius", "--p", "3", "--k", "2", "--seed", "1"])
     jsonschema.validate(rep, schema)
-    v = rep["verification"]
-    assert v["shift_order_identity"]["passes"] == 40
-    assert v["shift_multiplicative"]["passes"] == 40
-    assert v["fixes_unipotent_tuple"] and v["fixes_weyl_tuple"] and v["torus_tuple_power_map"]
+    names = [s["name"] for s in rep["stages"]]
+    assert names == ["unipotent", "classify", "torus", "weyl", "frobenius"]
+    assert rep["verification"] == {
+        "fixes_unipotent_tuple": True,
+        "fixes_weyl_tuple": True,
+        "torus_tuple_power_map": True,
+        "is_center_quotient": False,
+    }
+    # the shift is checked once, on the torus tuple, so there are no trials to ask for
+    with pytest.raises(SystemExit) as e:
+        main(["frobenius", "--p", "3", "--k", "2", "--trials", "5"])
+    assert e.value.code == 1
+    assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
 
 def test_field_report_q9_has_eight_structure_entries(tmp_path, schema):
@@ -130,6 +143,10 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
     assert main(["recognize-char2", "--p", "13"]) == 1
     assert main(["recognize-odd"]) == 1
     assert main(["recognize-odd", "--input", str(tmp_path / "missing.json")]) == 1
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
+    assert main(["recognize-odd", "--input", str(not_utf8)]) == 1
+    assert "bbsl2: rejected input" in capsys.readouterr().err
     assert main(["recognize-odd", "--p", "13", "--k", "1", "--n", "2"]) == 1
     # an --out that is a directory, or in a missing one: rejected before the run
     for out in (tmp_path, tmp_path / "missing" / "report.json"):
@@ -173,7 +190,7 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
-@pytest.mark.parametrize("mode", ["recognize-odd", "recognize-char2", "frobenius", "field-report"])
+@pytest.mark.parametrize("mode", ["recognize-odd", "recognize-char2", "field-report"])
 def test_trials_below_one_exit_1(mode, trials, tmp_path, capsys):
     # a report of zero trials would read as verified while checking nothing
     p = "2" if mode == "recognize-char2" else "13"
@@ -181,6 +198,16 @@ def test_trials_below_one_exit_1(mode, trials, tmp_path, capsys):
     assert main([mode, "--p", p, "--k", "3" if p == "2" else "1", "--trials", trials,
                  "--out", str(out)]) == 1
     assert "trial" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["recognize-odd", "--p", "13"], ["selftest"]],
+                         ids=["recognize-odd", "selftest"])
+def test_negative_seed_exit_1(argv, tmp_path, capsys):
+    # Random(-s) draws the stream of Random(s), and the report schema wants seed >= 0
+    out = tmp_path / "report.json"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    assert "bbsl2: rejected input" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -376,3 +403,15 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["mode"] == "selftest"
     assert proc.stdout == ""  # report went to the file, not stdout
+
+
+def _quick_start_commands():
+    block = README.read_text(encoding="utf-8").split("## Quick start", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bbsl2 ")]
+
+
+@pytest.mark.parametrize("argv", _quick_start_commands(), ids=" ".join)
+def test_readme_quick_start_runs(argv, tmp_path, monkeypatch):
+    # the README's first commands, as a reader would type them, in a fresh directory
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

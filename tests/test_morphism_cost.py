@@ -69,6 +69,7 @@ def test_sl2_81_recognition_cost_is_pinned():
     assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
     assert ops.muls == 13_340
     assert ops.invs == 1_476
+    assert ops.compares == 1_285
 
 
 def test_psl2_81_recognition_cost_is_pinned():
@@ -79,7 +80,7 @@ def test_psl2_81_recognition_cost_is_pinned():
     ops = count_base_ops(box)
     res = recover_psl2(box, 3, 4, random.Random(0), trials=200)
     assert res.verification["phi_homomorphism_checks"] == {"trials": 200, "passes": 200}
-    assert ops.snapshot() == (13_434, 1_475, 1_297)
+    assert ops.snapshot() == (13_434, 1_475, 1_289)
 
 
 def test_sl2_256_recognition_cost_is_pinned():

@@ -1,29 +1,14 @@
 """Seeded CLI reports against golden copies.
 
 ``golden_reports.json`` holds the report of each case below with its
-``elapsed_ms`` fields removed, as written by the CLI before frame
-finding and the recognition tail were shared between the pipelines.
-The ``recognize-char2-8`` entry was re-captured when characteristic 2
-began reading coordinates through the trace form, which changed its
-stages, basis and verification keys. The ``frobenius-9`` verify stage
-(0 -> 60 samples) and the ``recognize-odd-psl13-input`` weyl stage
-(24 -> 25) were re-captured when draws from ``SubgroupBox`` and
-``DirectProductBox`` wrappers began to count on the base box; that
-weyl stage was re-captured again (25 -> 1) when PSL2 stopped searching
-the involution centralizer and began to share the SL2 sweep over
-random conjugates of u. Every field but ``elapsed_ms`` is a pure
+``elapsed_ms`` fields removed. Every field but ``elapsed_ms`` is a pure
 function of the seed, so a refactor that keeps the oracle calls and the
 sampling order reproduces each report exactly: stage names,
 samples_used, verification, structure constants.
 
-``field-report-gf81-input`` was captured just before the CLI began to
-read its input once and to build every report through one helper. It
-reports the isomorphism from a recovered GF(3^4) presentation, the
-normal basis that ``recover_psl2`` finds for SL2(81), so the isomorphism
-search really runs. ``selftest-1`` was re-captured when selftest began
-to run three recognitions on both string kinds instead of checking the
-backend against brute-force matrices: its verification keys name the
-groups, and its ``params`` hold the trial count instead of ``opaque``.
+``field-report-gf81-input`` reports the isomorphism from a recovered
+GF(3^4) presentation, the normal basis that ``recover_psl2`` finds for
+SL2(81), so the isomorphism search really runs.
 """
 import json
 from pathlib import Path
@@ -60,14 +45,10 @@ CASES = {
     "recognize-odd-9": ["recognize-odd", "--p", "3", "--k", "2", "--seed", "1", "--trials", "20"],
     "recognize-odd-psl13-input": ["recognize-odd", "--input", "{psl13}", "--seed", "3", "--trials", "20"],
     "recognize-char2-8": ["recognize-char2", "--n", "3", "--seed", "2", "--trials", "20"],
-    "frobenius-9": ["frobenius", "--p", "3", "--k", "2", "--seed", "1", "--trials", "20"],
+    "frobenius-9": ["frobenius", "--p", "3", "--k", "2", "--seed", "1"],
     "field-report-gf81-input": ["field-report", "--input", "{gf81}", "--seed", "5"],
     "selftest-1": ["selftest", "--seed", "1"],
 }
-
-# the frobenius report's single "frame" stage is now the four stages of
-# find_standard_generators; their samples add up to the old total
-FRAME_STAGES = [("unipotent", 3), ("classify", 1), ("torus", 18), ("weyl", 3)]
 
 
 def run_case(argv, tmp_path) -> dict:
@@ -83,21 +64,7 @@ def run_case(argv, tmp_path) -> dict:
     return report
 
 
-@pytest.mark.parametrize("name", [n for n in CASES if not n.startswith("frobenius")])
+@pytest.mark.parametrize("name", CASES)
 def test_recognition_report_matches_golden(name, tmp_path):
     assert run_case(CASES[name], tmp_path) == GOLDEN[name]
 
-
-def test_frobenius_report_splits_frame_stage(tmp_path):
-    got = run_case(CASES["frobenius-9"], tmp_path)
-    want = GOLDEN["frobenius-9"]
-    frame = [(s["name"], s["samples_used"]) for s in got["stages"][:4]]
-    assert frame == FRAME_STAGES
-    assert all(s["ok"] for s in got["stages"])
-    old_frame, *old_rest = want["stages"]
-    assert old_frame["name"] == "frame"
-    assert sum(n for _, n in FRAME_STAGES) == old_frame["samples_used"]
-    assert got["stages"][4:] == old_rest
-    assert {k: v for k, v in got.items() if k != "stages"} == {
-        k: v for k, v in want.items() if k != "stages"
-    }

@@ -170,6 +170,8 @@ def test_steinberg_rejects_non_unit_determinant():
     # and so is an entry that is no int, which would index a table as a float
     box, be, phi = _standard_morphism(13, 1)
     bad = [((2, 0), (0, 2)), ((1, 13), (0, 1)), ((14, 0), (0, 14)), ((1, -1), (0, 1))]
+    # and a shape that is not 2x2, which unpacking would reject with a Python error
+    bad += [[[1, 0, 0], [0, 1]], 5, [[1, 0]]]
     for m in bad + [((1, 0.5), (0, 1)), ((1.0, 1), (0, 1)), ((1, True), (0, 1))]:
         with pytest.raises(InputError):
             phi(m)
