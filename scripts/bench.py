@@ -3,7 +3,7 @@
 
 Oracle counts are complete base-box totals from
 ``perfbench/counting.count_base_ops``, which also sees the raw calls of
-``SubgroupBox`` and the Frobenius tuple group. Times are the best of five
+``SubgroupBox``, the Frobenius tuple group among them. Times are the best of five
 rounds unless said otherwise. The sections:
 
 - ``meta``: the Python version, ``os.cpu_count()`` and ``src_lines``, the

@@ -1,24 +1,21 @@
 """Command-line driver for the recognition pipelines.
 
 Modes: recognize-odd (odd-characteristic (P)SL2(p^k) recovery),
-recognize-char2 (SL2(2^n) recovery), frobenius (find the frame and
-build the cyclic-shift Frobenius map, checking its action on the torus
-tuple), field-report (emit structure constants and the isomorphism to
-the standard presentation), selftest (recognize SL2(5), PSL2(9) and
-SL2(16), one box per backend kernel, on opaque and on transparent
-strings).
+recognize-char2 (SL2(2^n) recovery), field-report (prove an explicit
+field file to be F_q and report its isomorphism to the standard
+presentation), selftest (recognize SL2(5), PSL2(9) and SL2(16), one box
+per backend kernel, on opaque and on transparent strings).
 
-The group comes either from --p/--k/--n, building a backend over the
-standard generators, or from --input, a JSON file {"p": int, "k": int,
-"n": int, "center_quotient": bool, "generators": [[[entries]]]} holding
-row-major 2x2 matrices whose entries are residues (k = 1) or
-length-k coordinate vectors over the prime field in the polynomial
-basis (k > 1). field-report also accepts an explicit field
-serialization {"p", "k", "c"} and then skips recognition, so it takes
-no --trials or --opaque/--transparent. frobenius runs no trials and
-takes no --trials. selftest builds its own boxes, runs both string kinds
-and 200 trials, and takes only --seed and --out. A seed below 0 is
-rejected in every mode.
+The recognition modes take the group either from --p/--k/--n, building
+a backend over the standard generators, or from --input, a JSON file
+{"p": int, "k": int, "n": int, "center_quotient": bool, "generators":
+[[[entries]]]} holding nested 2x2 matrices whose entries are residues
+(k = 1) or length-k coordinate vectors over the prime field in the
+polynomial basis (k > 1). field-report takes only --input, a field
+serialization {"p", "k", "c"} such as the structure_constants object of
+a recognition report. selftest builds its own boxes, runs both string
+kinds and 200 trials, and takes only --seed and --out. A seed below 0
+is rejected in every mode.
 
 Reports are JSON: {"mode", "seed", "params", "stages": [{name,
 samples_used, elapsed_ms, ok}], "verification": {...}} plus optional
@@ -37,10 +34,8 @@ import sys
 from .backend import MatrixBackend, make_matrix_blackbox
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
-from .frobenius import frobenius_on_sl2
 from .sl2char2 import recover_char2
-from .sl2odd import check_odd_params, check_trials, find_standard_generators, recover_psl2
-from .stages import StageRecorder
+from .sl2odd import check_char2_degree, check_odd_params, check_trials, recover_psl2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,9 +49,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     group = argparse.ArgumentParser(add_help=False)
-    # --opaque/--transparent and --trials parse to None when absent, so that a
-    # field file, which takes neither, can tell them from their defaults;
-    # frobenius runs no trials, so only the recognition modes take --trials
     opacity = group.add_mutually_exclusive_group()
     opacity.add_argument(
         "--opaque", dest="opaque", action="store_true", help="encrypted strings (default)"
@@ -64,18 +56,19 @@ def _build_parser() -> _Parser:
     opacity.add_argument(
         "--transparent", dest="opaque", action="store_false", help="canonical byte strings"
     )
-    group.set_defaults(opaque=None)
-    group.add_argument("--input", help="JSON group description or explicit field file")
+    group.set_defaults(opaque=True)
+    group.add_argument("--input", help="JSON group description file")
     group.add_argument("--p", type=int, help="field characteristic")
     group.add_argument("--k", type=int, help="field degree over the prime field")
     group.add_argument("--n", type=int, help="degree synonym used in characteristic 2")
-    trials = argparse.ArgumentParser(add_help=False)
-    trials.add_argument("--trials", type=int, help="verification trials (default 200)")
+    group.add_argument("--trials", type=int, default=200, help="verification trials (default 200)")
 
     parser = _Parser(prog="bbsl2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("recognize-odd", "recognize-char2", "frobenius", "field-report"):
-        sub.add_parser(mode, parents=[common, group] + ([] if mode == "frobenius" else [trials]))
+    for mode in ("recognize-odd", "recognize-char2"):
+        sub.add_parser(mode, parents=[common, group])
+    report = sub.add_parser("field-report", parents=[common])
+    report.add_argument("--input", required=True, help="explicit field file {p, k, c}")
     sub.add_parser("selftest", parents=[common])
     return parser
 
@@ -101,11 +94,9 @@ def _entry_to_element(field: ExplicitField, entry) -> int:
 
 
 def _parse_matrix(field: ExplicitField, mat):
-    if isinstance(mat, list) and len(mat) == 4:
-        mat = [mat[:2], mat[2:]]
     if not (isinstance(mat, list) and len(mat) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in mat)):
-        raise InputError("each generator must be a 2x2 matrix, nested or row-major flat")
+        raise InputError("each generator must be a 2x2 matrix [[a, b], [c, d]]")
     return tuple(tuple(_entry_to_element(field, e) for e in row) for row in mat)
 
 
@@ -116,20 +107,14 @@ def _degree(args, fallback: int | None = None) -> int | None:
     return k if k is not None else fallback
 
 
-def _check_flags(args, p: int, k: int) -> None:
-    """Reject --p, --k or --n values that disagree with an input file's p and k."""
-    if args.p is not None and args.p != p:
-        raise InputError("--p disagrees with the input file")
-    if _degree(args) not in (None, k):
-        raise InputError("--k/--n disagrees with the input file")
-
-
 def _box_from_args(args, params: dict, desc: dict | None):
     """Build the black box, recording p, k, and input details in params."""
+    char2 = args.mode == "recognize-char2"
     if desc is None:
-        if args.p is None:
+        p = 2 if char2 and args.p is None else args.p
+        if p is None:
             raise InputError("need --p (or --input)")
-        p, k, cq, mats = args.p, _degree(args, fallback=1), False, None
+        k, cq, mats = _degree(args, fallback=1), False, None
     else:
         mats = desc.get("generators")
         if not isinstance(mats, list) or not mats:
@@ -141,21 +126,27 @@ def _box_from_args(args, params: dict, desc: dict | None):
         k = degrees[0]
         if any(type(d) is not int or d != k for d in degrees) or k < 1:
             raise InputError("group description degree must be one positive integer")
-        _check_flags(args, p, k)
+        if args.p not in (None, p):
+            raise InputError("--p disagrees with the input file")
+        if _degree(args) not in (None, k):
+            raise InputError("--k/--n disagrees with the input file")
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")
-    if p != 2:  # reject a bad p, k or q before any field table is built
+    # reject a bad p, k or q before any field table is built
+    if (p == 2) != char2:
+        want = "characteristic 2" if char2 else "odd characteristic"
+        raise InputError(f"{args.mode} wants {want}, not p = {p}")
+    if char2:
+        check_char2_degree(k)
+    else:
         check_odd_params(p, k)
-    elif args.mode in ("recognize-odd", "frobenius"):
-        raise InputError(f"{args.mode} wants odd characteristic; use recognize-char2")
     field = ExplicitField.polynomial_field(p, k)
     if mats is not None:
         mats = [_parse_matrix(field, g) for g in mats]
-    opaque = args.opaque is not False  # None: neither flag given
-    backend = MatrixBackend(field, center_quotient=cq, opaque=opaque, seed=args.seed)
+    backend = MatrixBackend(field, center_quotient=cq, opaque=args.opaque, seed=args.seed)
     box = backend.blackbox(mats)
-    params.update({"p": p, "k": k, "q": p**k, "center_quotient": cq, "opaque": opaque})
+    params.update({"p": p, "k": k, "q": p**k, "center_quotient": cq, "opaque": args.opaque})
     return box, p, k
 
 
@@ -182,46 +173,17 @@ def _recover(box, p: int, k: int, seed: int, trials: int):
 
 
 def _recognize(args, params: dict, desc: dict | None) -> dict:
-    """Recover the group of recognize-odd, recognize-char2 or field-report."""
-    trials = 200 if args.trials is None else args.trials
-    check_trials(trials)
-    if args.mode == "recognize-char2":
-        if args.p not in (None, 2):
-            raise InputError("recognize-char2 works in characteristic 2 only")
-        args.p = 2
+    """Recover the group of recognize-odd or recognize-char2."""
+    check_trials(args.trials)
     box, p, k = _box_from_args(args, params, desc)
-    result = _recover(box, p, k, args.seed, trials)
+    result = _recover(box, p, k, args.seed, args.trials)
     params.update(result.params)
     verification = {**result.extras, **result.verification}
     return _report(args, params, result.stages, verification, result.explicit)
 
 
-def _mode_frobenius(args, params: dict, desc: dict | None) -> dict:
-    box, p, k = _box_from_args(args, params, desc)
-    rng = random.Random(args.seed)
-    rec = StageRecorder(box)
-    frame = find_standard_generators(box, p, k, rng, rec)
-    with rec.stage("frobenius"):
-        frobenius_on_sl2(box, frame.u, frame.h, frame.weyl, p, k, rng)
-    verification = {
-        # the shift fixes the constant tuples by construction; its action on
-        # the torus tuple depends on h, and frobenius_on_sl2 raises
-        # ContractViolation unless it is the p-th power
-        "fixes_unipotent_tuple": True,
-        "fixes_weyl_tuple": True,
-        "torus_tuple_power_map": True,
-        "is_center_quotient": frame.is_psl,
-    }
-    return _report(args, params, rec.stages, verification)
-
-
-def _mode_field_report(args, params: dict, desc: dict | None) -> dict:
-    if desc is None or "c" not in desc:
-        return _recognize(args, params, desc)
-    if args.trials is not None or args.opaque is not None:
-        raise InputError("a field file takes no --trials, --opaque or --transparent")
+def _mode_field_report(args, params: dict, desc: dict) -> dict:
     explicit = ExplicitField.from_dict(desc)
-    _check_flags(args, explicit.p, explicit.k)
     params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
     iso = explicit.validate()
     verification = {"ring_iso_to_standard": True, "iso_matrix": iso.matrix}
@@ -274,7 +236,6 @@ def _mode_selftest(args, params: dict, desc: None) -> dict:
 _MODES = {
     "recognize-odd": _recognize,
     "recognize-char2": _recognize,
-    "frobenius": _mode_frobenius,
     "field-report": _mode_field_report,
     "selftest": _mode_selftest,
 }

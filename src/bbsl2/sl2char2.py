@@ -46,7 +46,7 @@ from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
 from .involutions import bray_centralizer, find_order3_inverted, is_involution
-from .sl2odd import check_trials, finish_recognition
+from .sl2odd import check_char2_degree, check_trials, finish_recognition
 from .stages import RecognitionResult, StageRecorder
 
 
@@ -294,8 +294,7 @@ def recover_char2(
 ) -> RecognitionResult:
     """Full recognition run for SL2(2^n); see the module docstring."""
     check_trials(trials)
-    if n < 2:
-        raise InputError("n must be at least 2: SL2(2) is solvable and out of scope")
+    check_char2_degree(n)
     q = 1 << n
     rec = StageRecorder(box)
 

@@ -1,4 +1,5 @@
 """CLI contract: modes, report schema, exit codes, determinism."""
+import argparse
 import importlib.resources
 import json
 import shlex
@@ -11,7 +12,7 @@ import pytest
 
 from bbsl2 import backend
 from bbsl2.backend import MatrixBackend
-from bbsl2.cli import main
+from bbsl2.cli import _build_parser, main
 from bbsl2.field import ExplicitField
 
 from brute import scrambled
@@ -56,31 +57,18 @@ def test_recognize_char2_success_and_schema(tmp_path, schema):
     assert rep["verification"]["phi_homomorphism_checks"]["passes"] == 40
 
 
-def test_frobenius_mode(tmp_path, schema, capsys):
-    rep = _run(tmp_path, ["frobenius", "--p", "3", "--k", "2", "--seed", "1"])
-    jsonschema.validate(rep, schema)
-    names = [s["name"] for s in rep["stages"]]
-    assert names == ["unipotent", "classify", "torus", "weyl", "frobenius"]
-    assert rep["verification"] == {
-        "fixes_unipotent_tuple": True,
-        "fixes_weyl_tuple": True,
-        "torus_tuple_power_map": True,
-        "is_center_quotient": False,
-    }
-    # the shift is checked once, on the torus tuple, so there are no trials to ask for
-    with pytest.raises(SystemExit) as e:
-        main(["frobenius", "--p", "3", "--k", "2", "--trials", "5"])
-    assert e.value.code == 1
-    assert "unrecognized arguments: --trials" in capsys.readouterr().err
-
-
 def test_field_report_q9_has_eight_structure_entries(tmp_path, schema):
-    rep = _run(tmp_path, ["field-report", "--p", "3", "--k", "2", "--seed", "4", "--trials", "20"])
-    jsonschema.validate(rep, schema)
+    # the structure_constants object of a recognition report is a field file
+    rep = _run(tmp_path, ["recognize-odd", "--p", "3", "--k", "2", "--seed", "4", "--trials", "20"])
     c = rep["structure_constants"]["c"]
     entries = [x for plane in c for row in plane for x in row]
     assert len(entries) == 8
-    ExplicitField(3, 2, c).validate()
+    path = tmp_path / "gf9.json"
+    path.write_text(json.dumps(rep["structure_constants"]))
+    rep = _run(tmp_path, ["field-report", "--input", str(path)])
+    jsonschema.validate(rep, schema)
+    assert rep["verification"]["ring_iso_to_standard"] is True
+    assert rep["structure_constants"]["c"] == c
 
 
 def test_selftest_mode(tmp_path, schema):
@@ -174,7 +162,7 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
     for n, (mode, desc) in enumerate(bad_files):
         path = tmp_path / f"loose{n}.json"
         path.write_text(json.dumps(desc))
-        assert main([mode, "--input", str(path), "--trials", "5"]) == 1, desc
+        assert main([mode, "--input", str(path)]) == 1, desc
         assert "bbsl2: rejected input" in capsys.readouterr().err
     # a degree below 1, from the flags: rejected before any irreducible is searched for
     for argv in (
@@ -182,15 +170,13 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
         ["recognize-odd", "--p", "5", "--k", "-1"],
         ["recognize-char2", "--n", "0"],
         ["recognize-char2", "--n", "-1"],
-        ["field-report", "--p", "2", "--k", "0"],
-        ["frobenius", "--p", "3", "--k", "0"],
     ):
         assert main(argv) == 1, argv
         assert "bbsl2: rejected input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
-@pytest.mark.parametrize("mode", ["recognize-odd", "recognize-char2", "field-report"])
+@pytest.mark.parametrize("mode", ["recognize-odd", "recognize-char2"])
 def test_trials_below_one_exit_1(mode, trials, tmp_path, capsys):
     # a report of zero trials would read as verified while checking nothing
     p = "2" if mode == "recognize-char2" else "13"
@@ -224,12 +210,14 @@ def test_composite_p_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["recognize-odd", "--p", "7"],
     ["recognize-odd", "--p", "1000003"],
-    ["frobenius", "--p", "2", "--k", "3"],
-    ["field-report", "--p", "11"],
+    ["recognize-odd", "--p", "2", "--k", "3"],
+    ["recognize-char2", "--n", "1"],
+    ["recognize-char2", "--n", "0"],
 ])
 def test_bad_group_parameters_exit_1_before_a_field_is_built(argv, monkeypatch, capsys):
-    # q = 3 mod 4 or p = 2 in an odd mode: the field of a large p would cost
-    # seconds and hundreds of MB before the pipeline said no
+    # q = 3 mod 4, p = 2 in the odd mode or SL2(2) in the char-2 mode: the
+    # field of a large p would cost seconds and hundreds of MB before the
+    # pipeline said no
     def no_field(p, k):
         raise AssertionError(f"built GF({p}^{k}) for rejected parameters")
 
@@ -238,10 +226,31 @@ def test_bad_group_parameters_exit_1_before_a_field_is_built(argv, monkeypatch, 
     assert "bbsl2: rejected input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, p", [("recognize-char2", 13), ("recognize-odd", 2)])
+def test_group_file_of_the_other_characteristic_names_the_mode(mode, p, tmp_path, monkeypatch, capsys):
+    # no flag disagrees with the file, so the error is the mode's, before any field is built
+    def no_field(p, k):
+        raise AssertionError(f"built GF({p}^{k}) for a file of the wrong characteristic")
+
+    monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"p": p, "k": 3, "generators": [[[1, 1], [0, 1]]]}))
+    assert main([mode, "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert mode in err and "--p" not in err
+
+
+def test_schema_modes_are_the_cli_modes(schema):
+    # a mode deleted from the parser must not linger in the report schema
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(schema["properties"]["mode"]["enum"]) == sorted(sub.choices)
+
+
 def test_usage_errors_exit_1():
-    with pytest.raises(SystemExit) as e:
-        main(["bogus-mode"])
-    assert e.value.code == 1
+    for mode in ("bogus-mode", "frobenius"):
+        with pytest.raises(SystemExit) as e:
+            main([mode, "--p", "3", "--k", "4"])
+        assert e.value.code == 1
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 1
@@ -293,42 +302,18 @@ def test_field_report_accepts_explicit_field_json(tmp_path, schema):
     assert rep["structure_constants"]["c"] == [[list(r) for r in pl] for pl in F.c]
 
 
-def test_field_report_checks_flags_against_field_file(tmp_path, capsys):
-    path = tmp_path / "gf9.json"
-    path.write_text(json.dumps(ExplicitField.polynomial_field(3, 2).to_dict()))
-    for flags in (["--p", "5", "--k", "7"], ["--p", "5"], ["--k", "7"], ["--n", "3"]):
-        assert main(["field-report", "--input", str(path)] + flags) == 1, flags
-        assert "disagrees with the input file" in capsys.readouterr().err
-    rep = _run(tmp_path, ["field-report", "--input", str(path), "--p", "3", "--n", "2"])
-    assert rep["params"] == {"p": 3, "k": 2, "q": 9}
-
-
 @pytest.mark.parametrize("flags", [
-    ["--trials", "7", "--transparent"], ["--trials", "200"], ["--opaque"], ["--transparent"],
+    ["--p", "5"], ["--k", "7"], ["--n", "3"], ["--trials", "200"], ["--opaque"], ["--transparent"],
 ])
 def test_field_report_rejects_flags_a_field_file_ignores(tmp_path, capsys, flags):
-    # a field file is not recognized, so it has no trials and no strings
+    # a field file is not recognized: it names its own p and k, and has no
+    # trials and no strings, so a group or codec flag is a usage error
     path = tmp_path / "gf9.json"
     path.write_text(json.dumps(ExplicitField.polynomial_field(3, 2).to_dict()))
-    assert main(["field-report", "--input", str(path)] + flags) == 1
-    assert "a field file takes no" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("mode, argv", [
-    ("recognize-odd", ["--p", "13", "--seed", "7", "--trials", "20"]),
-    ("recognize-odd", ["--input", "{psl13}", "--seed", "3", "--trials", "20", "--transparent"]),
-    ("recognize-char2", ["--p", "2", "--n", "3", "--seed", "2", "--trials", "20"]),
-], ids=["odd", "odd-input", "char2"])
-def test_field_report_on_a_group_is_the_recognition_report(mode, argv, tmp_path):
-    # one recognition path: the two reports differ in their mode and timings only
-    psl13 = tmp_path / "psl13.json"
-    psl13.write_text(json.dumps({"p": 13, "k": 1, "center_quotient": True,
-                                 "generators": [[[1, 1], [0, 1]], [[0, 1], [12, 0]]]}))
-    argv = [a.format(psl13=psl13) for a in argv]
-    want = _strip_timing(_run(tmp_path, [mode] + argv))
-    got = _strip_timing(_run(tmp_path, ["field-report"] + argv))
-    assert got.pop("mode") == "field-report" and want.pop("mode") == mode
-    assert got == want
+    with pytest.raises(SystemExit) as e:
+        main(["field-report", "--input", str(path)] + flags)
+    assert e.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_monte_carlo_failure_exit_2_names_stage(tmp_path, schema):
@@ -377,7 +362,7 @@ def test_selftest_rejects_group_flags(flags, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_field_report_reads_a_group_file_once(tmp_path, monkeypatch):
+def test_recognize_odd_reads_a_group_file_once(tmp_path, monkeypatch):
     path = tmp_path / "psl13.json"
     path.write_text(json.dumps({"p": 13, "k": 1, "center_quotient": True,
                                 "generators": [[[1, 1], [0, 1]], [[0, 1], [12, 0]]]}))
@@ -389,7 +374,7 @@ def test_field_report_reads_a_group_file_once(tmp_path, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
-    _run(tmp_path, ["field-report", "--input", str(path), "--seed", "3", "--trials", "5"])
+    _run(tmp_path, ["recognize-odd", "--input", str(path), "--seed", "3", "--trials", "5"])
     assert len(reads) == 1
 
 
