@@ -6,22 +6,22 @@ field file to be F_q and report its isomorphism to the standard
 presentation), selftest (recognize SL2(5), PSL2(9) and SL2(16), one box
 per backend kernel, on opaque and on transparent strings).
 
-The recognition modes take the group either from --p/--k/--n, building
-a backend over the standard generators, or from --input, a JSON file
-{"p": int, "k": int, "n": int, "center_quotient": bool, "generators":
-[[[entries]]]} holding nested 2x2 matrices whose entries are residues
-(k = 1) or length-k coordinate vectors over the prime field in the
-polynomial basis (k > 1). field-report takes only --input, a field
-serialization {"p", "k", "c"} such as the structure_constants object of
-a recognition report. selftest builds its own boxes, runs both string
-kinds and 200 trials, and takes only --seed and --out. A seed below 0
-is rejected in every mode.
+recognize-odd takes the group from --p and --k (default 1), and
+recognize-char2 from --n, over the standard generators; or either takes
+--input, a JSON file {"p": int, "k": int, "center_quotient": bool,
+"generators": [[[entries]]]} holding nested 2x2 matrices whose entries
+are residues (k = 1) or length-k coordinate vectors over the prime
+field in the polynomial basis (k > 1); any other key is rejected.
+field-report takes only --input, a field serialization {"p", "k", "c"}
+such as the structure_constants object of a recognition report, and
+--out. selftest takes only --seed and --out. A seed below 0 is rejected.
 
 Reports are JSON: {"mode", "seed", "params", "stages": [{name,
 samples_used, elapsed_ms, ok}], "verification": {...}} plus optional
-"structure_constants"; they validate against report.schema.json shipped
-with the package. Exit codes: 0 verified success, 1 rejected input,
-2 Monte Carlo budget exhausted, 3 contract violation.
+"structure_constants"; field-report draws nothing at random and reports
+no "seed". They validate against report.schema.json shipped with the
+package. Exit codes: 0 verified success, 1 rejected input, 2 Monte
+Carlo budget exhausted, 3 contract violation.
 """
 from __future__ import annotations
 
@@ -45,10 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--out", help="write the JSON report here instead of stdout")
-    group = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the JSON report here instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    group = argparse.ArgumentParser(add_help=False, parents=[seeded])
     opacity = group.add_mutually_exclusive_group()
     opacity.add_argument(
         "--opaque", dest="opaque", action="store_true", help="encrypted strings (default)"
@@ -58,18 +59,18 @@ def _build_parser() -> _Parser:
     )
     group.set_defaults(opaque=True)
     group.add_argument("--input", help="JSON group description file")
-    group.add_argument("--p", type=int, help="field characteristic")
-    group.add_argument("--k", type=int, help="field degree over the prime field")
-    group.add_argument("--n", type=int, help="degree synonym used in characteristic 2")
     group.add_argument("--trials", type=int, default=200, help="verification trials (default 200)")
 
     parser = _Parser(prog="bbsl2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("recognize-odd", "recognize-char2"):
-        sub.add_parser(mode, parents=[common, group])
-    report = sub.add_parser("field-report", parents=[common])
+    odd = sub.add_parser("recognize-odd", parents=[group])
+    odd.add_argument("--p", type=int, help="field characteristic")
+    odd.add_argument("--k", type=int, help="field degree over F_p (default 1)")
+    char2 = sub.add_parser("recognize-char2", parents=[group])
+    char2.add_argument("--n", type=int, help="field degree over F_2")
+    report = sub.add_parser("field-report", parents=[out])
     report.add_argument("--input", required=True, help="explicit field file {p, k, c}")
-    sub.add_parser("selftest", parents=[common])
+    sub.add_parser("selftest", parents=[seeded])
     return parser
 
 
@@ -100,36 +101,36 @@ def _parse_matrix(field: ExplicitField, mat):
     return tuple(tuple(_entry_to_element(field, e) for e in row) for row in mat)
 
 
-def _degree(args, fallback: int | None = None) -> int | None:
-    if args.k is not None and args.n is not None and args.k != args.n:
-        raise InputError("--k and --n disagree")
-    k = args.k if args.k is not None else args.n
-    return k if k is not None else fallback
+_GROUP_KEYS = ("p", "k", "center_quotient", "generators")
 
 
 def _box_from_args(args, params: dict, desc: dict | None):
     """Build the black box, recording p, k, and input details in params."""
     char2 = args.mode == "recognize-char2"
+    # recognize-char2 has no --p, and --n is its degree
+    p_flag, k_flag, k_name = (None, args.n, "--n") if char2 else (args.p, args.k, "--k")
     if desc is None:
-        p = 2 if char2 and args.p is None else args.p
-        if p is None:
+        if char2 and k_flag is None:
+            raise InputError("need --n (or --input)")
+        if not char2 and p_flag is None:
             raise InputError("need --p (or --input)")
-        k, cq, mats = _degree(args, fallback=1), False, None
+        p = 2 if char2 else p_flag
+        k, cq, mats = 1 if k_flag is None else k_flag, False, None
     else:
+        unknown = [key for key in desc if key not in _GROUP_KEYS]
+        if unknown:
+            raise InputError(f"group description file has unknown key {unknown[0]!r}; "
+                             f"its keys are {', '.join(_GROUP_KEYS)}")
         mats = desc.get("generators")
         if not isinstance(mats, list) or not mats:
             raise InputError("group description file needs a nonempty 'generators' list")
-        p = desc.get("p")
-        if type(p) is not int:
-            raise InputError("group description file needs an integer 'p'")
-        degrees = [desc[key] for key in ("k", "n") if key in desc] or [1]
-        k = degrees[0]
-        if any(type(d) is not int or d != k for d in degrees) or k < 1:
-            raise InputError("group description degree must be one positive integer")
-        if args.p not in (None, p):
+        p, k = desc.get("p"), desc.get("k", 1)
+        if type(p) is not int or type(k) is not int:
+            raise InputError("group description file needs an integer 'p' and 'k'")
+        if p_flag not in (None, p):
             raise InputError("--p disagrees with the input file")
-        if _degree(args) not in (None, k):
-            raise InputError("--k/--n disagrees with the input file")
+        if k_flag not in (None, k):
+            raise InputError(f"{k_name} disagrees with the input file")
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")
@@ -154,11 +155,12 @@ def _report(args, params: dict, stages, verification: dict, explicit=None) -> di
     """The report of every mode, successful or not; json writes tuples as lists."""
     report = {
         "mode": args.mode,
-        "seed": args.seed,
         "params": params,
         "stages": [s.as_json() for s in stages],
         "verification": verification,
     }
+    if "seed" in args:  # field-report draws nothing at random
+        report["seed"] = args.seed
     if explicit is not None:
         report["structure_constants"] = explicit.to_dict()
     return report
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     params: dict = {}
     try:
-        if args.seed < 0:  # Random(-s) draws the stream of Random(s)
+        if getattr(args, "seed", 0) < 0:  # Random(-s) draws the stream of Random(s)
             raise InputError(f"--seed must be at least 0, got {args.seed}")
         if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise InputError(f"--out is a directory or in a missing one: {args.out}")

@@ -279,9 +279,6 @@ class ExplicitField:
         fld.one = 1  # basis vector 0 is the polynomial 1
         return fld
 
-    def same_presentation(self, other: "ExplicitField") -> bool:
-        return self.p == other.p and self.k == other.k and self.c == other.c
-
 
 @dataclass
 class FieldIsomorphism:
@@ -328,8 +325,6 @@ def explicit_isomorphism(a_field: ExplicitField, b_field: ExplicitField) -> Fiel
     """Field isomorphism between two presentations of the same finite field."""
     if a_field.order != b_field.order:
         raise InputError("fields have different orders")
-    if a_field.same_presentation(b_field):
-        return FieldIsomorphism(a_field, b_field, modp.mat_identity(a_field.k))
     p = a_field.p
     g = a_field.field_generator()
     root = find_root(a_field.minimal_polynomial(g), b_field)

@@ -2,6 +2,7 @@
 import argparse
 import importlib.resources
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -128,14 +129,13 @@ def test_opaque_transparent_same_statistics(tmp_path):
 def test_rejected_inputs_exit_1(tmp_path, capsys):
     assert main(["recognize-odd", "--p", "7", "--k", "1"]) == 1
     assert main(["recognize-odd", "--p", "2", "--k", "3"]) == 1
-    assert main(["recognize-char2", "--p", "13"]) == 1
     assert main(["recognize-odd"]) == 1
+    assert main(["recognize-char2"]) == 1
     assert main(["recognize-odd", "--input", str(tmp_path / "missing.json")]) == 1
     not_utf8 = tmp_path / "not-utf8.json"
     not_utf8.write_bytes(b"\xff\xfe\x00")
     assert main(["recognize-odd", "--input", str(not_utf8)]) == 1
     assert "bbsl2: rejected input" in capsys.readouterr().err
-    assert main(["recognize-odd", "--p", "13", "--k", "1", "--n", "2"]) == 1
     # an --out that is a directory, or in a missing one: rejected before the run
     for out in (tmp_path, tmp_path / "missing" / "report.json"):
         assert main(["recognize-odd", "--p", "13", "--out", str(out)]) == 1
@@ -156,7 +156,6 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
         ("field-report", {"p": 3, "k": 1, "c": [[[True]]]}),
         ("recognize-odd", {"p": 13, "k": 1, "center_quotient": "false", "generators": gens}),
         ("recognize-odd", {"p": 13, "k": True, "generators": gens}),
-        ("recognize-odd", {"p": 13, "k": 1, "n": True, "generators": gens}),
         ("recognize-odd", {"p": 13, "k": 1, "generators": [[[True, 1], [0, 1]], gens[1]]}),
     ]
     for n, (mode, desc) in enumerate(bad_files):
@@ -179,10 +178,9 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["recognize-odd", "recognize-char2"])
 def test_trials_below_one_exit_1(mode, trials, tmp_path, capsys):
     # a report of zero trials would read as verified while checking nothing
-    p = "2" if mode == "recognize-char2" else "13"
+    group = ["--n", "3"] if mode == "recognize-char2" else ["--p", "13", "--k", "1"]
     out = tmp_path / "report.json"
-    assert main([mode, "--p", p, "--k", "3" if p == "2" else "1", "--trials", trials,
-                 "--out", str(out)]) == 1
+    assert main([mode, *group, "--trials", trials, "--out", str(out)]) == 1
     assert "trial" in capsys.readouterr().err
     assert not out.exists()
 
@@ -226,6 +224,28 @@ def test_bad_group_parameters_exit_1_before_a_field_is_built(argv, monkeypatch, 
     assert "bbsl2: rejected input" in capsys.readouterr().err
 
 
+def test_char2_without_n_names_n_before_a_field_is_built(monkeypatch, capsys):
+    # no degree 1 fallback: the error is about the missing flag, not about n = 1
+    def no_field(p, k):
+        raise AssertionError(f"built GF({p}^{k}) without a degree")
+
+    monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
+    assert main(["recognize-char2", "--trials", "5"]) == 1
+    assert "need --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["centre_quotient", "n"])
+def test_group_file_with_an_unknown_key_names_it(key, tmp_path, capsys):
+    # a misspelled key would otherwise take its default silently: PSL2(13) read as SL2(13)
+    path = tmp_path / "psl13.json"
+    path.write_text(json.dumps({"p": 13, "k": 1, key: True,
+                                "generators": [[[1, 1], [0, 1]], [[0, 1], [12, 0]]]}))
+    out = tmp_path / "report.json"
+    assert main(["recognize-odd", "--input", str(path), "--out", str(out)]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, p", [("recognize-char2", 13), ("recognize-odd", 2)])
 def test_group_file_of_the_other_characteristic_names_the_mode(mode, p, tmp_path, monkeypatch, capsys):
     # no flag disagrees with the file, so the error is the mode's, before any field is built
@@ -240,13 +260,28 @@ def test_group_file_of_the_other_characteristic_names_the_mode(mode, p, tmp_path
     assert mode in err and "--p" not in err
 
 
+def _mode_parsers() -> dict:
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def test_schema_modes_are_the_cli_modes(schema):
     # a mode deleted from the parser must not linger in the report schema
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(schema["properties"]["mode"]["enum"]) == sorted(sub.choices)
+    assert sorted(schema["properties"]["mode"]["enum"]) == sorted(_mode_parsers())
 
 
-def test_usage_errors_exit_1():
+def test_readme_lists_each_modes_flags():
+    # one README line per mode, "- `mode`: `--flag` ...", names exactly the
+    # flags its subparser takes, so a flag added or dropped shows there
+    contract = README.read_text(encoding="utf-8").split("## CLI contract", 1)[1].split("\n## ", 1)[0]
+    readme = {mode: set(re.findall(r"--[a-z0-9-]+", flags))
+              for mode, flags in re.findall(r"^- `([a-z0-9-]+)`: (.*)$", contract, re.M)}
+    parser = {mode: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+              for mode, sub in _mode_parsers().items()}
+    assert readme == parser
+
+
+def test_usage_errors_exit_1(capsys):
     for mode in ("bogus-mode", "frobenius"):
         with pytest.raises(SystemExit) as e:
             main([mode, "--p", "3", "--k", "4"])
@@ -254,6 +289,15 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 1
+    # one name per setting: recognize-char2 has no --p and names its degree
+    # --n, and recognize-odd names its degree --k
+    for argv in (["recognize-char2", "--p", "2"], ["recognize-char2", "--k", "3"],
+                 ["recognize-odd", "--n", "1"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_generator_file_input(tmp_path, schema):
@@ -268,8 +312,9 @@ def test_generator_file_input(tmp_path, schema):
     rep = _run(tmp_path, ["recognize-odd", "--input", str(path), "--seed", "3", "--trials", "30"])
     jsonschema.validate(rep, schema)
     assert rep["params"]["q"] == 13
-    # --p disagreeing with the file is a rejected input
+    # --p or --k disagreeing with the file is a rejected input
     assert main(["recognize-odd", "--input", str(path), "--p", "5"]) == 1
+    assert main(["recognize-odd", "--input", str(path), "--k", "2"]) == 1
 
 
 def test_generator_file_with_coordinate_vectors(tmp_path, schema):
@@ -304,10 +349,12 @@ def test_field_report_accepts_explicit_field_json(tmp_path, schema):
 
 @pytest.mark.parametrize("flags", [
     ["--p", "5"], ["--k", "7"], ["--n", "3"], ["--trials", "200"], ["--opaque"], ["--transparent"],
+    ["--seed", "5"],
 ])
 def test_field_report_rejects_flags_a_field_file_ignores(tmp_path, capsys, flags):
     # a field file is not recognized: it names its own p and k, and has no
-    # trials and no strings, so a group or codec flag is a usage error
+    # trials, no strings and no randomness, so a group, codec or seed flag
+    # is a usage error
     path = tmp_path / "gf9.json"
     path.write_text(json.dumps(ExplicitField.polynomial_field(3, 2).to_dict()))
     with pytest.raises(SystemExit) as e:
