@@ -11,7 +11,7 @@ from .blackbox import BlackBoxGroup, ElementString, SubgroupBox, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, FieldIsomorphism, explicit_isomorphism
 from .frobenius import FrobeniusMap, frobenius_on_sl2
-from .involutions import bray_centralizer, bray_element, to_involution
+from .involutions import to_involution
 from .sl2char2 import Char2Field, recover_char2
 from .sl2odd import StandardFrame, SteinbergMorphism, find_standard_generators, recover_psl2
 from .stages import RecognitionResult, StageInfo, StageRecorder
@@ -35,8 +35,6 @@ __all__ = [
     "StandardFrame",
     "SteinbergMorphism",
     "SubgroupBox",
-    "bray_centralizer",
-    "bray_element",
     "build_field_on_U",
     "element_order",
     "explicit_isomorphism",

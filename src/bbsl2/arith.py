@@ -1,18 +1,16 @@
 """Integer helpers: primality, factorization, p-parts, and the one
 square-and-multiply, shared by box, field and polynomial powers.
 
-Factorization is trial division by the 168 primes below 1,000, then
-Pollard's rho with Brent cycling on any cofactor left. The inputs are
-global exponents of small matrix groups, whose prime factors are mostly
-tiny, so this is fast, dependency-free and next to free to set up.
+Factorization is trial division by every d with d^2 at most the
+cofactor left. The inputs are the global exponents p(q^2 - 1) of groups
+over fields of at most 2^20 elements, their divisors, and p^n - 1 for
+such fields: every prime factor is at most q + 1, so d never passes
+2^20 + 1. Primality is Miller-Rabin, which rejects a huge p at once.
 """
 from __future__ import annotations
 
-import math
-import random
 from functools import lru_cache
 
-_TRIAL_PRIMES = tuple(n for n in range(2, 1000) if all(n % d for d in range(2, math.isqrt(n) + 1)))
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -40,53 +38,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    # returns a nontrivial factor of composite odd n
-    while True:
-        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
-        g, r, q = 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 @lru_cache(maxsize=4096)
 def _factorint_cached(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
     if n > 1:
-        stack = [n]
-        rng = random.Random(0xBB)
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            d = _brent_rho(m, rng)
-            stack.extend((d, m // d))
-    return tuple(sorted(out.items()))
+        out[n] = 1
+    return tuple(out.items())
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -47,6 +47,15 @@ from . import modp
 from .arith import is_prime, power
 from .errors import ContractViolation, InputError
 
+MAX_ORDER = 1 << 20  # every field is held as O(q) tables
+
+
+def check_order(p: int, k: int) -> int:
+    """q = p^k, or InputError above MAX_ORDER; for p >= 2, before any large power."""
+    if k >= MAX_ORDER.bit_length() or p**k > MAX_ORDER:
+        raise InputError(f"GF({p}^{k}) is out of scope: fields have at most 2^20 elements")
+    return p**k
+
 
 def _xor_rows(rows, x: int) -> int:
     """The XOR of rows[i] over the set bits i of x: x times a matrix over F_2."""
@@ -65,13 +74,13 @@ class ExplicitField:
             raise InputError("p, k and the structure constants must be integers")
         if not is_prime(p) or k < 1:
             raise InputError("need a prime p and k >= 1")
+        self.order = check_order(p, k)
         c = tuple(tuple(tuple(x % p for x in row) for row in plane) for plane in c)
         if len(c) != k or any(len(pl) != k or any(len(r) != k for r in pl) for pl in c):
             raise InputError("structure constants must form a k*k*k array")
         self.p = p
         self.k = k
         self.c = c
-        self.order = p**k
         self._c00 = c[0][0][0]
         # for p = 2, basis_i * basis_j as a bit vector: the packed product XORs these
         self._rows = tuple(tuple(self.element(r) for r in plane) for plane in c) if p == 2 else None
@@ -270,6 +279,7 @@ class ExplicitField:
             raise InputError(f"p = {p} is not a prime")
         if k < 1:
             raise InputError(f"need k >= 1, not k = {k}")
+        check_order(p, k)
         f = modp.smallest_irreducible(p, k)
         powers = []  # x^s mod f; x^i * x^j depends on i + j only
         for s in range(2 * k - 1):

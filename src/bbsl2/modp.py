@@ -8,14 +8,10 @@ from __future__ import annotations
 
 from functools import cache
 
-from .arith import factorint, power
+from .arith import power
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
-
-
-def mat_identity(k: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
 def mat_mul(a: Mat, b: Mat, p: int) -> Mat:
@@ -137,27 +133,26 @@ def poly_powmod(f: Poly, e: int, g: Poly, p: int) -> Poly:
 
 
 def poly_gcd(f: Poly, g: Poly, p: int) -> Poly:
+    """A greatest common divisor, up to a unit factor."""
     f, g = poly_trim(f), poly_trim(g)
     while g:
         f, g = g, poly_mod(f, g, p)
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = tuple(c * inv % p for c in f)
     return f
 
 
 def is_irreducible(f: Poly, p: int) -> bool:
-    """Rabin test: x^(p^k) = x mod f and no proper-subfield collapse."""
+    """Ben-Or: f of degree k >= 1 is irreducible over F_p exactly when
+    gcd(x^(p^i) - x, f) = 1 for every i <= k/2, since a reducible f has an
+    irreducible factor of degree i <= k/2, and x^(p^i) - x is the product
+    of the monic irreducibles of degree dividing i."""
     f = poly_trim(f)
     k = len(f) - 1
     if k < 1:
         return False
-    x: Poly = (0, 1)
-    if poly_powmod(x, p**k, f, p) != poly_mod(x, f, p):
-        return False
-    for ell in factorint(k):
-        h = poly_add(poly_powmod(x, p ** (k // ell), f, p), tuple(-c % p for c in x), p)
-        if len(poly_gcd(h, f, p)) > 1:
+    y = poly_mod((0, 1), f, p)  # x^(p^i) mod f
+    for _ in range(k // 2):
+        y = poly_powmod(y, p, f, p)
+        if len(poly_gcd(poly_add(y, (0, p - 1), p), f, p)) > 1:
             return False
     return True
 

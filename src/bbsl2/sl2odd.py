@@ -24,6 +24,7 @@ from .backend import _mul_kernel
 from .bbfield import build_field_on_U
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
+from .field import check_order
 from .frobenius import frobenius_on_sl2
 from .involutions import random_involution
 from .stages import RecognitionResult, StageRecorder
@@ -148,7 +149,7 @@ def check_odd_params(p: int, k: int) -> int:
         raise InputError(f"p = {p} is not a prime")
     if k < 1:
         raise InputError("need k >= 1")
-    q = p**k
+    q = check_order(p, k)
     if q % 4 != 1:
         raise InputError("q must be 1 mod 4")
     return q
@@ -157,6 +158,7 @@ def check_odd_params(p: int, k: int) -> int:
 def check_char2_degree(n: int) -> None:
     if n < 2:
         raise InputError("n must be at least 2: SL2(2) is solvable and out of scope")
+    check_order(2, n)
 
 
 def find_standard_generators(

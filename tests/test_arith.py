@@ -1,5 +1,4 @@
 """Integer arithmetic helpers: factorization and part extraction."""
-import inspect
 import itertools
 import math
 import os
@@ -15,8 +14,8 @@ from bbsl2 import arith
 from bbsl2.arith import coprime_part, factorint, is_prime, p_part
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# primes just above the trial-division bound of 1,000, whose products
-# and powers only Brent's rho can split
+# primes just above 1,000, whose products and powers have no factor
+# below 1,000, so trial division has to run past d = 1,000
 _ABOVE_TRIAL_BOUND = (1009, 1013, 1019, 1021, 1031, 1033)
 
 
@@ -61,34 +60,14 @@ def test_factorint_semiprimes_above_trial_bound(p, q):
     _assert_factorization(p * q, f)
 
 
-def _rho_retry_line() -> int:
-    """The first line of ``_brent_rho``'s step-by-step retry after g == n."""
-    lines, start = inspect.getsourcelines(arith._brent_rho)
-    return start + next(i for i, line in enumerate(lines) if "if g == n:" in line) + 1
-
-
 def test_factorint_prime_powers_above_trial_bound():
-    # a square or cube is where the batched gcd can swallow every factor
-    # at once (g == n), so rho must retry step by step
-    retry, seen = _rho_retry_line(), set()
-
-    def lines(frame, event, arg):
-        seen.add(frame.f_lineno)
-        return lines
-
-    def tracer(frame, event, arg):
-        return lines if frame.f_code is arith._brent_rho.__code__ else None
-
+    # a square or cube must come out as one prime with its multiplicity
     arith._factorint_cached.cache_clear()
-    sys.settrace(tracer)
-    try:
-        results = {(p, e): factorint(p**e) for p in _ABOVE_TRIAL_BOUND for e in (2, 3)}
-    finally:
-        sys.settrace(None)
-    for (p, e), f in results.items():
-        assert f == {p: e}
-        _assert_factorization(p**e, f)
-    assert retry in seen
+    for p in _ABOVE_TRIAL_BOUND:
+        for e in (2, 3):
+            f = factorint(p**e)
+            assert f == {p: e}
+            _assert_factorization(p**e, f)
 
 
 def test_factorint_mersenne_numbers_and_odd_grid_orders():

@@ -211,17 +211,33 @@ def test_composite_p_exit_1(tmp_path, capsys):
     ["recognize-odd", "--p", "2", "--k", "3"],
     ["recognize-char2", "--n", "1"],
     ["recognize-char2", "--n", "0"],
+    ["recognize-odd", "--p", "3", "--k", "14"],
+    ["recognize-odd", "--p", "3", "--k", "100000"],
+    ["recognize-odd", "--p", "1048601"],
+    ["recognize-char2", "--n", "21"],
 ])
 def test_bad_group_parameters_exit_1_before_a_field_is_built(argv, monkeypatch, capsys):
-    # q = 3 mod 4, p = 2 in the odd mode or SL2(2) in the char-2 mode: the
-    # field of a large p would cost seconds and hundreds of MB before the
-    # pipeline said no
+    # q = 3 mod 4, p = 2 in the odd mode, SL2(2) in the char-2 mode, or q
+    # above 2^20: the field of a large q would cost seconds and hundreds
+    # of MB before the pipeline said no
     def no_field(p, k):
         raise AssertionError(f"built GF({p}^{k}) for rejected parameters")
 
     monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
     assert main(argv) == 1
     assert "bbsl2: rejected input" in capsys.readouterr().err
+
+
+def test_field_file_above_2_20_elements_exit_1_before_a_field_is_built(tmp_path, monkeypatch, capsys):
+    # validating GF(1048583) would build the standard field's million-entry tables
+    def no_field(p, k):
+        raise AssertionError(f"built GF({p}^{k}) for a field file above 2^20 elements")
+
+    monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 1048583, "k": 1, "c": [[[1]]]}))
+    assert main(["field-report", "--input", str(path)]) == 1
+    assert "at most 2^20 elements" in capsys.readouterr().err
 
 
 def test_char2_without_n_names_n_before_a_field_is_built(monkeypatch, capsys):

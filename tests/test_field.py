@@ -114,7 +114,7 @@ def test_isomorphism_to_scrambled_presentation(F):
 
 def test_isomorphism_same_presentation_is_identity(F):
     iso = explicit_isomorphism(F, F)
-    assert iso.matrix == modp.mat_identity(F.k)
+    assert iso.matrix == tuple(tuple(int(i == j) for j in range(F.k)) for i in range(F.k))
     for a in list(F.elements())[:50]:
         assert iso(a) == a
 
@@ -128,6 +128,16 @@ def test_json_roundtrip(F):
 def test_standard_field_rejects_degree_below_one(p, k):
     with pytest.raises(InputError):
         ExplicitField.polynomial_field(p, k)
+
+
+def test_box_above_2_20_elements_rejected_before_a_polynomial_search(monkeypatch):
+    # GF(3^14): the irreducible search alone would run before the tables
+    def no_search(p, k):
+        raise AssertionError(f"searched for an irreducible of degree {k} over F_{p}")
+
+    monkeypatch.setattr(modp, "smallest_irreducible", no_search)
+    with pytest.raises(InputError):
+        make_matrix_blackbox(3, 14)
 
 
 def test_isomorphism_rejects_mismatched_orders():

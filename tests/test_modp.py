@@ -15,6 +15,10 @@ def _rand_mat(draw, p, k):
     )
 
 
+def _identity(k):
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+
 @st.composite
 def _invertible(draw):
     p = draw(_PRIMES)
@@ -24,7 +28,7 @@ def _invertible(draw):
         if modp.mat_det(m, p) != 0:
             return p, m
     # fall back to the identity rather than reject-loop forever
-    return p, modp.mat_identity(k)
+    return p, _identity(k)
 
 
 @given(_invertible())
@@ -32,8 +36,8 @@ def _invertible(draw):
 def test_mat_inv_roundtrip(pm):
     p, m = pm
     k = len(m)
-    assert modp.mat_mul(m, modp.mat_inv(m, p), p) == modp.mat_identity(k)
-    assert modp.mat_mul(modp.mat_inv(m, p), m, p) == modp.mat_identity(k)
+    assert modp.mat_mul(m, modp.mat_inv(m, p), p) == _identity(k)
+    assert modp.mat_mul(modp.mat_inv(m, p), m, p) == _identity(k)
 
 
 def test_solve_rectangular_consistent_and_inconsistent():
@@ -52,28 +56,63 @@ def _poly_eval(f, x, p):
     return acc
 
 
+def _monic(p, k):
+    """Every monic polynomial of degree k over F_p."""
+    for n in range(p**k):
+        coeffs = []
+        for _ in range(k):
+            coeffs.append(n % p)
+            n //= p
+        yield tuple(coeffs) + (1,)
+
+
 def test_irreducibility_matches_root_search_deg2_deg3():
     for p in (2, 3, 5):
         for k in (2, 3):
-            for n in range(p**k):
-                coeffs = []
-                m = n
-                for _ in range(k):
-                    coeffs.append(m % p)
-                    m //= p
-                f = tuple(coeffs) + (1,)  # monic degree k
+            for f in _monic(p, k):
                 # degree 2 and 3: irreducible over F_p iff no root
                 rootless = all(_poly_eval(f, x, p) != 0 for x in range(p))
                 assert modp.is_irreducible(f, p) == rootless, (p, f)
 
 
+def _has_small_factor(f, p):
+    k = len(f) - 1
+    return any(not modp.poly_mod(f, g, p) for d in range(1, k // 2 + 1) for g in _monic(p, d))
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (5, 4)])
+def test_irreducibility_matches_factor_search(p, k):
+    # from degree 4 on, a reducible polynomial can have no root, such as
+    # (x^2 + 1)^2 over F_3, so a root search would not do
+    rootless_reducible = 0
+    for f in _monic(p, k):
+        reducible = _has_small_factor(f, p)
+        assert modp.is_irreducible(f, p) == (not reducible), (p, f)
+        rootless_reducible += reducible and all(_poly_eval(f, x, p) for x in range(p))
+    assert rootless_reducible
+
+
+# the standard presentations, on which the golden iso matrices and pins rest
+_SMALLEST_IRREDUCIBLE = {
+    (2, 2): (1, 1, 1),  # x^2 + x + 1
+    (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
+    (3, 2): (1, 0, 1),  # x^2 + 1
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 1): (0, 1),
+    (29, 1): (0, 1),
+}
+
+
 def test_smallest_irreducible_frozen():
-    assert modp.smallest_irreducible(2, 2) == (1, 1, 1)  # x^2 + x + 1
-    assert modp.smallest_irreducible(2, 3) == (1, 1, 0, 1)  # x^3 + x + 1
-    assert modp.smallest_irreducible(3, 2) == (1, 0, 1)  # x^2 + 1
-    for p, k in [(2, 8), (3, 4), (13, 2)]:
-        f = modp.smallest_irreducible(p, k)
-        assert len(f) == k + 1 and f[-1] == 1
+    for (p, k), f in _SMALLEST_IRREDUCIBLE.items():
+        assert modp.smallest_irreducible(p, k) == f, (p, k)
         assert modp.is_irreducible(f, p)
 
 
