@@ -23,7 +23,8 @@ rounds unless said otherwise. The sections:
   stage on a recovered presentation: a fresh copy's log tables, then
   ``validate``, which finds and proves the isomorphism to the standard one.
 - ``cold_start``: ms and peak RSS (MB) of a fresh interpreter's import of
-  bbsl2, then of its building the ten odd-grid boxes; best of three.
+  bbsl2, then of its building the ten odd-grid boxes, then the four
+  char2-grid boxes, whose fields the odd ones do not share; best of three.
 - ``runs``: per group of the grid and seed, the stage samples,
   verification, base-box counts and seconds of a run on opaque strings.
   Seed 0 also runs on transparent strings, each kind timed after a
@@ -60,8 +61,9 @@ _OP_GROUPS = [(13, 1, True), (3, 4, False), (13, 2, False), (2, 8, False)]
 _IMAGE_GROUPS = [(13, 1, True), (3, 4, False), (2, 4, False)]
 _LIFT_GROUPS = [(2, 4, False), (2, 8, False)]
 _FIELDS = [(2, 4), (2, 8), (2, 12), (3, 4), (13, 2)]
-# run in a fresh interpreter: import bbsl2, then build the odd-grid boxes
-# (q = 9, 13, 29, 81, 169, as SL2 and PSL2); prints ms and peak MB of each
+# run in a fresh interpreter: import bbsl2, build the odd-grid boxes (q = 9,
+# 13, 29, 81, 169, as SL2 and PSL2), then the char2-grid boxes (2^2, 2^3,
+# 2^4, 2^8); prints ms and peak MB of each step
 _COLD_START = """
 import json, resource, time
 t0 = time.perf_counter()
@@ -72,7 +74,10 @@ boxes = [bbsl2.make_matrix_blackbox(p, k, center_quotient=cq, seed=0)
          for p, k in ((3, 2), (13, 1), (29, 1), (3, 4), (13, 2)) for cq in (False, True)]
 t2 = time.perf_counter()
 rss2 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps([[1e3 * (t1 - t0), rss1], [1e3 * (t2 - t1), rss2]]))
+boxes += [bbsl2.make_matrix_blackbox(2, n, seed=0) for n in (2, 3, 4, 8)]
+t3 = time.perf_counter()
+rss3 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([[1e3 * (t1 - t0), rss1], [1e3 * (t2 - t1), rss2], [1e3 * (t3 - t2), rss3]]))
 """
 
 
@@ -200,7 +205,7 @@ def _cold_start() -> list:
     runs = [json.loads(subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout)
             for _ in range(3)]
     return [{"step": step, "ms": min(ms), "maxrss_mb": min(mb)}
-            for step, (ms, mb) in zip(("import", "boxes"), (zip(*s) for s in zip(*runs)))]
+            for step, (ms, mb) in zip(("import", "boxes", "char2-boxes"), (zip(*s) for s in zip(*runs)))]
 
 
 def _stats(res, ops, seconds: float) -> dict:

@@ -15,9 +15,8 @@ For p = 2 an element already is its coordinate bit vector, so the
 ring sum ``add`` is an XOR, the definition ``_mul_raw`` XORs the
 precomputed products of basis elements over the set bits of both
 factors, and every F_2-linear map (multiplication by a fixed element,
-an isomorphism) XORs the images of the basis elements. The digit sum
-``_add_raw`` serves only the odd-p Zech column. For odd p a linear map
-adds digit multiples of its rows, packed into slots of ints.
+an isomorphism) XORs the images of the basis elements. For odd p a
+linear map adds digit multiples of its rows, packed into slots of ints.
 
 For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
@@ -102,10 +101,7 @@ class ExplicitField:
     def elements(self):
         return range(self.order)
 
-    # -- the definitions: coordinate-wise sum, product by structure constants
-    def _add_raw(self, a: int, b: int) -> int:
-        return self.element(x + y for x, y in zip(self.coords(a), self.coords(b)))
-
+    # -- the definition: product by structure constants
     def _mul_raw(self, a: int, b: int) -> int:
         if self.p == 2:
             out = 0
@@ -145,14 +141,19 @@ class ExplicitField:
         of zero, L[0] = Z = 3n, exceeds every sum of two logs of nonzero
         elements. E[i] = g^i for i < 3n, then Z + 1 zeros, so a sum of logs
         with Z in it reads zero. For odd p and k > 1, zech[t] = L[1 + g^t]
-        over two periods, so Z where 1 + g^t = 0. k = 1 uses only g. The
-        walk tries g = 1, 2, ... once each, following the powers of g by the
-        linear map ``_times(g)`` until one repeats, and stops at the first g
-        whose q - 1 powers are distinct and close at the unity.
-        """
-        n, one = self.order - 1, self.one
+        over two periods, so Z where 1 + g^t = 0, with 1 + x read from a
+        table of all q sums built one base-p digit of the unity at a time.
+        k = 1 uses only g. The walk tries g = 1, 2, ... once each, following
+        the powers of g by the linear map ``_times(g)`` until one repeats,
+        and stops at the first g whose q - 1 powers are distinct and close
+        at the unity. For k > 1 it skips the multiples c * 1 of the unity,
+        whose powers c^i * 1 repeat within p - 1 < q - 1 steps."""
+        n, one, p = self.order - 1, self.one, self.p
         Z = 3 * n
+        skip = {self.scalar(c) for c in range(1, p)} if self.k > 1 else ()
         for g in range(1, self.order):
+            if g in skip:
+                continue
             times = self._times(g)
             log, exp, x = [Z] * self.order, [], one
             while x and log[x] == Z:
@@ -163,7 +164,13 @@ class ExplicitField:
                 break
         else:
             raise ContractViolation("no element of order q - 1: not a field")
-        zech = None if self.p == 2 or self.k == 1 else [log[self._add_raw(one, e)] for e in exp] * 2
+        zech = None
+        if p > 2 and self.k > 1:
+            plus, s = [0], 1  # plus[x] = x + 1 over the digits below s
+            for d in self.coords(one):
+                plus = [c * s + y for c in [(t + d) % p for t in range(p)] for y in plus]
+                s *= p
+            zech = [log[plus[e]] for e in exp] * 2
         return log, exp * 3 + [0] * (Z + 1), zech
 
     # -- ring operations ------------------------------------------------

@@ -157,11 +157,24 @@ def is_irreducible(f: Poly, p: int) -> bool:
     return True
 
 
+def _has_root(f: Poly, p: int) -> bool:
+    """Whether f vanishes at some a in F_p, by Horner."""
+    for a in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if not acc:
+            return True
+    return False
+
+
 @cache
 def smallest_irreducible(p: int, k: int) -> Poly:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
-    A pure function of (p, k), so it is computed once per process.
+    For k >= 2 a candidate with a root in F_p has a linear factor, so it
+    is rejected before Ben-Or. A pure function of (p, k), so it is
+    computed once per process.
     """
     # enumerate constant-first coefficient tuples in numeric order
     for code in range(p**k):
@@ -171,6 +184,6 @@ def smallest_irreducible(p: int, k: int) -> Poly:
             coeffs.append(c % p)
             c //= p
         f = tuple(coeffs) + (1,)
-        if is_irreducible(f, p):
+        if (k == 1 or not _has_root(f, p)) and is_irreducible(f, p):
             return f
     raise RuntimeError("unreachable: irreducibles of every degree exist")

@@ -6,10 +6,10 @@ matrices, element orders by repeated multiplication, centralizers and
 the upper unipotent group, computed on plain matrices with no black box
 in sight: the tests' independent ground truth at desk scale. They use
 only the reference ``mat_mul`` and ``mat_inv2``, never a backend kernel.
-Also the Frobenius map and absolute trace of an explicit field, and its
-presentation on a random new basis; reference copies of box searches
-that the package now runs more cheaply; and random elements of a
-recovered field.
+Also the digit-wise sum, Frobenius map and absolute trace of an explicit
+field, and its presentation on a random new basis; reference copies of
+box searches that the package now runs more cheaply; and random elements
+of a recovered field.
 """
 import random
 
@@ -18,6 +18,11 @@ from bbsl2.backend import Matrix, mat_identity, mat_inv2, mat_mul, mat_neg
 from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
 from bbsl2.sl2char2 import Char2Field
+
+
+def digit_add(F: ExplicitField, a: int, b: int) -> int:
+    """a + b by the definition: the coordinate-wise sum mod p."""
+    return F.element(x + y for x, y in zip(F.coords(a), F.coords(b)))
 
 
 def frobenius(F: ExplicitField, a: int) -> int:

@@ -11,7 +11,7 @@ from bbsl2 import make_matrix_blackbox, modp
 from bbsl2.errors import ContractViolation, InputError
 from bbsl2.field import ExplicitField, explicit_isomorphism, find_root
 
-from brute import frobenius, scrambled, trace
+from brute import digit_add, frobenius, scrambled, trace
 
 _SIZES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 1), (13, 1), (13, 2)]
 
@@ -241,11 +241,11 @@ def test_packed_gf2_ops_match_digitwise(k):
     F = ExplicitField.polynomial_field(2, k)
     for E in (F, scrambled(F, seed=40 + k)):
         coords = [E.coords(b) for b in E.elements()]
-        for a, av in enumerate(coords):
+        for a in E.elements():
             times = _digitwise_times(E, a)
             for b, bv in enumerate(coords):
                 assert E._mul_raw(a, b) == times(bv)
-                assert E._add_raw(a, b) == E.element(x + y for x, y in zip(av, bv))
+                assert E.add(a, b) == digit_add(E, a, b)
 
 
 # primitive_element() of the standard presentations; it fixes the torus
@@ -294,18 +294,24 @@ def test_every_changed_structure_constant_is_rejected(pk):
     assert caught_by_basis_pairs == (32 if p == 2 else 0)
 
 
+def _walk_candidates(F: ExplicitField, g: int) -> list[int]:
+    """1, ..., g without the multiples c * 1 of the unity, which for k > 1 cannot be primitive."""
+    units = {F.scalar(c) for c in range(1, F.p)} if F.k > 1 else set()
+    return [a for a in range(1, g + 1) if a not in units]
+
+
 @pytest.mark.parametrize("pk", [(3, 4), (5, 2), (7, 3), (11, 2), (13, 2)], ids=str)
 @pytest.mark.parametrize("scramble", [None, 3, 19])
 def test_odd_tables_walk_only_the_primitive_element(pk, scramble, monkeypatch):
-    # the walk stops at the primitive element g: it tries 1, 2, ..., g once
-    # each and nothing past g; a fresh copy, as the shared standard field
-    # may have its tables already
+    # the walk stops at the primitive element g: it tries each candidate
+    # below g that is not a multiple of the unity once, and nothing past g;
+    # a fresh copy, as the shared standard field may have its tables already
     F = ExplicitField.polynomial_field(*pk)
     F = ExplicitField(F.p, F.k, F.c) if scramble is None else scrambled(F, seed=scramble)
     walked, times = [], ExplicitField._times
     monkeypatch.setattr(ExplicitField, "_times", lambda self, g: walked.append(g) or times(self, g))
     g = F.primitive_element()
-    assert walked == list(range(1, g + 1))
+    assert walked == _walk_candidates(F, g)
     assert next(a for a in range(1, F.order) if _order(F, a) == F.order - 1) == g
 
 
@@ -323,6 +329,18 @@ def _walked_presentations():
         yield ExplicitField(F.p, F.k, F.c)
         yield from (scrambled(F, seed=s) for s in (3, 19))
     yield from (ExplicitField(p, 1, (((c,),),)) for p, c in [(13, 5), (7, 3), (29, 17)])
+
+
+def test_walk_skips_the_multiples_of_the_unity(monkeypatch):
+    # for k > 1 the order of c * 1 divides p - 1 < q - 1, so the walk never tries it
+    walked, times = [], ExplicitField._times
+    monkeypatch.setattr(ExplicitField, "_times", lambda self, g: walked.append(g) or times(self, g))
+    for F in (F for F in _walked_presentations() if F.k > 1):
+        walked.clear()
+        F.primitive_element()
+        for c in range(1, F.p):
+            assert _order(F, F.scalar(c)) < F.order - 1, (F.c, c)
+            assert F.scalar(c) not in walked, (F.c, c)
 
 
 def test_times_is_multiplication_by_the_definition():
@@ -344,7 +362,7 @@ def test_tables_match_a_walk_by_the_definition():
         log = [Z] * F.order
         for i, x in enumerate(exp):
             log[x] = i
-        zech = None if F.k == 1 else [log[F._add_raw(F.one, x)] for x in exp] * 2
+        zech = None if F.k == 1 else [log[digit_add(F, F.one, x)] for x in exp] * 2
         assert F._tables == (log, exp * 3 + [0] * (Z + 1), zech), F.c
 
 
@@ -356,7 +374,7 @@ def test_standard_field_and_its_tables_are_built_once_per_process(monkeypatch):
     sl2 = make_matrix_blackbox(3, 4, seed=1)
     psl2 = make_matrix_blackbox(3, 4, center_quotient=True, seed=1)
     assert sl2.backend.field is psl2.backend.field is ExplicitField.polynomial_field(3, 4)
-    assert walked == list(range(1, _PRIMITIVE[3, 4] + 1))
+    assert walked == [3]  # 1 and 2 are the unity and its negative
 
 
 def _evaluate(F: ExplicitField, f, a: int) -> int:

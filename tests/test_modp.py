@@ -116,6 +116,13 @@ def test_smallest_irreducible_frozen():
         assert modp.is_irreducible(f, p)
 
 
+@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7) for k in range(2, 12) if p**k <= 2_401])
+def test_smallest_irreducible_is_the_first_ben_or_accepts(p, k):
+    # the root check before Ben-Or rejects only reducible candidates
+    first = next(f for f in _monic(p, k) if modp.is_irreducible(f, p))
+    assert modp.smallest_irreducible(p, k) == first
+
+
 @given(
     st.sampled_from([2, 3, 5]),
     st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),

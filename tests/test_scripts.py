@@ -67,9 +67,9 @@ def test_bench_measurements(bench):
     rows = bench["off_box"]
     assert [r["field"] for r in rows] == ["GF(2^4)", "GF(2^8)", "GF(2^12)", "GF(3^4)", "GF(13^2)"]
     assert all(r["tables_ms"] > 0 and r["validate_ms"] > 0 for r in rows), rows
-    # ms and peak MB of a fresh interpreter's import, then of its boxes
+    # ms and peak MB of a fresh interpreter's import, then of its odd and char-2 boxes
     rows = bench["cold_start"]
-    assert [r["step"] for r in rows] == ["import", "boxes"]
+    assert [r["step"] for r in rows] == ["import", "boxes", "char2-boxes"]
     assert all(r["ms"] > 0 and r["maxrss_mb"] > 0 for r in rows), rows
 
 
