@@ -19,6 +19,10 @@ matrix and nonce and seals its bytes, ciphertext when opaque, on first
 read; decoding it reads the matrix, and any other string is decoded
 from its bytes. A box's raw operations are closures bound once per box.
 
+The hashes are BLAKE2b from ``_blake2``, which ``hashlib`` re-exports:
+importing ``hashlib`` would also load OpenSSL's libcrypto, which the
+codec never calls, and add about 3.6 MB to every process's peak memory.
+
 The module functions ``mat_mul``, ``mat_neg`` and ``mat_inv2`` are the
 reference definitions over ``ExplicitField``. A backend multiplies,
 negates and inverts with kernels built once for its field's
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from hashlib import blake2b
+from _blake2 import blake2b
 
 from .blackbox import BlackBoxGroup, ElementString
 from .errors import InputError
@@ -174,11 +178,12 @@ class MatrixBackend:
         A string's bytes are the four entries, row by row, as fixed-width
         big-endian integers. An opaque one is s || t for a fresh nonce r,
         with s = entries ^ G(r) and t = r ^ H(s), where G (``pad``) and
-        H (``seal``) are BLAKE2b keyed with the backend's key and told
-        apart by their personalization. Decoding undoes it with the same
-        two hashes: r = t ^ H(s), then entries = s ^ G(r). A changed bit
-        of s or t changes r and with it the whole pad G(r), so a changed
-        string decodes to unrelated entries.
+        H (``seal``) are ``_blake2``'s BLAKE2b, not ``hashlib``'s (see the
+        module docstring), keyed with the backend's key and told apart by
+        their personalization. Decoding undoes it with the same two
+        hashes: r = t ^ H(s), then entries = s ^ G(r). A changed bit of s
+        or t changes r and with it the whole pad G(r), so a changed string
+        decodes to unrelated entries.
 
         ``encode`` makes a handle: the canonical matrix, the nonce drawn
         now, and ``to_bytes``, which packs and encrypts only when the
@@ -194,7 +199,7 @@ class MatrixBackend:
         seal = blake2b(key=key, digest_size=_NONCE_BYTES, person=b"opacity-H").copy
         nonce = random.Random(f"opacity-nonce:{seed}").getrandbits
         nonce_bits = 8 * _NONCE_BYTES
-        from_bytes = int.from_bytes
+        from_bytes, new = int.from_bytes, object.__new__
 
         def parse(blob: bytes) -> Matrix:
             """The canonical matrix whose entries are ``blob``."""
@@ -231,7 +236,9 @@ class MatrixBackend:
         def encode(m: Matrix) -> ElementString:
             if canonical:
                 m = min(m, neg(m))
-            return ElementString(None, m, to_bytes, nonce(nonce_bits) if opaque else None)
+            e = new(ElementString)
+            e._data, e._value, e._seal, e._nonce = None, m, to_bytes, nonce(nonce_bits) if opaque else None
+            return e
 
         def decode(e: ElementString) -> Matrix:
             """The canonical matrix of ``e``."""
@@ -242,7 +249,8 @@ class MatrixBackend:
                 raise InputError("string has the wrong length for this box")
             return parse(decrypt(data) if opaque else data)
 
-        self._parse, self._decrypt, self.encode, self.decode = parse, decrypt, encode, decode
+        self._parse, self._decrypt, self._to_bytes = parse, decrypt, to_bytes
+        self.encode, self.decode = encode, decode
 
     # -- matrices of the standard frame -------------------------------------
     def standard_generators(self) -> list[Matrix]:
@@ -282,27 +290,33 @@ class MatrixBackend:
 class MatrixBlackBox(BlackBoxGroup):
     """A black box on a ``MatrixBackend``.
 
-    The raw operations are closures bound per instance: decode, the
-    backend's kernel, encode, with no attribute lookup per call. Each
-    result, generator and the identity is a handle, sealed only if read.
+    The raw operations are closures bound per instance: read the
+    operands, run the backend's kernel, encode, with no attribute lookup
+    per call. A handle of the backend's own is read inline from its
+    matrix; any other string, a bytes copy or another backend's handle,
+    is decoded from its bytes. Each result, generator and the identity
+    is a handle, sealed only if read.
     """
 
     def __init__(self, backend: MatrixBackend, generator_matrices):
         F = backend.field
         encode, decode, kernel, inv = backend.encode, backend.decode, backend.mul, backend.inv
+        own = backend._to_bytes
         gens = [encode(m) for m in generator_matrices]
         # every element order of GL2(q) divides p(q - 1) or q^2 - 1
         super().__init__(backend.string_bytes, F.p * (F.order**2 - 1), gens, encode(mat_identity(F)))
         self.backend = backend
 
         def _mul(a, b):
-            return encode(kernel(decode(a), decode(b)))
+            return encode(kernel(
+                a._value if a._seal is own else decode(a), b._value if b._seal is own else decode(b)
+            ))
 
         def _inv(a):
-            return encode(inv(decode(a)))
+            return encode(inv(a._value if a._seal is own else decode(a)))
 
         def _compare(a, b):
-            return decode(a) == decode(b)
+            return (a._value if a._seal is own else decode(a)) == (b._value if b._seal is own else decode(b))
 
         self._mul, self._inv, self._compare = _mul, _inv, _compare
 

@@ -25,10 +25,11 @@ class ElementString:
     """Opaque handle for one group element. Compare only via the box.
 
     ``ElementString(data)`` is a string given by its bytes. A box makes
-    its strings as handles instead: ``value`` is what the box reads back
-    (a canonical matrix, or a tuple of parts), ``nonce`` was drawn when
-    the string was made, and ``seal(value, nonce)`` computes the bytes
-    on the first read of ``data``. Equality and hash are identity.
+    its strings as handles instead (``MatrixBackend.encode`` fills their
+    slots directly): ``value`` is what the box reads back (a canonical
+    matrix, or a tuple of parts), ``nonce`` was drawn when the string was
+    made, and ``seal(value, nonce)`` computes the bytes on the first read
+    of ``data``. Equality and hash are identity.
     """
 
     __slots__ = ("_data", "_value", "_nonce", "_seal")

@@ -1,7 +1,11 @@
 """Black box group axioms over the matrix backend, opaque and transparent."""
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
 
 import brute
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_global_exponent_frozen_values():
@@ -447,3 +453,67 @@ def test_fused_raw_ops_match_the_backend_steps(p, k, cq, opaque):
             z, want = box._mul(x, y), twin.encode(twin.mul(twin.decode(x), twin.decode(y)))
         assert z.data == want.data
         xs.append(z)
+
+
+@pytest.mark.parametrize("p, k, cq", _FUSED_CASES)
+@pytest.mark.parametrize("opaque", (True, False))
+def test_raw_ops_read_other_strings_from_their_bytes(p, k, cq, opaque):
+    # a box reads its own handles inline; a handle of another backend over the
+    # same field, under another key, must be read from its bytes and never
+    # from the matrix it holds, so each raw op gives what the bytes decode to
+    # under this box's key, or raises InputError where they decode to none
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=11)
+    be = box.backend
+    other = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=12)
+    rng = random.Random(p * k + cq)
+    xs = [*_random_ops(box, rng, 30), *_random_ops(other, rng, 30)]
+    canon = (lambda m: min(m, be.neg(m))) if cq else (lambda m: m)
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except InputError:
+            return InputError
+
+    def read(x):
+        return be.decode(ElementString(x.data))
+
+    for _ in range(300):
+        x, y = rng.choice(xs), rng.choice(xs)
+        want = outcome(lambda: canon(be.mul(read(x), read(y))))
+        assert outcome(lambda: be.decode(box._mul(x, y))) == want
+        assert outcome(lambda: be.decode(box._inv(x))) == outcome(lambda: canon(be.inv(read(x))))
+        assert outcome(box._compare, x, y) == outcome(lambda: read(x) == read(y))
+
+
+@pytest.mark.parametrize("p, k, cq", _FUSED_CASES)
+@pytest.mark.parametrize("opaque", (True, False))
+def test_bytes_copies_act_as_the_handles(p, k, cq, opaque):
+    # a twin box of the same seed, given bytes copies of the box's handles,
+    # makes the same product bytes: both draw one nonce per op in one order
+    box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=11)
+    twin = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=11)
+    rng = random.Random(p * k + cq)
+    xs = list(box.generators)
+    for _ in range(300):
+        x, y = rng.choice(xs), rng.choice(xs)
+        cx, cy = ElementString(x.data), ElementString(y.data)
+        assert twin._compare(cx, cy) == box._compare(x, y)
+        if rng.random() < 0.25:
+            z, w = box._inv(x), twin._inv(cx)
+        else:
+            z, w = box._mul(x, y), twin._mul(cx, cy)
+        assert z.data == w.data
+        xs.append(z)
+
+
+def test_import_loads_no_openssl():
+    # the codec's BLAKE2b is CPython's own _blake2 module; hashlib would also
+    # load _hashlib and OpenSSL's libcrypto, which nothing here calls
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, bbsl2, bbsl2.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # and it is the same constructor, so every string keeps its bytes
+    assert backend.blake2b is hashlib.blake2b
