@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 
 import bbsl2
-from bbsl2 import make_matrix_blackbox, oracle, recover_char2, recover_psl2
+from bbsl2 import make_matrix_blackbox, oracle, recognize
 from bbsl2.blackbox import ElementString
 from bbsl2.errors import ContractViolation, MonteCarloFailure
 from bbsl2.field import ExplicitField
@@ -102,10 +102,7 @@ def _recognize(group, seed: int, opaque: bool, trials: int):
     ops = count_base_ops(box)
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    if p == 2:
-        res = recover_char2(box, k, rng, trials=trials)
-    else:
-        res = recover_psl2(box, p, k, rng, trials=trials)
+    res = recognize(box, p, k, rng, trials=trials)
     return res, ops, time.perf_counter() - t0
 
 

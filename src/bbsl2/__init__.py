@@ -12,7 +12,7 @@ from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField, FieldIsomorphism, explicit_isomorphism
 from .frobenius import FrobeniusMap, frobenius_on_sl2
 from .involutions import to_involution
-from .sl2char2 import Char2Field, recover_char2
+from .sl2char2 import Char2Field, recognize, recover_char2
 from .sl2odd import StandardFrame, SteinbergMorphism, find_standard_generators, recover_psl2
 from .stages import RecognitionResult, StageInfo, StageRecorder
 
@@ -42,6 +42,7 @@ __all__ = [
     "frobenius_on_sl2",
     "make_matrix_blackbox",
     "ppd_prime",
+    "recognize",
     "recover_char2",
     "recover_psl2",
     "to_involution",

@@ -1,17 +1,17 @@
 """Command-line driver for the recognition pipelines.
 
-Modes: recognize-odd (odd-characteristic (P)SL2(p^k) recovery),
-recognize-char2 (SL2(2^n) recovery), field-report (prove an explicit
-field file to be F_q and report its isomorphism to the standard
+Modes: recognize ((P)SL2(p^k) recovery, by the characteristic-2
+pipeline at p = 2 and the odd one otherwise), field-report (prove an
+explicit field file to be F_q and report its isomorphism to the standard
 presentation), selftest (recognize SL2(5), PSL2(9) and SL2(16), one box
 per backend kernel, on opaque and on transparent strings).
 
-recognize-odd takes the group from --p and --k (default 1), and
-recognize-char2 from --n, over the standard generators; or either takes
---input, a JSON file {"p": int, "k": int, "center_quotient": bool,
-"generators": [[[entries]]]} holding nested 2x2 matrices whose entries
-are residues (k = 1) or length-k coordinate vectors over the prime
-field in the polynomial basis (k > 1); any other key is rejected.
+recognize takes the group from --p and --k (default 1) over the
+standard generators, or from --input, a JSON file {"p": int, "k": int,
+"center_quotient": bool, "generators": [[[entries]]]} holding nested
+2x2 matrices whose entries are residues (k = 1) or length-k coordinate
+vectors over the prime field in the polynomial basis (k > 1); any other
+key is rejected.
 field-report takes only --input, a field serialization {"p", "k", "c"}
 such as the structure_constants object of a recognition report, and
 --out. selftest takes only --seed and --out. A seed below 0 is rejected.
@@ -34,8 +34,8 @@ import sys
 from .backend import MatrixBackend, make_matrix_blackbox
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
-from .sl2char2 import recover_char2
-from .sl2odd import check_char2_degree, check_odd_params, check_trials, recover_psl2
+from .sl2char2 import check_char2_degree, recognize
+from .sl2odd import check_odd_params, check_trials
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,11 +63,9 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="bbsl2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    odd = sub.add_parser("recognize-odd", parents=[group])
-    odd.add_argument("--p", type=int, help="field characteristic")
-    odd.add_argument("--k", type=int, help="field degree over F_p (default 1)")
-    char2 = sub.add_parser("recognize-char2", parents=[group])
-    char2.add_argument("--n", type=int, help="field degree over F_2")
+    rec = sub.add_parser("recognize", parents=[group])
+    rec.add_argument("--p", type=int, help="field characteristic")
+    rec.add_argument("--k", type=int, help="field degree over F_p (default 1)")
     report = sub.add_parser("field-report", parents=[out])
     report.add_argument("--input", required=True, help="explicit field file {p, k, c}")
     sub.add_parser("selftest", parents=[seeded])
@@ -106,16 +104,10 @@ _GROUP_KEYS = ("p", "k", "center_quotient", "generators")
 
 def _box_from_args(args, params: dict, desc: dict | None):
     """Build the black box, recording p, k, and input details in params."""
-    char2 = args.mode == "recognize-char2"
-    # recognize-char2 has no --p, and --n is its degree
-    p_flag, k_flag, k_name = (None, args.n, "--n") if char2 else (args.p, args.k, "--k")
     if desc is None:
-        if char2 and k_flag is None:
-            raise InputError("need --n (or --input)")
-        if not char2 and p_flag is None:
+        if args.p is None:
             raise InputError("need --p (or --input)")
-        p = 2 if char2 else p_flag
-        k, cq, mats = 1 if k_flag is None else k_flag, False, None
+        p, k, cq, mats = args.p, 1 if args.k is None else args.k, False, None
     else:
         unknown = [key for key in desc if key not in _GROUP_KEYS]
         if unknown:
@@ -127,18 +119,15 @@ def _box_from_args(args, params: dict, desc: dict | None):
         p, k = desc.get("p"), desc.get("k", 1)
         if type(p) is not int or type(k) is not int:
             raise InputError("group description file needs an integer 'p' and 'k'")
-        if p_flag not in (None, p):
+        if args.p not in (None, p):
             raise InputError("--p disagrees with the input file")
-        if k_flag not in (None, k):
-            raise InputError(f"{k_name} disagrees with the input file")
+        if args.k not in (None, k):
+            raise InputError("--k disagrees with the input file")
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")
     # reject a bad p, k or q before any field table is built
-    if (p == 2) != char2:
-        want = "characteristic 2" if char2 else "odd characteristic"
-        raise InputError(f"{args.mode} wants {want}, not p = {p}")
-    if char2:
+    if p == 2:
         check_char2_degree(k)
     else:
         check_odd_params(p, k)
@@ -166,19 +155,10 @@ def _report(args, params: dict, stages, verification: dict, explicit=None) -> di
     return report
 
 
-def _recover(box, p: int, k: int, seed: int, trials: int):
-    """recover_char2 or recover_psl2, by the characteristic, drawing from Random(seed)."""
-    rng = random.Random(seed)
-    if p == 2:
-        return recover_char2(box, k, rng, trials=trials)
-    return recover_psl2(box, p, k, rng, trials=trials)
-
-
 def _recognize(args, params: dict, desc: dict | None) -> dict:
-    """Recover the group of recognize-odd or recognize-char2."""
     check_trials(args.trials)
     box, p, k = _box_from_args(args, params, desc)
-    result = _recover(box, p, k, args.seed, args.trials)
+    result = recognize(box, p, k, random.Random(args.seed), args.trials)
     params.update(result.params)
     verification = {**result.extras, **result.verification}
     return _report(args, params, result.stages, verification, result.explicit)
@@ -212,7 +192,7 @@ def _mode_selftest(args, params: dict, desc: None) -> dict:
         try:
             for opaque in (True, False):
                 box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=args.seed)
-                res = _recover(box, p, k, args.seed, _SELFTEST_TRIALS)
+                res = recognize(box, p, k, random.Random(args.seed), _SELFTEST_TRIALS)
                 stages = [(s.name, s.samples_used) for s in res.stages]
                 runs.append((stages, res.verification, box.stats))
         except Exception as exc:
@@ -236,8 +216,7 @@ def _mode_selftest(args, params: dict, desc: None) -> dict:
 
 
 _MODES = {
-    "recognize-odd": _recognize,
-    "recognize-char2": _recognize,
+    "recognize": _recognize,
     "field-report": _mode_field_report,
     "selftest": _mode_selftest,
 }

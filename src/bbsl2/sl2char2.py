@@ -44,9 +44,9 @@ from . import modp
 from .bbfield import check_structure, trace_form
 from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import ExplicitField
+from .field import ExplicitField, check_order
 from .involutions import bray_centralizer, find_order3_inverted, is_involution
-from .sl2odd import check_char2_degree, check_trials, finish_recognition
+from .sl2odd import check_trials, finish_recognition, recover_psl2
 from .stages import RecognitionResult, StageRecorder
 
 
@@ -148,8 +148,9 @@ def _bray_step(box: BlackBoxGroup, r: ElementString, g: ElementString, n: int) -
     return box.mul(g, _sqrt(box, box.inv(w), n))
 
 
-# draws of the conjugator before giving up; a draw fails when its scalar
-# lies in a proper subfield, about half the time at n = 2 and less above
+# draws of the conjugator before the box is declared no SL2(2^n); on a true
+# SL2(2^n) a draw fails (its element is the identity, or its scalar lies in
+# a proper subfield) with probability at most 1/2, so all fail with at most 2^-40
 _CONJUGATOR_BUDGET = 40
 
 
@@ -192,7 +193,10 @@ class Char2Field:
             if self.gram_det:
                 break
         else:
-            raise MonteCarloFailure("trace-form basis", "no conjugator generated the field")
+            raise ContractViolation(
+                f"no conjugator generated the field in {_CONJUGATOR_BUDGET} draws, which a "
+                f"true SL2(2^{n}) allows with probability at most 2^-{_CONJUGATOR_BUDGET}"
+            )
         self._cpow = cpow
         self._s = [frame.r] + [box.conj(frame.r, w) for w in cpow[1 : 2 * n + 1]]
         check_structure(box, self._s, self.structure, 2)
@@ -289,6 +293,12 @@ class Char2Field:
         return ExplicitField(2, self.k, self.structure)
 
 
+def check_char2_degree(n: int) -> None:
+    if n < 2:
+        raise InputError("the degree must be at least 2: SL2(2) is solvable and out of scope")
+    check_order(2, n)
+
+
 def recover_char2(
     box: BlackBoxGroup, n: int, rng: random.Random, trials: int = 200
 ) -> RecognitionResult:
@@ -308,3 +318,12 @@ def recover_char2(
         field = Char2Field(box, frame, n, rng)
     checks = {"gram_det_nonzero": field.gram_det != 0, "is_center_quotient": False}
     return finish_recognition(box, rec, rng, field, frame, lambda a: a[1], trials, checks)
+
+
+def recognize(
+    box: BlackBoxGroup, p: int, k: int, rng: random.Random, trials: int = 200
+) -> RecognitionResult:
+    """Recognize (P)SL2(p^k): ``recover_char2`` at p = 2, ``recover_psl2`` otherwise."""
+    if p == 2:
+        return recover_char2(box, k, rng, trials=trials)
+    return recover_psl2(box, p, k, rng, trials=trials)

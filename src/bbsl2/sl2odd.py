@@ -155,12 +155,6 @@ def check_odd_params(p: int, k: int) -> int:
     return q
 
 
-def check_char2_degree(n: int) -> None:
-    if n < 2:
-        raise InputError("n must be at least 2: SL2(2) is solvable and out of scope")
-    check_order(2, n)
-
-
 def find_standard_generators(
     box: BlackBoxGroup, p: int, k: int, rng: random.Random, rec: StageRecorder
 ) -> StandardFrame:

@@ -104,7 +104,7 @@ def test_criterion_1_odd_recognition_success_rate(criterion1_runs):
             ok = False
     assert _report(
         1,
-        "recognize-odd succeeds on 18/20 seeded runs per q with exact "
+        "recognize at odd p succeeds on 18/20 seeded runs per q with exact "
         "homomorphism checks and standard-field isomorphism",
         ok,
         ", ".join(details),
@@ -380,7 +380,7 @@ def test_criterion_8_opaque_transparent_identical_statistics(tmp_path):
     for flag in ("--opaque", "--transparent"):
         out = tmp_path / f"rep{flag}.json"
         rc = cli_main(
-            ["recognize-odd", "--p", "13", "--k", "1", "--seed", "8",
+            ["recognize", "--p", "13", "--k", "1", "--seed", "8",
              "--trials", "30", flag, "--out", str(out)]
         )
         rep = json.loads(out.read_text())

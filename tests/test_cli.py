@@ -41,9 +41,9 @@ def _strip_timing(report):
 
 
 def test_recognize_odd_success_and_schema(tmp_path, schema):
-    rep = _run(tmp_path, ["recognize-odd", "--p", "13", "--k", "1", "--seed", "7", "--trials", "50"])
+    rep = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "7", "--trials", "50"])
     jsonschema.validate(rep, schema)
-    assert rep["mode"] == "recognize-odd" and rep["seed"] == 7
+    assert rep["mode"] == "recognize" and rep["seed"] == 7
     assert rep["params"]["q"] == 13 and rep["params"]["opaque"] is True
     assert rep["verification"]["phi_homomorphism_checks"] == {"trials": 50, "passes": 50}
     assert all(s["ok"] for s in rep["stages"])
@@ -51,7 +51,7 @@ def test_recognize_odd_success_and_schema(tmp_path, schema):
 
 
 def test_recognize_char2_success_and_schema(tmp_path, schema):
-    rep = _run(tmp_path, ["recognize-char2", "--n", "3", "--seed", "2", "--trials", "40"])
+    rep = _run(tmp_path, ["recognize", "--p", "2", "--k", "3", "--seed", "2", "--trials", "40"])
     jsonschema.validate(rep, schema)
     assert rep["params"] == {"p": 2, "k": 3, "q": 8, "center_quotient": False, "opaque": True}
     assert rep["verification"]["gram_det_nonzero"] is True
@@ -60,7 +60,7 @@ def test_recognize_char2_success_and_schema(tmp_path, schema):
 
 def test_field_report_q9_has_eight_structure_entries(tmp_path, schema):
     # the structure_constants object of a recognition report is a field file
-    rep = _run(tmp_path, ["recognize-odd", "--p", "3", "--k", "2", "--seed", "4", "--trials", "20"])
+    rep = _run(tmp_path, ["recognize", "--p", "3", "--k", "2", "--seed", "4", "--trials", "20"])
     c = rep["structure_constants"]["c"]
     entries = [x for plane in c for row in plane for x in row]
     assert len(entries) == 8
@@ -105,8 +105,8 @@ def test_selftest_names_every_group_under_a_broken_kernel(tmp_path, monkeypatch,
 
 
 def test_determinism_same_seed_bitwise(tmp_path):
-    a = _run(tmp_path, ["recognize-odd", "--p", "13", "--k", "1", "--seed", "5", "--trials", "30"])
-    b = _run(tmp_path, ["recognize-odd", "--p", "13", "--k", "1", "--seed", "5", "--trials", "30"])
+    a = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "5", "--trials", "30"])
+    b = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "5", "--trials", "30"])
     # timing is the single nondeterministic field; everything else is bitwise equal
     assert json.dumps(_strip_timing(a), sort_keys=True) == json.dumps(
         _strip_timing(b), sort_keys=True
@@ -114,37 +114,36 @@ def test_determinism_same_seed_bitwise(tmp_path):
 
 
 def test_different_seed_changes_sampling(tmp_path):
-    a = _run(tmp_path, ["recognize-odd", "--p", "13", "--k", "1", "--seed", "5", "--trials", "10"])
-    b = _run(tmp_path, ["recognize-odd", "--p", "13", "--k", "1", "--seed", "6", "--trials", "10"])
+    a = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "5", "--trials", "10"])
+    b = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "6", "--trials", "10"])
     assert [s["samples_used"] for s in a["stages"]] != [s["samples_used"] for s in b["stages"]]
 
 
 def test_opaque_transparent_same_statistics(tmp_path):
-    a = _run(tmp_path, ["recognize-odd", "--p", "13", "--k", "1", "--seed", "3", "--trials", "30", "--opaque"])
-    b = _run(tmp_path, ["recognize-odd", "--p", "13", "--k", "1", "--seed", "3", "--trials", "30", "--transparent"])
+    a = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "3", "--trials", "30", "--opaque"])
+    b = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "3", "--trials", "30", "--transparent"])
     assert a["verification"] == b["verification"]
     assert [s["samples_used"] for s in a["stages"]] == [s["samples_used"] for s in b["stages"]]
 
 
 def test_rejected_inputs_exit_1(tmp_path, capsys):
-    assert main(["recognize-odd", "--p", "7", "--k", "1"]) == 1
-    assert main(["recognize-odd", "--p", "2", "--k", "3"]) == 1
-    assert main(["recognize-odd"]) == 1
-    assert main(["recognize-char2"]) == 1
-    assert main(["recognize-odd", "--input", str(tmp_path / "missing.json")]) == 1
+    assert main(["recognize", "--p", "7", "--k", "1"]) == 1
+    assert main(["recognize"]) == 1
+    assert main(["recognize", "--k", "3"]) == 1
+    assert main(["recognize", "--input", str(tmp_path / "missing.json")]) == 1
     not_utf8 = tmp_path / "not-utf8.json"
     not_utf8.write_bytes(b"\xff\xfe\x00")
-    assert main(["recognize-odd", "--input", str(not_utf8)]) == 1
+    assert main(["recognize", "--input", str(not_utf8)]) == 1
     assert "bbsl2: rejected input" in capsys.readouterr().err
     # an --out that is a directory, or in a missing one: rejected before the run
     for out in (tmp_path, tmp_path / "missing" / "report.json"):
-        assert main(["recognize-odd", "--p", "13", "--out", str(out)]) == 1
+        assert main(["recognize", "--p", "13", "--out", str(out)]) == 1
         assert "bbsl2: rejected input" in capsys.readouterr().err
     # a generators value that is not a list, and a generator whose rows are not lists
     for n, gens in enumerate([5, [[1, 2]]]):
         path = tmp_path / f"bad{n}.json"
         path.write_text(json.dumps({"p": 13, "k": 1, "generators": gens}))
-        assert main(["recognize-odd", "--input", str(path)]) == 1
+        assert main(["recognize", "--input", str(path)]) == 1
         assert "bbsl2: rejected input" in capsys.readouterr().err
     # JSON floats, strings and bools where integers or a boolean belong: int() and
     # bool() would read p = 3.9 as 3, "3" as 3, true as 1 and "false" as True
@@ -154,9 +153,9 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
         ("field-report", {"p": "3", "k": 1, "c": [[[1]]]}),
         ("field-report", {"p": 3, "k": True, "c": [[[1]]]}),
         ("field-report", {"p": 3, "k": 1, "c": [[[True]]]}),
-        ("recognize-odd", {"p": 13, "k": 1, "center_quotient": "false", "generators": gens}),
-        ("recognize-odd", {"p": 13, "k": True, "generators": gens}),
-        ("recognize-odd", {"p": 13, "k": 1, "generators": [[[True, 1], [0, 1]], gens[1]]}),
+        ("recognize", {"p": 13, "k": 1, "center_quotient": "false", "generators": gens}),
+        ("recognize", {"p": 13, "k": True, "generators": gens}),
+        ("recognize", {"p": 13, "k": 1, "generators": [[[True, 1], [0, 1]], gens[1]]}),
     ]
     for n, (mode, desc) in enumerate(bad_files):
         path = tmp_path / f"loose{n}.json"
@@ -165,27 +164,27 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
         assert "bbsl2: rejected input" in capsys.readouterr().err
     # a degree below 1, from the flags: rejected before any irreducible is searched for
     for argv in (
-        ["recognize-odd", "--p", "5", "--k", "0"],
-        ["recognize-odd", "--p", "5", "--k", "-1"],
-        ["recognize-char2", "--n", "0"],
-        ["recognize-char2", "--n", "-1"],
+        ["recognize", "--p", "5", "--k", "0"],
+        ["recognize", "--p", "5", "--k", "-1"],
+        ["recognize", "--p", "2", "--k", "0"],
+        ["recognize", "--p", "2", "--k", "-1"],
     ):
         assert main(argv) == 1, argv
         assert "bbsl2: rejected input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
-@pytest.mark.parametrize("mode", ["recognize-odd", "recognize-char2"])
-def test_trials_below_one_exit_1(mode, trials, tmp_path, capsys):
+@pytest.mark.parametrize("group", [["--p", "13", "--k", "1"], ["--p", "2", "--k", "3"]],
+                         ids=["recognize-odd", "recognize-char2"])
+def test_trials_below_one_exit_1(group, trials, tmp_path, capsys):
     # a report of zero trials would read as verified while checking nothing
-    group = ["--n", "3"] if mode == "recognize-char2" else ["--p", "13", "--k", "1"]
     out = tmp_path / "report.json"
-    assert main([mode, *group, "--trials", trials, "--out", str(out)]) == 1
+    assert main(["recognize", *group, "--trials", trials, "--out", str(out)]) == 1
     assert "trial" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["recognize-odd", "--p", "13"], ["selftest"]],
+@pytest.mark.parametrize("argv", [["recognize", "--p", "13"], ["selftest"]],
                          ids=["recognize-odd", "selftest"])
 def test_negative_seed_exit_1(argv, tmp_path, capsys):
     # Random(-s) draws the stream of Random(s), and the report schema wants seed >= 0
@@ -197,7 +196,7 @@ def test_negative_seed_exit_1(argv, tmp_path, capsys):
 
 def test_composite_p_exit_1(tmp_path, capsys):
     # a composite p is bad input, not a contract violation
-    assert main(["recognize-odd", "--p", "9", "--k", "1"]) == 1
+    assert main(["recognize", "--p", "9", "--k", "1"]) == 1
     assert "not a prime" in capsys.readouterr().err
     path = tmp_path / "f9.json"
     path.write_text(json.dumps({"p": 9, "k": 1, "c": [[[1]]]}))
@@ -206,20 +205,20 @@ def test_composite_p_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["recognize-odd", "--p", "7"],
-    ["recognize-odd", "--p", "1000003"],
-    ["recognize-odd", "--p", "2", "--k", "3"],
-    ["recognize-char2", "--n", "1"],
-    ["recognize-char2", "--n", "0"],
-    ["recognize-odd", "--p", "3", "--k", "14"],
-    ["recognize-odd", "--p", "3", "--k", "100000"],
-    ["recognize-odd", "--p", "1048601"],
-    ["recognize-char2", "--n", "21"],
+    ["recognize", "--p", "7"],
+    ["recognize", "--p", "1000003"],
+    ["recognize", "--p", "4", "--k", "3"],
+    ["recognize", "--p", "2", "--k", "1"],
+    ["recognize", "--p", "2", "--k", "0"],
+    ["recognize", "--p", "3", "--k", "14"],
+    ["recognize", "--p", "3", "--k", "100000"],
+    ["recognize", "--p", "1048601"],
+    ["recognize", "--p", "2", "--k", "21"],
 ])
 def test_bad_group_parameters_exit_1_before_a_field_is_built(argv, monkeypatch, capsys):
-    # q = 3 mod 4, p = 2 in the odd mode, SL2(2) in the char-2 mode, or q
-    # above 2^20: the field of a large q would cost seconds and hundreds
-    # of MB before the pipeline said no
+    # q = 3 mod 4, an even p that is not 2, SL2(2), or q above 2^20: the
+    # field of a large q would cost seconds and hundreds of MB before the
+    # pipeline said no
     def no_field(p, k):
         raise AssertionError(f"built GF({p}^{k}) for rejected parameters")
 
@@ -240,14 +239,14 @@ def test_field_file_above_2_20_elements_exit_1_before_a_field_is_built(tmp_path,
     assert "at most 2^20 elements" in capsys.readouterr().err
 
 
-def test_char2_without_n_names_n_before_a_field_is_built(monkeypatch, capsys):
-    # no degree 1 fallback: the error is about the missing flag, not about n = 1
+def test_char2_without_k_names_the_degree_before_a_field_is_built(monkeypatch, capsys):
+    # --k defaults to 1 at every p, and SL2(2) is out of scope
     def no_field(p, k):
-        raise AssertionError(f"built GF({p}^{k}) without a degree")
+        raise AssertionError(f"built GF({p}^{k}) for SL2(2)")
 
     monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
-    assert main(["recognize-char2", "--trials", "5"]) == 1
-    assert "need --n" in capsys.readouterr().err
+    assert main(["recognize", "--p", "2", "--trials", "5"]) == 1
+    assert "the degree must be at least 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["centre_quotient", "n"])
@@ -257,23 +256,51 @@ def test_group_file_with_an_unknown_key_names_it(key, tmp_path, capsys):
     path.write_text(json.dumps({"p": 13, "k": 1, key: True,
                                 "generators": [[[1, 1], [0, 1]], [[0, 1], [12, 0]]]}))
     out = tmp_path / "report.json"
-    assert main(["recognize-odd", "--input", str(path), "--out", str(out)]) == 1
+    assert main(["recognize", "--input", str(path), "--out", str(out)]) == 1
     assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode, p", [("recognize-char2", 13), ("recognize-odd", 2)])
-def test_group_file_of_the_other_characteristic_names_the_mode(mode, p, tmp_path, monkeypatch, capsys):
-    # no flag disagrees with the file, so the error is the mode's, before any field is built
-    def no_field(p, k):
-        raise AssertionError(f"built GF({p}^{k}) for a file of the wrong characteristic")
+def _char2_group_file(path, n: int, torus) -> Path:
+    """u(1), h(t) for each t in ``torus(F)``, and n(1), over the standard GF(2^n)."""
+    F = ExplicitField.polynomial_field(2, n)
+    vec = lambda a: list(F.coords(a))
+    tori = [[[vec(t), 0], [0, vec(F.inv(t))]] for t in torus(F)]
+    path.write_text(json.dumps({"p": 2, "k": n,
+                                "generators": [[[1, 1], [0, 1]], *tori, [[0, 1], [1, 0]]]}))
+    return path
 
-    monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
-    path = tmp_path / "group.json"
-    path.write_text(json.dumps({"p": p, "k": 3, "generators": [[[1, 1], [0, 1]]]}))
-    assert main([mode, "--input", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert mode in err and "--p" not in err
+
+def test_char2_group_file_recognizes(tmp_path, schema):
+    # u(1), h(x) and n(1) over GF(8): the same mode as for odd p
+    path = _char2_group_file(tmp_path / "sl8.json", 3, lambda F: [F.element((0, 1, 0))])
+    rep = _run(tmp_path, ["recognize", "--input", str(path), "--seed", "2", "--trials", "30"])
+    jsonschema.validate(rep, schema)
+    assert rep["params"] == {"p": 2, "k": 3, "q": 8, "center_quotient": False, "opaque": True}
+    assert rep["verification"]["phi_homomorphism_checks"] == {"trials": 30, "passes": 30}
+    # --k disagreeing with the file is a rejected input
+    assert main(["recognize", "--input", str(path), "--k", "4"]) == 1
+
+
+# (n, torus): SL2(2) = <u(1), n(1)> in SL2(8), and SL2(4) = <u(1), h(w), n(1)>
+# in SL2(16), where w = g^5 has order 3 for a primitive g, so F_4 = {0, 1, w, w^2}
+_CHAR2_SUBFIELD_GROUPS = {
+    "SL2(2)-as-SL2(8)": (3, lambda F: []),
+    "SL2(4)-as-SL2(16)": (4, lambda F: [F.pow(F.primitive_element(), 5)]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", _CHAR2_SUBFIELD_GROUPS)
+def test_char2_subfield_group_exit_3_at_the_field_stage(name, seed, tmp_path, schema, capsys):
+    # no conjugator's scalar generates GF(2^n): a true SL2(2^n) fails every
+    # draw with probability at most 2^-40, so this is no retryable budget
+    n, torus = _CHAR2_SUBFIELD_GROUPS[name]
+    path = _char2_group_file(tmp_path / "sub.json", n, torus)
+    rep = _run(tmp_path, ["recognize", "--input", str(path), "--seed", str(seed)], expect=3)
+    jsonschema.validate(rep, schema)
+    assert rep["verification"]["failed_stage"] == "field"
+    assert "contract violation" in capsys.readouterr().err
 
 
 def _mode_parsers() -> dict:
@@ -305,15 +332,15 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 1
-    # one name per setting: recognize-char2 has no --p and names its degree
-    # --n, and recognize-odd names its degree --k
-    for argv in (["recognize-char2", "--p", "2"], ["recognize-char2", "--k", "3"],
-                 ["recognize-odd", "--n", "1"]):
+    # one recognition mode, whose degree is --k at every p
+    for argv, err in ((["recognize-odd", "--p", "13"], "invalid choice"),
+                      (["recognize-char2", "--n", "3"], "invalid choice"),
+                      (["recognize", "--n", "3"], "unrecognized arguments")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 1, argv
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert err in capsys.readouterr().err
 
 
 def test_generator_file_input(tmp_path, schema):
@@ -325,12 +352,12 @@ def test_generator_file_input(tmp_path, schema):
     }
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(desc))
-    rep = _run(tmp_path, ["recognize-odd", "--input", str(path), "--seed", "3", "--trials", "30"])
+    rep = _run(tmp_path, ["recognize", "--input", str(path), "--seed", "3", "--trials", "30"])
     jsonschema.validate(rep, schema)
     assert rep["params"]["q"] == 13
     # --p or --k disagreeing with the file is a rejected input
-    assert main(["recognize-odd", "--input", str(path), "--p", "5"]) == 1
-    assert main(["recognize-odd", "--input", str(path), "--k", "2"]) == 1
+    assert main(["recognize", "--input", str(path), "--p", "5"]) == 1
+    assert main(["recognize", "--input", str(path), "--k", "2"]) == 1
 
 
 def test_generator_file_with_coordinate_vectors(tmp_path, schema):
@@ -347,7 +374,7 @@ def test_generator_file_with_coordinate_vectors(tmp_path, schema):
     }
     path = tmp_path / "psl9.json"
     path.write_text(json.dumps(desc))
-    rep = _run(tmp_path, ["recognize-odd", "--input", str(path), "--seed", "1", "--trials", "30"])
+    rep = _run(tmp_path, ["recognize", "--input", str(path), "--seed", "1", "--trials", "30"])
     jsonschema.validate(rep, schema)
     assert rep["params"]["center_quotient"] is True
     assert rep["verification"]["is_center_quotient"] is True
@@ -383,7 +410,7 @@ def test_monte_carlo_failure_exit_2_names_stage(tmp_path, schema):
     desc = {"p": 13, "k": 1, "center_quotient": False, "generators": [[[1, 0], [0, 1]]]}
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(desc))
-    rep = _run(tmp_path, ["recognize-odd", "--input", str(path), "--seed", "0"], expect=2)
+    rep = _run(tmp_path, ["recognize", "--input", str(path), "--seed", "0"], expect=2)
     jsonschema.validate(rep, schema)
     assert rep["verification"]["ok"] is False
     assert rep["verification"]["failed_stage"] == "unipotent"
@@ -437,7 +464,7 @@ def test_recognize_odd_reads_a_group_file_once(tmp_path, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
-    _run(tmp_path, ["recognize-odd", "--input", str(path), "--seed", "3", "--trials", "5"])
+    _run(tmp_path, ["recognize", "--input", str(path), "--seed", "3", "--trials", "5"])
     assert len(reads) == 1
 
 

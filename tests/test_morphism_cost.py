@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from bbsl2 import make_matrix_blackbox, recover_char2, recover_psl2
+from bbsl2 import make_matrix_blackbox, recognize, recover_char2, recover_psl2
 
 from counting import count_base_ops
 
@@ -23,11 +23,7 @@ def recognized(request):
     _, p, k, cq = request.param
     box = make_matrix_blackbox(p, k, center_quotient=cq, seed=7)
     ops = count_base_ops(box)
-    rng = random.Random(3)
-    if p == 2:
-        res = recover_char2(box, k, rng, trials=20)
-    else:
-        res = recover_psl2(box, p, k, rng, trials=20)
+    res = recognize(box, p, k, random.Random(3), trials=20)
     assert res.verification["phi_homomorphism_checks"] == {"trials": 20, "passes": 20}
     return box, ops, res
 
@@ -118,8 +114,5 @@ _ISO_PINS = [
 @pytest.mark.parametrize("p, k, box_seed, seed, matrix", _ISO_PINS, ids=["SL2(81)", "SL2(256)"])
 def test_pinned_recognitions_iso_matrix(p, k, box_seed, seed, matrix):
     box = make_matrix_blackbox(p, k, seed=box_seed)
-    if p == 2:
-        res = recover_char2(box, k, random.Random(seed), trials=200)
-    else:
-        res = recover_psl2(box, p, k, random.Random(seed), trials=200)
+    res = recognize(box, p, k, random.Random(seed), trials=200)
     assert res.extras["iso_matrix"] == matrix

@@ -41,10 +41,10 @@ GF81 = {
 }
 
 CASES = {
-    "recognize-odd-13": ["recognize-odd", "--p", "13", "--seed", "7", "--trials", "20"],
-    "recognize-odd-9": ["recognize-odd", "--p", "3", "--k", "2", "--seed", "1", "--trials", "20"],
-    "recognize-odd-psl13-input": ["recognize-odd", "--input", "{psl13}", "--seed", "3", "--trials", "20"],
-    "recognize-char2-8": ["recognize-char2", "--n", "3", "--seed", "2", "--trials", "20"],
+    "recognize-odd-13": ["recognize", "--p", "13", "--seed", "7", "--trials", "20"],
+    "recognize-odd-9": ["recognize", "--p", "3", "--k", "2", "--seed", "1", "--trials", "20"],
+    "recognize-odd-psl13-input": ["recognize", "--input", "{psl13}", "--seed", "3", "--trials", "20"],
+    "recognize-char2-8": ["recognize", "--p", "2", "--k", "3", "--seed", "2", "--trials", "20"],
     "field-report-gf81-input": ["field-report", "--input", "{gf81}"],
     "selftest-1": ["selftest", "--seed", "1"],
 }
