@@ -7,11 +7,11 @@ presentation), selftest (recognize SL2(5), PSL2(9) and SL2(16), one box
 per backend kernel, on opaque and on transparent strings).
 
 recognize takes the group from --p and --k (default 1) over the
-standard generators, or from --input, a JSON file {"p": int, "k": int,
-"center_quotient": bool, "generators": [[[entries]]]} holding nested
-2x2 matrices whose entries are residues (k = 1) or length-k coordinate
-vectors over the prime field in the polynomial basis (k > 1); any other
-key is rejected.
+standard generators, or from --input alone, a JSON file {"p": int,
+"k": int, "center_quotient": bool, "generators": [[[entries]]]} holding
+nested 2x2 matrices whose entries are ints, read as prime-field scalars,
+or length-k coordinate vectors over the prime field in the polynomial
+basis; any other key is rejected.
 field-report takes only --input, a field serialization {"p", "k", "c"}
 such as the structure_constants object of a recognition report, and
 --out. selftest takes only --seed and --out. A seed below 0 is rejected.
@@ -34,8 +34,8 @@ import sys
 from .backend import MatrixBackend, make_matrix_blackbox
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
-from .sl2char2 import check_char2_degree, recognize
-from .sl2odd import check_odd_params, check_trials
+from .sl2char2 import recognize
+from .sl2odd import check_params, check_trials
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,23 +49,15 @@ def _build_parser() -> _Parser:
     out.add_argument("--out", help="write the JSON report here instead of stdout")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
     seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    group = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    opacity = group.add_mutually_exclusive_group()
-    opacity.add_argument(
-        "--opaque", dest="opaque", action="store_true", help="encrypted strings (default)"
-    )
-    opacity.add_argument(
-        "--transparent", dest="opaque", action="store_false", help="canonical byte strings"
-    )
-    group.set_defaults(opaque=True)
-    group.add_argument("--input", help="JSON group description file")
-    group.add_argument("--trials", type=int, default=200, help="verification trials (default 200)")
-
     parser = _Parser(prog="bbsl2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    rec = sub.add_parser("recognize", parents=[group])
+    rec = sub.add_parser("recognize", parents=[seeded])
     rec.add_argument("--p", type=int, help="field characteristic")
     rec.add_argument("--k", type=int, help="field degree over F_p (default 1)")
+    rec.add_argument("--input", help="JSON group description file, instead of --p and --k")
+    rec.add_argument("--trials", type=int, default=200, help="verification trials (default 200)")
+    rec.add_argument("--transparent", dest="opaque", action="store_false",
+                     help="canonical byte strings instead of encrypted ones")
     report = sub.add_parser("field-report", parents=[out])
     report.add_argument("--input", required=True, help="explicit field file {p, k, c}")
     sub.add_parser("selftest", parents=[seeded])
@@ -109,6 +101,8 @@ def _box_from_args(args, params: dict, desc: dict | None):
             raise InputError("need --p (or --input)")
         p, k, cq, mats = args.p, 1 if args.k is None else args.k, False, None
     else:
+        if args.p is not None or args.k is not None:
+            raise InputError("--input gives p and k; drop --p and --k")
         unknown = [key for key in desc if key not in _GROUP_KEYS]
         if unknown:
             raise InputError(f"group description file has unknown key {unknown[0]!r}; "
@@ -119,24 +113,17 @@ def _box_from_args(args, params: dict, desc: dict | None):
         p, k = desc.get("p"), desc.get("k", 1)
         if type(p) is not int or type(k) is not int:
             raise InputError("group description file needs an integer 'p' and 'k'")
-        if args.p not in (None, p):
-            raise InputError("--p disagrees with the input file")
-        if args.k not in (None, k):
-            raise InputError("--k disagrees with the input file")
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")
     # reject a bad p, k or q before any field table is built
-    if p == 2:
-        check_char2_degree(k)
-    else:
-        check_odd_params(p, k)
+    q = check_params(p, k)
     field = ExplicitField.polynomial_field(p, k)
     if mats is not None:
         mats = [_parse_matrix(field, g) for g in mats]
     backend = MatrixBackend(field, center_quotient=cq, opaque=args.opaque, seed=args.seed)
     box = backend.blackbox(mats)
-    params.update({"p": p, "k": k, "q": p**k, "center_quotient": cq, "opaque": args.opaque})
+    params.update({"p": p, "k": k, "q": q, "center_quotient": cq, "opaque": args.opaque})
     return box, p, k
 
 
@@ -159,7 +146,6 @@ def _recognize(args, params: dict, desc: dict | None) -> dict:
     check_trials(args.trials)
     box, p, k = _box_from_args(args, params, desc)
     result = recognize(box, p, k, random.Random(args.seed), args.trials)
-    params.update(result.params)
     verification = {**result.extras, **result.verification}
     return _report(args, params, result.stages, verification, result.explicit)
 
@@ -243,7 +229,7 @@ def _summarize(report: dict) -> None:
 
 def _failure_report(args, params: dict, exc: Exception) -> dict:
     stages = getattr(exc, "stages", [])
-    failed = next((s.name for s in stages if not s.ok), getattr(exc, "stage", None))
+    failed = next((s.name for s in stages if not s.ok), None)
     verification = {"ok": False, "error": str(exc), "failed_stage": failed}
     extra = getattr(exc, "verification", None)
     if isinstance(extra, dict):

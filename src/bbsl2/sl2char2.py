@@ -44,9 +44,9 @@ from . import modp
 from .bbfield import check_structure, trace_form
 from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import ExplicitField, check_order
+from .field import ExplicitField
 from .involutions import bray_centralizer, find_order3_inverted, is_involution
-from .sl2odd import check_trials, finish_recognition, recover_psl2
+from .sl2odd import check_params, check_trials, finish_recognition, recover_psl2
 from .stages import RecognitionResult, StageRecorder
 
 
@@ -293,19 +293,12 @@ class Char2Field:
         return ExplicitField(2, self.k, self.structure)
 
 
-def check_char2_degree(n: int) -> None:
-    if n < 2:
-        raise InputError("the degree must be at least 2: SL2(2) is solvable and out of scope")
-    check_order(2, n)
-
-
 def recover_char2(
     box: BlackBoxGroup, n: int, rng: random.Random, trials: int = 200
 ) -> RecognitionResult:
     """Full recognition run for SL2(2^n); see the module docstring."""
     check_trials(trials)
-    check_char2_degree(n)
-    q = 1 << n
+    q = check_params(2, n)
     rec = StageRecorder(box)
 
     with rec.stage("involution"):

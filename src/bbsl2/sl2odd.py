@@ -142,24 +142,13 @@ def weyl_element(
     raise MonteCarloFailure("weyl element", "no opposite unipotent produced a zero-trace word")
 
 
-def check_odd_params(p: int, k: int) -> int:
-    if p <= 2:
-        raise InputError("this pipeline wants odd characteristic")
-    if not is_prime(p):
-        raise InputError(f"p = {p} is not a prime")
-    if k < 1:
-        raise InputError("need k >= 1")
-    q = check_order(p, k)
-    if q % 4 != 1:
-        raise InputError("q must be 1 mod 4")
-    return q
-
-
 def find_standard_generators(
     box: BlackBoxGroup, p: int, k: int, rng: random.Random, rec: StageRecorder
 ) -> StandardFrame:
     """The frame (u, h, weyl), one recorded stage per step."""
-    q = check_odd_params(p, k)
+    if p == 2:
+        raise InputError("this pipeline wants odd characteristic")
+    q = check_params(p, k)
     with rec.stage("unipotent"):
         u = unipotent_element(box, p, rng)
     with rec.stage("classify"):
@@ -237,6 +226,21 @@ class SteinbergMorphism:
 def check_trials(trials: int) -> None:
     if trials < 1:
         raise InputError(f"need at least one verification trial, got {trials}")
+
+
+def check_params(p: int, k: int) -> int:
+    """q = p^k if (P)SL2(q) is in scope: p prime, k >= 1 (k >= 2 at p = 2),
+    q at most 2^20, and q = 1 mod 4 at odd p; InputError otherwise."""
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not a prime")
+    if p == 2 and k < 2:
+        raise InputError("the degree must be at least 2: SL2(2) is solvable and out of scope")
+    if k < 1:
+        raise InputError("need k >= 1")
+    q = check_order(p, k)
+    if p > 2 and q % 4 != 1:
+        raise InputError("q must be 1 mod 4")
+    return q
 
 
 def finish_recognition(

@@ -377,16 +377,16 @@ def test_criterion_8_opaque_transparent_identical_statistics(tmp_path):
     details.append(f"n=3: {'identical' if same else 'DIFFER'}")
     ok = ok and same
     reports = []
-    for flag in ("--opaque", "--transparent"):
-        out = tmp_path / f"rep{flag}.json"
+    for flags, opaque in (([], True), (["--transparent"], False)):
+        out = tmp_path / f"rep{opaque}.json"
         rc = cli_main(
             ["recognize", "--p", "13", "--k", "1", "--seed", "8",
-             "--trials", "30", flag, "--out", str(out)]
+             "--trials", "30", *flags, "--out", str(out)]
         )
         rep = json.loads(out.read_text())
         for s in rep["stages"]:
             s["elapsed_ms"] = 0.0
-        rep["params"].pop("opaque")
+        assert rep["params"].pop("opaque") is opaque
         reports.append((rc, rep["verification"], rep["stages"]))
     cli_same = reports[0] == reports[1]
     details.append(f"cli: {'identical' if cli_same else 'DIFFER'}")

@@ -120,7 +120,7 @@ def test_different_seed_changes_sampling(tmp_path):
 
 
 def test_opaque_transparent_same_statistics(tmp_path):
-    a = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "3", "--trials", "30", "--opaque"])
+    a = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "3", "--trials", "30"])
     b = _run(tmp_path, ["recognize", "--p", "13", "--k", "1", "--seed", "3", "--trials", "30", "--transparent"])
     assert a["verification"] == b["verification"]
     assert [s["samples_used"] for s in a["stages"]] == [s["samples_used"] for s in b["stages"]]
@@ -214,17 +214,23 @@ def test_composite_p_exit_1(tmp_path, capsys):
     ["recognize", "--p", "3", "--k", "100000"],
     ["recognize", "--p", "1048601"],
     ["recognize", "--p", "2", "--k", "21"],
+    ["recognize", "--p", "1", "--k", "2"],
+    ["recognize", "--p", "0"],
+    ["recognize", "--p", "-3"],
 ])
 def test_bad_group_parameters_exit_1_before_a_field_is_built(argv, monkeypatch, capsys):
-    # q = 3 mod 4, an even p that is not 2, SL2(2), or q above 2^20: the
-    # field of a large q would cost seconds and hundreds of MB before the
-    # pipeline said no
+    # q = 3 mod 4, an even p that is not 2, SL2(2), q above 2^20, or a p
+    # below 2: the field of a large q would cost seconds and hundreds of MB
+    # before the pipeline said no
     def no_field(p, k):
         raise AssertionError(f"built GF({p}^{k}) for rejected parameters")
 
     monkeypatch.setattr(ExplicitField, "polynomial_field", no_field)
     assert main(argv) == 1
-    assert "bbsl2: rejected input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bbsl2: rejected input" in err
+    if int(argv[2]) < 2:  # named as no prime, not as an even characteristic
+        assert "not a prime" in err
 
 
 def test_field_file_above_2_20_elements_exit_1_before_a_field_is_built(tmp_path, monkeypatch, capsys):
@@ -278,7 +284,7 @@ def test_char2_group_file_recognizes(tmp_path, schema):
     jsonschema.validate(rep, schema)
     assert rep["params"] == {"p": 2, "k": 3, "q": 8, "center_quotient": False, "opaque": True}
     assert rep["verification"]["phi_homomorphism_checks"] == {"trials": 30, "passes": 30}
-    # --k disagreeing with the file is a rejected input
+    # --input alone gives p and k, so --k beside it is a rejected input
     assert main(["recognize", "--input", str(path), "--k", "4"]) == 1
 
 
@@ -343,7 +349,7 @@ def test_usage_errors_exit_1(capsys):
         assert err in capsys.readouterr().err
 
 
-def test_generator_file_input(tmp_path, schema):
+def test_generator_file_input(tmp_path, schema, capsys):
     desc = {
         "p": 13,
         "k": 1,
@@ -355,9 +361,12 @@ def test_generator_file_input(tmp_path, schema):
     rep = _run(tmp_path, ["recognize", "--input", str(path), "--seed", "3", "--trials", "30"])
     jsonschema.validate(rep, schema)
     assert rep["params"]["q"] == 13
-    # --p or --k disagreeing with the file is a rejected input
-    assert main(["recognize", "--input", str(path), "--p", "5"]) == 1
-    assert main(["recognize", "--input", str(path), "--k", "2"]) == 1
+    # --input alone gives p and k: --p or --k beside it is a rejected
+    # input, even where it agrees with the file
+    for flags in (["--p", "5"], ["--k", "2"], ["--p", "13"], ["--k", "1"]):
+        capsys.readouterr()
+        assert main(["recognize", "--input", str(path)] + flags) == 1, flags
+        assert "--input gives p and k" in capsys.readouterr().err, flags
 
 
 def test_generator_file_with_coordinate_vectors(tmp_path, schema):

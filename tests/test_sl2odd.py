@@ -103,11 +103,13 @@ def test_rejects_q_equal_3_mod_4(p, k, rng):
         recover_psl2(box, p, k, rng)
 
 
-def test_rejects_composite_characteristic(rng):
-    # 21 = 1 mod 4, so only a primality check stops the frame search
+@pytest.mark.parametrize("p", [21, 1, 0])
+def test_rejects_composite_characteristic(p, rng):
+    # 21 = 1 mod 4, so only a primality check stops the frame search; 1 and 0
+    # are named no prime, not an even characteristic
     box = make_matrix_blackbox(13, 1, opaque=True, seed=1)
-    with pytest.raises(InputError):
-        recover_psl2(box, 21, 1, rng)
+    with pytest.raises(InputError, match="not a prime"):
+        recover_psl2(box, p, 1, rng)
     assert box.stats["samples"] == 0
 
 
