@@ -22,6 +22,10 @@ rounds unless said otherwise. The sections:
 - ``off_box``: ms of the oracle-free steps of the structure-constants
   stage on a recovered presentation: a fresh copy's log tables, then
   ``validate``, which finds and proves the isomorphism to the standard one.
+- ``standard_fields``: ms of the three steps that build a standard
+  presentation from cold ``@cache``s, best of three: the irreducible
+  search ``smallest_irreducible``, then ``polynomial_field`` with the
+  polynomial known, then its log tables.
 - ``cold_start``: ms and peak RSS (MB) of a fresh interpreter's import of
   bbsl2, then of its building the ten odd-grid boxes, then the four
   char2-grid boxes, whose fields the odd ones do not share; best of three.
@@ -44,7 +48,7 @@ import time
 from pathlib import Path
 
 import bbsl2
-from bbsl2 import make_matrix_blackbox, oracle, recognize
+from bbsl2 import make_matrix_blackbox, modp, oracle, recognize
 from bbsl2.blackbox import ElementString
 from bbsl2.errors import ContractViolation, MonteCarloFailure
 from bbsl2.field import ExplicitField
@@ -61,6 +65,7 @@ _OP_GROUPS = [(13, 1, True), (3, 4, False), (13, 2, False), (2, 8, False)]
 _IMAGE_GROUPS = [(13, 1, True), (3, 4, False), (2, 4, False)]
 _LIFT_GROUPS = [(2, 4, False), (2, 8, False)]
 _FIELDS = [(2, 4), (2, 8), (2, 12), (3, 4), (13, 2)]
+_STANDARD_FIELDS = [(2, 8), (2, 12), (2, 16), (3, 6)]
 # run in a fresh interpreter: import bbsl2, build the odd-grid boxes (q = 9,
 # 13, 29, 81, 169, as SL2 and PSL2), then the char2-grid boxes (2^2, 2^3,
 # 2^4, 2^8); prints ms and peak MB of each step. The peak is VmHWM, the high
@@ -201,6 +206,23 @@ def _off_box(p: int, k: int, trials: int) -> dict:
     return {"field": f"GF({p}^{k})", "tables_ms": 1e3 * tables, "validate_ms": 1e3 * validate}
 
 
+def _standard_field(p: int, k: int) -> dict:
+    best = [float("inf")] * 3
+    for _ in range(3):
+        modp.smallest_irreducible.cache_clear()
+        ExplicitField.polynomial_field.cache_clear()
+        t0 = time.perf_counter()
+        modp.smallest_irreducible(p, k)
+        t1 = time.perf_counter()
+        F = ExplicitField.polynomial_field(p, k)
+        t2 = time.perf_counter()
+        F._tables
+        t3 = time.perf_counter()
+        best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2))]
+    steps = ("smallest_irreducible_ms", "polynomial_field_ms", "tables_ms")
+    return {"field": f"GF({p}^{k})", **{step: 1e3 * t for step, t in zip(steps, best)}}
+
+
 def _cold_start() -> list:
     env = dict(os.environ, PYTHONPATH=str(Path(bbsl2.__file__).resolve().parents[1]))
     cmd = [sys.executable, "-c", _COLD_START]
@@ -264,6 +286,7 @@ def main() -> int:
         "images": [_images(g, opaque, ns.trials) for g in _IMAGE_GROUPS for opaque in (True, False)],
         "lifts": [_lifts(g, ns.trials) for g in _LIFT_GROUPS],
         "off_box": [_off_box(p, k, ns.trials) for p, k in _FIELDS],
+        "standard_fields": [_standard_field(p, k) for p, k in _STANDARD_FIELDS],
         "cold_start": _cold_start(),
         "runs": [_run(g, seed, ns.trials) for g in grid for seed in range(ns.seeds)],
     }

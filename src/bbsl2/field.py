@@ -15,8 +15,9 @@ For p = 2 an element already is its coordinate bit vector, so the
 ring sum ``add`` is an XOR, the definition ``_mul_raw`` XORs the
 precomputed products of basis elements over the set bits of both
 factors, and every F_2-linear map (multiplication by a fixed element,
-an isomorphism) XORs the images of the basis elements. For odd p a
-linear map adds digit multiples of its rows, packed into slots of ints.
+an isomorphism) reads its input a byte at a time, each byte indexing a
+table of the XOR sums of 8 images of basis elements. For odd p a linear
+map adds digit multiples of its rows, packed into slots of ints.
 
 For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
@@ -40,7 +41,7 @@ ring operations are the definitions, and M is a nonzero scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 from . import modp
 from .arith import is_prime, power
@@ -147,7 +148,10 @@ class ExplicitField:
         the powers of g by the linear map ``_times(g)`` until one repeats,
         and stops at the first g whose q - 1 powers are distinct and close
         at the unity. For k > 1 it skips the multiples c * 1 of the unity,
-        whose powers c^i * 1 repeat within p - 1 < q - 1 steps."""
+        whose powers c^i * 1 repeat within p - 1 < q - 1 steps. In a field,
+        times g != 0 permutes the nonzero elements, so its walk from the
+        unity returns there; a walk that stops at zero or at another repeat
+        x * g = y * g, x != y, shows g to be a zero divisor, and raises."""
         n, one, p = self.order - 1, self.one, self.p
         Z = 3 * n
         skip = {self.scalar(c) for c in range(1, p)} if self.k > 1 else ()
@@ -160,7 +164,9 @@ class ExplicitField:
                 log[x] = len(exp)
                 exp.append(x)
                 x = times(x)
-            if len(exp) == n and x == one:
+            if x != one:
+                raise ContractViolation(f"{g} is a zero divisor: not a field")
+            if len(exp) == n:
                 break
         else:
             raise ContractViolation("no element of order q - 1: not a field")
@@ -313,13 +319,26 @@ class FieldIsomorphism:
 def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
     """a -> the element of B with coordinates coords(a) @ m.
 
-    For odd p each row of m is packed into one int of k slots of w bits,
-    wide enough for a sum of k products of two digits, so a single
-    integer product adds a digit of a times a whole row.
+    For p = 2 the rows are split into blocks of 8, and the XOR span of
+    each block, its 2^8 (or fewer) sums indexed by their bit masks, is
+    built by doubling, so a byte of a picks its sum in one lookup: for
+    k <= 8 the map is the list's own ``__getitem__``. For odd p each row
+    of m is packed into one int of k slots of w bits, wide enough for a
+    sum of k products of two digits, so a single integer product adds a
+    digit of a times a whole row.
     """
     p = A.p
     if p == 2:
-        return partial(_xor_rows, [B.element(row) for row in m])
+        rows, spans = [B.element(row) for row in m], []
+        for i in range(0, A.k, 8):
+            span = [0]
+            for r in rows[i:i + 8]:
+                span += [x ^ r for x in span]
+            spans.append(span)
+        if len(spans) == 1:
+            return spans[0].__getitem__
+        s0, s1, s2 = (spans + [[0]])[:3]  # k <= 20 by MAX_ORDER: at most three bytes
+        return lambda a: s0[a & 255] ^ s1[a >> 8 & 255] ^ s2[a >> 16]
     w = (A.k * (p - 1) ** 2).bit_length()
     rows = [sum(d % p << w * l for l, d in enumerate(row)) for row in m]
     mask, powers = (1 << w) - 1, [p**l for l in range(B.k)]

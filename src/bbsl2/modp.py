@@ -1,8 +1,9 @@
 """Dense linear algebra and univariate polynomials over a prime field.
 
-Everything works on plain tuples of ints reduced mod p. Dimensions in
-this package never exceed a dozen, so Gauss-Jordan with no pivot tricks
-is the right tool.
+Everything works on plain tuples of ints reduced mod p, except the
+search for an irreducible over F_2, which holds a polynomial as one int
+whose bit i is the coefficient of x^i. Dimensions in this package never
+exceed a dozen, so Gauss-Jordan with no pivot tricks is the right tool.
 """
 from __future__ import annotations
 
@@ -168,14 +169,45 @@ def _has_root(f: Poly, p: int) -> bool:
     return False
 
 
+def _mod2(a: int, f: int) -> int:
+    """a mod f for bit-mask polynomials over F_2."""
+    d = f.bit_length()
+    while (s := a.bit_length() - d) >= 0:
+        a ^= f << s
+    return a
+
+
+def _is_irreducible2(f: int) -> bool:
+    """Ben-Or, as ``is_irreducible``, on a bit-mask polynomial over F_2.
+
+    y = x^(2^i) mod f is squared carry-free: reading the binary digits of
+    y in base 4 spreads bit j to bit 2j. The gcd is Euclid's with ``_mod2``.
+    """
+    y = 2  # x
+    for _ in range((f.bit_length() - 1) // 2):
+        y = _mod2(int(format(y, "b"), 4), f)
+        a, b = f, y ^ 2
+        while b:
+            a, b = b, _mod2(a, b)
+        if a != 1:
+            return False
+    return True
+
+
 @cache
 def smallest_irreducible(p: int, k: int) -> Poly:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     For k >= 2 a candidate with a root in F_p has a linear factor, so it
-    is rejected before Ben-Or. A pure function of (p, k), so it is
-    computed once per process.
+    is rejected before Ben-Or. Over F_2 the candidates are the bit masks
+    2^k + code in numeric order, the same order, and a root at 0 or 1 is
+    an even constant term or an even number of terms. A pure function
+    of (p, k), so it is computed once per process.
     """
+    if p == 2 and k > 1:
+        for f in range(1 << k | 1, 2 << k, 2):
+            if f.bit_count() & 1 and _is_irreducible2(f):
+                return tuple(f >> i & 1 for i in range(k + 1))
     # enumerate constant-first coefficient tuples in numeric order
     for code in range(p**k):
         coeffs = []

@@ -1,7 +1,9 @@
 """Structure-constant field presentations and isomorphisms between them."""
+import collections
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -283,15 +285,35 @@ def test_every_changed_structure_constant_is_rejected(pk):
     p, k = pk
     G = scrambled(ExplicitField.polynomial_field(p, k), seed=11)
     G.validate()
-    caught_by_basis_pairs = 0
+    caught = collections.Counter()
     for i, j, l in itertools.product(range(k), repeat=3):
         c = [[list(r) for r in plane] for plane in G.c]
         c[i][j][l] = (c[i][j][l] + 1) % p
         with pytest.raises(ContractViolation) as e:
             ExplicitField(p, k, c).validate()
-        caught_by_basis_pairs += "basis pair" in str(e.value)
-    # in GF(2^4) half the changes keep a unity and a primitive element
-    assert caught_by_basis_pairs == (32 if p == 2 else 0)
+        caught[next(m for m in ("no unity", "basis pair", "zero divisor") if m in str(e.value))] += 1
+    # in GF(2^4) half the changes keep a unity; of those, 7 give a zero
+    # divisor that the table walk meets and 25 keep a primitive element
+    assert caught == ({"no unity": 32, "basis pair": 25, "zero divisor": 7} if p == 2 else {"no unity": 8})
+
+
+def _power_basis(f, k: int):
+    """Structure constants of F_2[x]/(f) on 1, x, ..., x^(k-1), for any f of degree k."""
+    powers = [modp.poly_mod((0,) * s + (1,), f, 2) for s in range(2 * k - 1)]
+    powers = [tuple(r) + (0,) * (k - len(r)) for r in powers]
+    return tuple(tuple(powers[i + j] for j in range(k)) for i in range(k))
+
+
+@pytest.mark.parametrize("k, f", [(12, {0, 12}), (14, {0, 1, 14})], ids=str)
+def test_reducible_presentation_is_rejected_at_its_first_zero_divisor(k, f):
+    # x^12 + 1 and x^14 + x + 1 are reducible: the walk from the unity under
+    # times g stops short of it at the first zero divisor g, instead of trying
+    # every g for an element of order q - 1, which took minutes at k = 14
+    R = ExplicitField(2, k, _power_basis(tuple(int(i in f) for i in range(k + 1)), k))
+    t0 = time.perf_counter()
+    with pytest.raises(ContractViolation, match="zero divisor"):
+        R.validate()
+    assert time.perf_counter() - t0 < 1
 
 
 def _walk_candidates(F: ExplicitField, g: int) -> list[int]:
@@ -323,8 +345,12 @@ def _order(F: ExplicitField, a: int) -> int:
 
 
 def _walked_presentations():
-    """Odd fields, fresh standard and scrambled, and k = 1 with basis_0^2 = c * basis_0, c != 1."""
-    for pk in [(3, 2), (3, 4), (5, 3), (13, 2)]:
+    """Fields, fresh standard and scrambled, and k = 1 with basis_0^2 = c * basis_0, c != 1.
+
+    GF(2^8) reads its linear maps from one span of a byte, GF(2^9) from a
+    byte and a partial byte.
+    """
+    for pk in [(3, 2), (3, 4), (5, 3), (13, 2), (2, 8), (2, 9)]:
         F = ExplicitField.polynomial_field(*pk)
         yield ExplicitField(F.p, F.k, F.c)
         yield from (scrambled(F, seed=s) for s in (3, 19))
@@ -362,7 +388,7 @@ def test_tables_match_a_walk_by_the_definition():
         log = [Z] * F.order
         for i, x in enumerate(exp):
             log[x] = i
-        zech = None if F.k == 1 else [log[digit_add(F, F.one, x)] for x in exp] * 2
+        zech = None if F.k == 1 or F.p == 2 else [log[digit_add(F, F.one, x)] for x in exp] * 2
         assert F._tables == (log, exp * 3 + [0] * (Z + 1), zech), F.c
 
 

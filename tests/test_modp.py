@@ -99,7 +99,10 @@ _SMALLEST_IRREDUCIBLE = {
     (3, 2): (1, 0, 1),  # x^2 + 1
     (2, 4): (1, 1, 0, 0, 1),
     (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): tuple(int(i in {0, 1, 9}) for i in range(10)),
     (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): tuple(int(i in {0, 1, 3, 5, 16}) for i in range(17)),
+    (2, 20): tuple(int(i in {0, 3, 20}) for i in range(21)),
     (3, 4): (2, 1, 0, 0, 1),
     (3, 6): (2, 1, 0, 0, 0, 0, 1),
     (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
@@ -121,6 +124,14 @@ def test_smallest_irreducible_is_the_first_ben_or_accepts(p, k):
     # the root check before Ben-Or rejects only reducible candidates
     first = next(f for f in _monic(p, k) if modp.is_irreducible(f, p))
     assert modp.smallest_irreducible(p, k) == first
+
+
+def test_bit_mask_ben_or_matches_the_tuple_reference():
+    # bit i of the mask is the coefficient of x^i
+    for k in range(1, 11):
+        for f in _monic(2, k):
+            mask = sum(c << i for i, c in enumerate(f))
+            assert modp._is_irreducible2(mask) == modp.is_irreducible(f, 2), f
 
 
 @given(

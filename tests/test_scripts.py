@@ -67,6 +67,13 @@ def test_bench_measurements(bench):
     rows = bench["off_box"]
     assert [r["field"] for r in rows] == ["GF(2^4)", "GF(2^8)", "GF(2^12)", "GF(3^4)", "GF(13^2)"]
     assert all(r["tables_ms"] > 0 and r["validate_ms"] > 0 for r in rows), rows
+    # ms of the irreducible search, presentation and tables of standard fields
+    rows = bench["standard_fields"]
+    steps = ("smallest_irreducible_ms", "polynomial_field_ms", "tables_ms")
+    assert [r["field"] for r in rows] == ["GF(2^8)", "GF(2^12)", "GF(2^16)", "GF(3^6)"]
+    for r in rows:
+        assert r.keys() == {"field", *steps}, r
+        assert all(r[s] > 0 for s in steps), r
     # ms and peak MB of a fresh interpreter's import, then of its odd and char-2 boxes
     rows = bench["cold_start"]
     assert [r["step"] for r in rows] == ["import", "boxes", "char2-boxes"]
