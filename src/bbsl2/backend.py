@@ -24,9 +24,8 @@ importing ``hashlib`` would also load OpenSSL's libcrypto, which the
 codec never calls, and add about 3.6 MB to every process's peak memory.
 
 The module functions ``mat_mul``, ``mat_neg`` and ``mat_inv2`` are the
-reference definitions over ``ExplicitField``. A backend multiplies,
-negates and inverts with kernels built once for its field's
-representation, which the tests check against those definitions.
+reference definitions over ``ExplicitField``. A backend multiplies with
+its field's ``ExplicitField.matmul``, built once per field.
 """
 from __future__ import annotations
 
@@ -36,9 +35,7 @@ from _blake2 import blake2b
 
 from .blackbox import BlackBoxGroup, ElementString
 from .errors import InputError
-from .field import ExplicitField
-
-Matrix = tuple[tuple[int, ...], ...]
+from .field import ExplicitField, Matrix, check_matrix
 
 _NONCE_BYTES = 8
 
@@ -78,59 +75,6 @@ def mat_neg(F: ExplicitField, m: Matrix) -> Matrix:
     return ((neg(a), neg(b)), (neg(c), neg(d)))
 
 
-def _mul_kernel(F: ExplicitField):
-    """``mat_mul`` over F, inlined for its representation. For k > 1 it
-    reads F's tables as they are: a product is E[L[a] + L[b]], and a sum
-    of two logs with Z, the log of zero, in it lands in the zero tail of E
-    (see ``ExplicitField._tables``)."""
-    p = F.p
-    if F.k == 1:
-        c = F._c00
-
-        def mul(a: Matrix, b: Matrix) -> Matrix:
-            (a00, a01), (a10, a11) = a
-            (b00, b01), (b10, b11) = b
-            return (
-                ((a00 * b00 + a01 * b10) * c % p, (a00 * b01 + a01 * b11) * c % p),
-                ((a10 * b00 + a11 * b10) * c % p, (a10 * b01 + a11 * b11) * c % p),
-            )
-
-        return mul
-    L, E, zech = F._tables
-    Z = L[0]
-    if p == 2:
-
-        def mul(a: Matrix, b: Matrix) -> Matrix:
-            (a00, a01), (a10, a11) = a
-            (b00, b01), (b10, b11) = b
-            l00, l01, l10, l11 = L[a00], L[a01], L[a10], L[a11]
-            m00, m01, m10, m11 = L[b00], L[b01], L[b10], L[b11]
-            return (
-                (E[l00 + m00] ^ E[l01 + m10], E[l00 + m01] ^ E[l01 + m11]),
-                (E[l10 + m00] ^ E[l11 + m10], E[l10 + m01] ^ E[l11 + m11]),
-            )
-
-        return mul
-    # g^s + g^t = g^(s + zech(t - s)), or g^t when s is the log of zero;
-    # two periods of zech cover every difference of two sums of logs
-    def mul(a: Matrix, b: Matrix) -> Matrix:
-        (a00, a01), (a10, a11) = a
-        (b00, b01), (b10, b11) = b
-        l00, l01, l10, l11 = L[a00], L[a01], L[a10], L[a11]
-        m00, m01, m10, m11 = L[b00], L[b01], L[b10], L[b11]
-        s, t = l00 + m00, l01 + m10
-        e00 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
-        s, t = l00 + m01, l01 + m11
-        e01 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
-        s, t = l10 + m00, l11 + m10
-        e10 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
-        s, t = l10 + m01, l11 + m11
-        e11 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
-        return ((e00, e01), (e10, e11))
-
-    return mul
-
-
 class MatrixBackend:
     """Encoder/decoder between 2x2 matrices and black box strings.
 
@@ -157,7 +101,7 @@ class MatrixBackend:
         self.opaque = opaque
         self.width = max(1, (field.order - 1).bit_length() + 7 >> 3)
         self.string_bytes = 4 * self.width + (_NONCE_BYTES if opaque else 0)
-        self.mul = _mul_kernel(field)
+        self.mul = field.matmul
         N = [field.neg(x) for x in range(field.order)]
 
         def neg(m: Matrix) -> Matrix:
@@ -266,13 +210,7 @@ class MatrixBackend:
         return gens
 
     def validate_element(self, m: Matrix) -> Matrix:
-        try:
-            (a, b), (c, d) = m
-        except (TypeError, ValueError) as exc:
-            raise InputError("elements must be 2x2 matrices") from exc
-        m = ((a, b), (c, d))
-        if any(type(x) is not int or x < 0 or x >= self.field.order for row in m for x in row):
-            raise InputError("matrix entries must be field elements in [0, q)")
+        m = check_matrix(self.field, m)
         det = mat_det2(self.field, m)
         if det == 0:
             raise InputError("matrix is singular")

@@ -193,6 +193,8 @@ class BlackBoxField:
         return sum(d * self.p**i for i, d in enumerate(self.coords(x)))
 
     def lift_int(self, n: int) -> ElementString:
+        if not 0 <= n < self.p**self.k:
+            raise InputError(f"no field element with index {n}")
         return self.from_coords([n // self.p**i % self.p for i in range(self.k)])
 
     def to_explicit(self) -> ExplicitField:

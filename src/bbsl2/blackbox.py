@@ -9,7 +9,8 @@ order, which is what makes order computations possible at all.
 
 ``SubgroupBox`` is the one wrapper: a subgroup of the direct power
 base^k, whose strings concatenate k base strings. With k = 1 it is a
-subgroup of the base box; the Frobenius construction uses k > 1.
+subgroup of the base box. The Frobenius construction uses it at every
+degree k, k = 1 included.
 """
 from __future__ import annotations
 
@@ -192,6 +193,8 @@ class SubgroupBox(BlackBoxGroup):
         if x._seal is _join_bytes:
             return x._value
         d, w = x.data, self.base.string_bytes
+        if len(d) != self.string_bytes:
+            raise InputError("string has the wrong length for this box")
         return tuple(ElementString(d[i : i + w]) for i in range(0, len(d), w))
 
     @staticmethod

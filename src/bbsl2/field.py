@@ -24,9 +24,10 @@ so the ring operations are integer arithmetic mod p. For k > 1 they are
 lookups in one set of log, power and Zech tables (``_tables``), built on
 first use, once per field, by walking the powers of a primitive element
 with the linear map "times it", whose rows come from the definition
-``_mul_raw``. The backend's matrix kernels read the same tables as they
-are. The standard presentation ``polynomial_field(p, k)`` is one object
-per (p, k) per process, so its tables are built once per process.
+``_mul_raw``. The backend and the verify stage take their 2x2 matrix
+product, ``matmul``, and the rule for a matrix, ``check_matrix``, from
+here. ``polynomial_field(p, k)`` is one object per (p, k) per process,
+so its tables and its ``matmul`` are built once per process.
 
 ``validate`` proves a presentation to be F_q, with no sampling. Any
 tables make a field with the coordinate sum: g^i * g^j = g^(i+j), on the
@@ -49,12 +50,30 @@ from .errors import ContractViolation, InputError
 
 MAX_ORDER = 1 << 20  # every field is held as O(q) tables
 
+Matrix = tuple[tuple[int, ...], ...]
 
-def check_order(p: int, k: int) -> int:
-    """q = p^k, or InputError above MAX_ORDER; for p >= 2, before any large power."""
+
+def check_field(p: int, k: int) -> int:
+    """q = p^k for p prime, k >= 1 and q <= MAX_ORDER; else InputError, before any large power."""
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not a prime")
+    if k < 1:
+        raise InputError(f"need k >= 1, not k = {k}")
     if k >= MAX_ORDER.bit_length() or p**k > MAX_ORDER:
         raise InputError(f"GF({p}^{k}) is out of scope: fields have at most 2^20 elements")
     return p**k
+
+
+def check_matrix(F: ExplicitField, m) -> Matrix:
+    """m as a 2x2 tuple of ints in [0, q), the elements of F; InputError
+    otherwise. A bool, float or out-of-range entry would index a table."""
+    try:
+        (a, b), (c, d) = m
+    except (TypeError, ValueError) as exc:
+        raise InputError("a matrix must be 2x2") from exc
+    if not (type(a) is type(b) is type(c) is type(d) is int and 0 <= min(a, b, c, d) and max(a, b, c, d) < F.order):
+        raise InputError("matrix entries must be field elements in [0, q)")
+    return ((a, b), (c, d))
 
 
 def _xor_rows(rows, x: int) -> int:
@@ -72,9 +91,7 @@ class ExplicitField:
         # no bool, float or str: int() would truncate or parse it
         if any(type(x) is not int for x in (p, k, *(x for plane in c for row in plane for x in row))):
             raise InputError("p, k and the structure constants must be integers")
-        if not is_prime(p) or k < 1:
-            raise InputError("need a prime p and k >= 1")
-        self.order = check_order(p, k)
+        self.order = check_field(p, k)
         c = tuple(tuple(tuple(x % p for x in row) for row in plane) for plane in c)
         if len(c) != k or any(len(pl) != k or any(len(r) != k for r in pl) for pl in c):
             raise InputError("structure constants must form a k*k*k array")
@@ -137,8 +154,8 @@ class ExplicitField:
     def _tables(self) -> tuple[list[int], list[int], list[int] | None]:
         """(L, E, zech) on the powers of g, the first element of order q - 1.
 
-        The one layout, read by the ring operations below and as is by the
-        backend's kernels. With n = q - 1, L[x] is the log of x, and the log
+        The one layout, read by the ring operations below and by
+        ``matmul``. With n = q - 1, L[x] is the log of x, and the log
         of zero, L[0] = Z = 3n, exceeds every sum of two logs of nonzero
         elements. E[i] = g^i for i < 3n, then Z + 1 zeros, so a sum of logs
         with Z in it reads zero. For odd p and k > 1, zech[t] = L[1 + g^t]
@@ -206,6 +223,58 @@ class ExplicitField:
             return a * b * self._c00 % self.p
         L, E, _ = self._tables
         return E[L[a] + L[b]]
+
+    @cached_property
+    def matmul(self):
+        """The product of two 2x2 matrices over this field, ``backend.mat_mul``
+        inlined for its representation: integers mod p for k = 1, else a
+        read of ``_tables`` as laid out there, with XOR sums for p = 2."""
+        p = self.p
+        if self.k == 1:
+            c = self._c00
+
+            def mul(a: Matrix, b: Matrix) -> Matrix:
+                (a00, a01), (a10, a11) = a
+                (b00, b01), (b10, b11) = b
+                return (
+                    ((a00 * b00 + a01 * b10) * c % p, (a00 * b01 + a01 * b11) * c % p),
+                    ((a10 * b00 + a11 * b10) * c % p, (a10 * b01 + a11 * b11) * c % p),
+                )
+
+            return mul
+        L, E, zech = self._tables
+        Z = L[0]
+        if p == 2:
+
+            def mul(a: Matrix, b: Matrix) -> Matrix:
+                (a00, a01), (a10, a11) = a
+                (b00, b01), (b10, b11) = b
+                l00, l01, l10, l11 = L[a00], L[a01], L[a10], L[a11]
+                m00, m01, m10, m11 = L[b00], L[b01], L[b10], L[b11]
+                return (
+                    (E[l00 + m00] ^ E[l01 + m10], E[l00 + m01] ^ E[l01 + m11]),
+                    (E[l10 + m00] ^ E[l11 + m10], E[l10 + m01] ^ E[l11 + m11]),
+                )
+
+            return mul
+        # g^s + g^t = g^(s + zech(t - s)), or g^t when s is the log of zero;
+        # two periods of zech cover every difference of two sums of logs
+        def mul(a: Matrix, b: Matrix) -> Matrix:
+            (a00, a01), (a10, a11) = a
+            (b00, b01), (b10, b11) = b
+            l00, l01, l10, l11 = L[a00], L[a01], L[a10], L[a11]
+            m00, m01, m10, m11 = L[b00], L[b01], L[b10], L[b11]
+            s, t = l00 + m00, l01 + m10
+            e00 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
+            s, t = l00 + m01, l01 + m11
+            e01 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
+            s, t = l10 + m00, l11 + m10
+            e10 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
+            s, t = l10 + m01, l11 + m11
+            e11 = E[t] if s >= Z else E[s] if t >= Z else E[s + zech[t - s]]
+            return ((e00, e01), (e10, e11))
+
+        return mul
 
     @cached_property
     def one(self) -> int:
@@ -288,11 +357,7 @@ class ExplicitField:
         a field never changes after construction, apart from its lazy
         unity and tables, which come out the same whoever builds them.
         """
-        if not is_prime(p):
-            raise InputError(f"p = {p} is not a prime")
-        if k < 1:
-            raise InputError(f"need k >= 1, not k = {k}")
-        check_order(p, k)
+        check_field(p, k)
         f = modp.smallest_irreducible(p, k)
         powers = []  # x^s mod f; x^i * x^j depends on i + j only
         for s in range(2 * k - 1):

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .backend import Matrix
-from .field import ExplicitField
+from .field import ExplicitField, Matrix
 
 
 def random_sl2(F: ExplicitField, rng: random.Random) -> Matrix:

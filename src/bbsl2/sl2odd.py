@@ -19,12 +19,11 @@ import random
 from dataclasses import dataclass
 
 from . import oracle
-from .arith import coprime_part, is_prime, p_part
-from .backend import _mul_kernel
+from .arith import coprime_part, p_part
 from .bbfield import build_field_on_U
 from .blackbox import BlackBoxGroup, ElementString, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import check_order
+from .field import check_field, check_matrix
 from .frobenius import frobenius_on_sl2
 from .involutions import random_involution
 from .stages import RecognitionResult, StageRecorder
@@ -207,13 +206,7 @@ class SteinbergMorphism:
     def __call__(self, mat) -> ElementString:
         """Apply to a 2x2 matrix with entries in self.explicit (ints)."""
         E = self.explicit
-        try:
-            (a, b), (c, d) = mat
-        except (TypeError, ValueError) as exc:
-            raise InputError("the matrix must be 2x2") from exc
-        q = E.order
-        if not (type(a) is type(b) is type(c) is type(d) is int and 0 <= min(a, b, c, d) and max(a, b, c, d) < q):
-            raise InputError("matrix entries must be field elements in [0, q)")
+        (a, b), (c, d) = check_matrix(E, mat)
         if E.sub(E.mul(a, d), E.mul(b, c)) != E.one:
             raise InputError("matrix does not have determinant 1 over the recovered field")
         if c != 0:
@@ -231,13 +224,9 @@ def check_trials(trials: int) -> None:
 def check_params(p: int, k: int) -> int:
     """q = p^k if (P)SL2(q) is in scope: p prime, k >= 1 (k >= 2 at p = 2),
     q at most 2^20, and q = 1 mod 4 at odd p; InputError otherwise."""
-    if not is_prime(p):
-        raise InputError(f"p = {p} is not a prime")
     if p == 2 and k < 2:
         raise InputError("the degree must be at least 2: SL2(2) is solvable and out of scope")
-    if k < 1:
-        raise InputError("need k >= 1")
-    q = check_order(p, k)
+    q = check_field(p, k)
     if p > 2 and q % 4 != 1:
         raise InputError("q must be 1 mod 4")
     return q
@@ -270,7 +259,7 @@ def finish_recognition(
 
     with rec.stage("verify"):
         passes = 0
-        mul = _mul_kernel(explicit)
+        mul = explicit.matmul
         for _ in range(trials):
             m1 = oracle.random_sl2(explicit, rng)
             m2 = oracle.random_sl2(explicit, rng)

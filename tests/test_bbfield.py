@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bbsl2.arith import factorint
 from bbsl2.backend import make_matrix_blackbox
 from bbsl2.bbfield import ppd_prime
+from bbsl2.errors import InputError
 from bbsl2.sl2odd import recover_psl2
 
 import brute
@@ -64,6 +65,10 @@ def test_field_lift_read_roundtrip(recovered):
     f = recovered.field
     for j in range(min(f.p**f.k, 100)):
         assert f.read_int(f.lift_int(j)) == j
+    with pytest.raises(InputError):
+        f.lift_int(f.p**f.k)
+    with pytest.raises(InputError):
+        f.lift_int(-1)
 
 
 def test_field_ops_match_explicit_table(recovered, rng):

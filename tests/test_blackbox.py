@@ -140,6 +140,19 @@ def test_subgroup_box_rejects_mismatched_generator_lengths(rng):
             SubgroupBox(box, gens, rng)
 
 
+def test_subgroup_box_rejects_strings_of_the_wrong_length(rng):
+    # a string is sliced into base strings: one base string, or three,
+    # would compare equal to a pair with the missing or extra part ignored
+    box = make_matrix_blackbox(13, 1, opaque=True, seed=2)
+    g = box.generators[0]
+    sub = SubgroupBox(box, [SubgroupBox.join([g, g])], rng)
+    x = sub.generators[0]
+    for y in (ElementString(g.data), ElementString(g.data * 3)):
+        for op in (lambda: sub.compare(y, x), lambda: sub.mul(y, x), lambda: sub.inv(y)):
+            with pytest.raises(InputError):
+                op()
+
+
 def test_generated_subbox_stays_inside(rng):
     box = make_matrix_blackbox(13, 1, opaque=False, seed=5)
     be = box.backend

@@ -84,18 +84,20 @@ def test_selftest_mode(tmp_path, schema):
 
 
 def test_selftest_names_every_group_under_a_broken_kernel(tmp_path, monkeypatch, capsys):
-    real = backend._mul_kernel
+    # only the boxes multiply wrongly: the verify stage keeps its field's kernel
+    real = backend.MatrixBackend.__init__
 
-    def swapped(F):
-        mul = real(F)
+    def swapped(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        mul = self.mul
 
         def bad(a, b):
             (w, x), (y, z) = mul(a, b)
             return ((x, w), (y, z))
 
-        return bad
+        self.mul = bad
 
-    monkeypatch.setattr(backend, "_mul_kernel", swapped)
+    monkeypatch.setattr(backend.MatrixBackend, "__init__", swapped)
     rep = _run(tmp_path, ["selftest"], expect=3)
     err = capsys.readouterr().err
     for group in ("sl2_5", "psl2_9", "sl2_16"):
