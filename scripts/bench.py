@@ -6,8 +6,11 @@ Oracle counts are complete base-box totals from
 ``SubgroupBox``, the Frobenius tuple group among them. Times are the best of five
 rounds unless said otherwise. The sections:
 
-- ``meta``: the Python version, ``os.cpu_count()`` and ``src_lines``, the
-  line count of the package, as ``cat src/bbsl2/*.py src/bbsl2/*.json | wc -l``.
+- ``meta``: the Python version, ``os.cpu_count()``, ``src_lines``, the
+  line count of the package, as ``cat src/bbsl2/*.py src/bbsl2/*.json | wc -l``,
+  and ``max_module_tokens``, the parser tokens (all but comments and blank
+  lines) of its largest module, which compiling without a bytecode cache
+  holds in memory at once.
 - ``per_op``: us per backend op over 200 calls, on opaque and transparent
   strings: mul, inv, compare and encode on strings the backend made,
   which are handles; decode of such a string (``decode``) and of a copy
@@ -45,6 +48,7 @@ import random
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import bbsl2
@@ -265,7 +269,14 @@ def _meta() -> dict:
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "src_lines": sum(f.read_bytes().count(b"\n") for f in files),
+        "max_module_tokens": max(map(_parser_tokens, src.glob("*.py"))),
     }
+
+
+def _parser_tokens(path: Path) -> int:
+    with path.open("rb") as fh:
+        toks = tokenize.tokenize(fh.readline)
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING) for t in toks)
 
 
 def main() -> int:

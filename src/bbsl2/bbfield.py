@@ -9,8 +9,9 @@ matrix of the trace form, and with it coordinates, structure constants,
 and inverses, all by small linear algebra over F_p. ``trace_form`` and
 ``check_structure`` serve the characteristic-2 field of ``sl2char2`` too.
 
-Elements of the recovered field are strings of the ambient box; all
-equality goes through the box.
+Elements of the recovered field are strings of the Frobenius box, and
+``to_box`` maps one to the base-box string carrying it; all equality
+goes through the box.
 """
 from __future__ import annotations
 
@@ -79,27 +80,20 @@ def check_structure(box: BlackBoxGroup, s, structure, p: int) -> None:
 
 
 class BlackBoxField:
-    """F_(p^k) whose elements are strings of the ambient box."""
+    """F_(p^k) on the Frobenius box ``fro``: the unity is ``fro.u_bar``, p and
+    k are the box's, and calling the box is the Frobenius. ``to_box``
+    projects an element to the base-box string that carries it."""
 
-    def __init__(
-        self,
-        box: BlackBoxGroup,
-        unity: ElementString,
-        conjugator: ElementString,
-        phi,
-        p: int,
-        k: int,
-    ):
-        self.box = box
-        self.unity = unity
-        self.phi = phi
-        self.p = p
-        self.k = k
+    def __init__(self, fro: FrobeniusMap, conjugator: ElementString):
+        self.box = box = fro
+        self.unity = unity = fro.u_bar
+        self.p = p = fro.p
+        self.k = k = fro.k
         if box.is_identity(unity):
             raise InputError("the additive unity must be nontrivial")
         if not box.is_identity(box.power(unity, p)):
             raise ContractViolation("unity does not have additive order p")
-        if not box.compare(phi(unity), unity):
+        if not box.compare(box(unity), unity):
             raise ContractViolation("the Frobenius map moves the unity")
 
         # multiples j * unity for prime-field reads
@@ -143,7 +137,7 @@ class BlackBoxField:
     def trace(self, x: ElementString) -> ElementString:
         acc, cur = x, x
         for _ in range(self.k - 1):
-            cur = self.phi(cur)
+            cur = self.box(cur)
             acc = self.box.mul(acc, cur)
         return acc
 
@@ -189,6 +183,9 @@ class BlackBoxField:
         return self.unity
 
     # -- explicit coordinates -------------------------------------------------
+    def to_box(self, x: ElementString) -> ElementString:
+        return self.box.project(x)
+
     def read_int(self, x: ElementString) -> int:
         return sum(d * self.p**i for i, d in enumerate(self.coords(x)))
 
@@ -221,4 +218,4 @@ def build_field_on_U(fro: FrobeniusMap, torus_order: int) -> BlackBoxField:
         h_tilde = fro.power(fro.h_bar, torus_order // p_part(torus_order, r))
         # m is r, but the box is asked, as the pinned oracle counts include it
         conj = fro.power(h_tilde, (element_order(fro, h_tilde) + 1) // 2)
-    return BlackBoxField(fro, fro.u_bar, conj, fro, p, k)
+    return BlackBoxField(fro, conj)

@@ -171,12 +171,13 @@ class SubgroupBox(BlackBoxGroup):
     """The subgroup generated by ``gens`` inside base^k, with its own sampler.
 
     A string is a handle over k base strings, its bytes theirs joined; a
-    string given by its bytes is sliced into k. k is read from the
-    generators' length; k = 1 is a plain subgroup of ``base``. The raw
-    operations act on each coordinate through the base box's raw ones,
-    looked up per call, so a counter rebinding them on the base instance
-    sees every oracle call. Each draw counts once here and once on the
-    base box, so a stage recorded on the base box sees it.
+    string given by its bytes is sliced into k. A string of another length,
+    or a handle over another number of parts, is an InputError. k is read
+    from the generators' length; k = 1 is a plain subgroup of ``base``.
+    The raw operations act on each coordinate through the base box's raw
+    ones, looked up per call, so a counter rebinding them on the base
+    instance sees every oracle call. Each draw counts once here and once
+    on the base box, so a stage recorded on the base box sees it.
     """
 
     def __init__(self, base: BlackBoxGroup, gens, rng: random.Random):
@@ -191,11 +192,12 @@ class SubgroupBox(BlackBoxGroup):
 
     def split(self, x: ElementString) -> tuple[ElementString, ...]:
         if x._seal is _join_bytes:
-            return x._value
-        d, w = x.data, self.base.string_bytes
-        if len(d) != self.string_bytes:
-            raise InputError("string has the wrong length for this box")
-        return tuple(ElementString(d[i : i + w]) for i in range(0, len(d), w))
+            if len(x._value) == self.k:
+                return x._value
+        elif len(d := x.data) == self.string_bytes:
+            w = self.base.string_bytes
+            return tuple(ElementString(d[i : i + w]) for i in range(0, len(d), w))
+        raise InputError("string has the wrong length for this box")
 
     @staticmethod
     def join(parts) -> ElementString:

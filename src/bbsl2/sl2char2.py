@@ -271,6 +271,9 @@ class Char2Field:
         t = self.box.inv(self._witness_of(a))
         return (t, self.box.conj(self.r, t))
 
+    def to_box(self, a) -> ElementString:
+        return a[1]
+
     def read_int(self, a) -> int:
         """Coordinates over s_1..s_n from the traces Tr(a * s_j), as bits."""
         if self.is_zero(a):
@@ -309,8 +312,7 @@ def recover_char2(
 
     with rec.stage("field"):
         field = Char2Field(box, frame, n, rng)
-    checks = {"gram_det_nonzero": field.gram_det != 0, "is_center_quotient": False}
-    return finish_recognition(box, rec, rng, field, frame, lambda a: a[1], trials, checks)
+    return finish_recognition(box, rec, rng, field, frame, trials, {"is_center_quotient": False})
 
 
 def recognize(

@@ -164,35 +164,33 @@ class SteinbergMorphism:
     """Explicit morphism from 2x2 matrices over the recovered field into the box.
 
     The images are Bruhat words in the frame consisting of the field
-    carrier (unipotent images), the matched Weyl element, and torus
-    words derived from both. ``project`` maps field carriers to box
-    strings; the identity when the carrier already lives in the box.
-    The Bruhat bookkeeping runs in the explicit presentation and only
-    the final entries get lifted, each once: the unipotent u(t) is kept
+    carrier (unipotent images, mapped into the box by ``field.to_box``),
+    the matched Weyl element, and torus words derived from both. The
+    Bruhat bookkeeping runs in the explicit presentation and only the
+    final entries get lifted, each once: the unipotent u(t) is kept
     per explicit int t, which keeps carrier arithmetic (expensive on a
     black box field) off the per-matrix path. Images are never kept, so
     each one is a fresh string. An image costs 6 box muls.
     """
 
-    def __init__(self, box, field, weyl, project, explicit):
+    def __init__(self, box, field, weyl, explicit):
         self.box = box
         self.field = field
         self.weyl = weyl
         self.weyl_inv = box.inv(weyl)
-        self.project = project
         self.explicit = explicit
         self._unipotents: dict[int, ElementString] = {}
         # n(1) = u(1) v(-1) u(1) from the carriers themselves, so the check
         # also exercises the recovered field's own inversion
-        a = self.project(field.one)
-        mid = box.conj(self.project(field.inv(field.one)), weyl, self.weyl_inv)
+        a = field.to_box(field.one)
+        mid = box.conj(field.to_box(field.inv(field.one)), weyl, self.weyl_inv)
         if not box.compare(box.mul(box.mul(a, mid), a), weyl):
             raise ContractViolation("Weyl element is not matched to the field unity")
 
     def _u_int(self, t: int) -> ElementString:
         u = self._unipotents.get(t)
         if u is None:
-            u = self._unipotents[t] = self.project(self.field.lift_int(t))
+            u = self._unipotents[t] = self.field.to_box(self.field.lift_int(t))
         return u
 
     def _n_int(self, t: int) -> ElementString:
@@ -238,24 +236,23 @@ def finish_recognition(
     rng: random.Random,
     field,
     frame,
-    project,
     trials: int,
     checks: dict,
-    frobenius=None,
 ) -> RecognitionResult:
     """The tail both characteristics share, from a recovered field to the result.
 
     Reads the field's structure constants and proves them F_q by their
     isomorphism onto the standard presentation, builds the Steinberg
     morphism on ``frame.weyl``, and verifies it as a homomorphism on
-    ``trials`` random pairs; ``checks`` joins the verification record.
+    ``trials`` random pairs. The verification record notes the field's
+    Gram determinant, and ``checks`` joins it.
     """
     with rec.stage("structure-constants"):
         explicit = field.to_explicit()
         iso = explicit.validate()
 
     with rec.stage("steinberg"):
-        morphism = SteinbergMorphism(box, field, frame.weyl, project=project, explicit=explicit)
+        morphism = SteinbergMorphism(box, field, frame.weyl, explicit)
 
     with rec.stage("verify"):
         passes = 0
@@ -269,18 +266,17 @@ def finish_recognition(
         verification = {
             "phi_homomorphism_checks": {"trials": trials, "passes": passes},
             "ring_iso_to_standard": True,
+            "gram_det_nonzero": field.gram_det != 0,
             **checks,
         }
 
     return RecognitionResult(
-        params={"p": field.p, "k": field.k, "q": explicit.order},
         frame=frame,
         field=field,
         explicit=explicit,
         morphism=morphism,
         stages=rec.stages,
         verification=verification,
-        frobenius=frobenius,
         extras={"iso_matrix": iso.matrix},
     )
 
@@ -304,11 +300,5 @@ def recover_psl2(
     with rec.stage("field"):
         field = build_field_on_U(fro, torus_order)
 
-    checks = {
-        "gram_det_nonzero": field.gram_det != 0,
-        "is_center_quotient": frame.is_psl,
-        "torus_order": torus_order,
-    }
-    return finish_recognition(
-        box, rec, rng, field, frame, fro.project, trials, checks, frobenius=fro
-    )
+    checks = {"is_center_quotient": frame.is_psl, "torus_order": torus_order}
+    return finish_recognition(box, rec, rng, field, frame, trials, checks)

@@ -59,12 +59,10 @@ class StageRecorder:
 class RecognitionResult:
     """Everything a recognition run produces, ready for reporting."""
 
-    params: dict
     frame: Any
     field: Any
     explicit: Any
     morphism: Any
     stages: list[StageInfo]
     verification: dict
-    frobenius: Any = None
     extras: dict = field(default_factory=dict)

@@ -8,8 +8,9 @@ in sight: the tests' independent ground truth at desk scale. They use
 only the reference ``mat_mul`` and ``mat_inv2``, never a backend kernel.
 Also the digit-wise sum, Frobenius map and absolute trace of an explicit
 field, and its presentation on a random new basis; reference copies of
-box searches that the package now runs more cheaply; and random elements
-of a recovered field.
+box searches that the package now runs more cheaply; random elements
+of a recovered field; and ``exhaustive_check``, a recognition's morphism
+checked on every matrix of SL2(q).
 """
 import random
 
@@ -155,3 +156,40 @@ def random_element(field, rng: random.Random):
     if isinstance(field, Char2Field):
         return field.lift_int(rng.randrange(1 << field.k))
     return field.from_coords([rng.randrange(field.p) for _ in range(field.k)])
+
+
+def sl2_matrices(F: ExplicitField) -> list[Matrix]:
+    """All q(q^2 - 1) matrices of SL2 over F: d = 1/a when c = 0, else b = (ad - 1)/c."""
+    out = [((a, b), (0, F.inv(a))) for a in F.elements() if a for b in F.elements()]
+    for c in range(1, F.order):
+        ci = F.inv(c)
+        out += [
+            ((a, F.mul(F.sub(F.mul(a, d), F.one), ci)), (c, d))
+            for a in F.elements()
+            for d in F.elements()
+        ]
+    return out
+
+
+def exhaustive_check(res, box) -> None:
+    """Assert that ``res.morphism`` maps SL2 over ``res.explicit`` onto the box
+    as a homomorphism whose kernel is the center exactly for a center quotient.
+
+    phi(I) = 1 and phi(M g) = phi(M) phi(g) for every M and every g in the
+    generating set {u(p^i) : i < k} with n(1) make phi a homomorphism, by
+    induction on the length of a word in those g. The images, decoded by
+    the backend, must then number |SL2(q)|, or |PSL2(q)| for a center
+    quotient: phi is onto, with the expected kernel.
+    """
+    E, phi, be = res.explicit, res.morphism, box.backend
+    mats = sl2_matrices(E)
+    images = {m: phi(m) for m in mats}
+    assert box.is_identity(images[mat_identity(E)]), "phi(I) is not the identity"
+    gens = [u_mat(E, E.p**i) for i in range(E.k)] + [n_mat(E, E.one)]
+    for m in mats:
+        for g in gens:
+            assert box.compare(
+                images[mat_mul(E, m, g)], box.mul(images[m], images[g])
+            ), f"phi(M g) != phi(M) phi(g) at M = {m}, g = {g}"
+    want = len(mats) // (2 if be.center_quotient and E.p > 2 else 1)
+    assert len({be.decode(x) for x in images.values()}) == want, "wrong number of images"

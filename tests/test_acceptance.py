@@ -207,8 +207,8 @@ def test_criterion_4_subgroup_decoding_matches_enumeration():
         group = brute.closure(F, be.standard_generators(), canon=canon)
         res = recover_psl2(box, p, k, random.Random(4), trials=10)
         f, frame = res.field, res.frame
-        # field carriers live in the Frobenius tuple group: project down first
-        proj = res.frobenius.project
+        # field carriers live in the Frobenius tuple group: map them into the box first
+        proj = res.field.to_box
         u_dec = be.decode(frame.u)
         # canonical representatives of unipotent classes have matrix order
         # p, or 2p when the center quotient picked the negated matrix

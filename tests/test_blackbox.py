@@ -142,12 +142,15 @@ def test_subgroup_box_rejects_mismatched_generator_lengths(rng):
 
 def test_subgroup_box_rejects_strings_of_the_wrong_length(rng):
     # a string is sliced into base strings: one base string, or three,
-    # would compare equal to a pair with the missing or extra part ignored
+    # would compare equal to a pair with the missing or extra part ignored;
+    # so would a handle joined from one part or three
     box = make_matrix_blackbox(13, 1, opaque=True, seed=2)
     g = box.generators[0]
     sub = SubgroupBox(box, [SubgroupBox.join([g, g])], rng)
     x = sub.generators[0]
-    for y in (ElementString(g.data), ElementString(g.data * 3)):
+    wrong = [ElementString(g.data), ElementString(g.data * 3)]
+    wrong += [SubgroupBox.join([g]), SubgroupBox.join([g, g, g])]
+    for y in wrong:
         for op in (lambda: sub.compare(y, x), lambda: sub.mul(y, x), lambda: sub.inv(y)):
             with pytest.raises(InputError):
                 op()

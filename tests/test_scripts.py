@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_source_size import parser_tokens
 
 ROOT = Path(__file__).resolve().parents[1]
 _ARGS = ["--odd", "13,1", "29,1", "3,4", "13,2", "--char2", "3", "8", "--seeds", "1", "--trials", "5"]
@@ -27,13 +28,15 @@ def bench():
 
 
 def test_bench_meta(bench):
-    # src_lines is what `cat src/bbsl2/*.py src/bbsl2/*.json | wc -l` prints
+    # src_lines is what `cat src/bbsl2/*.py src/bbsl2/*.json | wc -l` prints,
+    # and max_module_tokens the largest module's count under the token limit
     src = ROOT / "src" / "bbsl2"
     lines = sum(f.read_bytes().count(b"\n") for f in [*src.glob("*.py"), *src.glob("*.json")])
     assert bench["meta"] == {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "src_lines": lines,
+        "max_module_tokens": max(map(parser_tokens, src.glob("*.py"))),
     }
 
 

@@ -271,7 +271,8 @@ def test_recover_char2_full_run(n, rng):
     assert v["phi_homomorphism_checks"] == {"trials": 60, "passes": 60}
     assert v["gram_det_nonzero"]
     assert v["ring_iso_to_standard"] and not v["is_center_quotient"]
-    assert res.params == {"p": 2, "k": n, "q": 2**n}
+    assert box.compare(res.field.to_box(res.field.one), res.frame.r)
+    assert (res.explicit.p, res.explicit.k, res.explicit.order) == (2, n, 2**n)
 
 
 def test_recover_char2_image_generates_whole_group(rng):

@@ -9,6 +9,7 @@ from bbsl2.bbfield import BlackBoxField
 from bbsl2.blackbox import element_order
 from bbsl2.errors import ContractViolation, InputError, MonteCarloFailure
 from bbsl2.field import ExplicitField
+from bbsl2.frobenius import frobenius_on_sl2
 from bbsl2.stages import StageRecorder
 from bbsl2.sl2odd import (
     SteinbergMorphism,
@@ -126,16 +127,24 @@ def test_recover_psl2_rejects_trials_below_one(trials, sl2_13, rng):
     assert sl2_13.stats["samples"] == 0  # rejected before any search
 
 
+def _standard_field(box, n):
+    """The field on the Frobenius box (k = 1) of the standard u(1), h(tau), n."""
+    be = box.backend
+    F = be.field
+    u = be.encode(brute.u_mat(F, F.one))
+    h = be.encode(brute.h_mat(F, F.primitive_element()))
+    fro = frobenius_on_sl2(box, u, h, n, F.p, 1, random.Random(0))
+    return BlackBoxField(fro, fro.identity)
+
+
 def _standard_morphism(p, k, cq=False):
     """Morphism built on the standard frame of a transparent backend."""
     box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=False, seed=0)
     be = box.backend
-    F = be.field
     assert k == 1, "helper only supports prime fields"
-    u = be.encode(brute.u_mat(F, F.one))
-    n = be.encode(brute.n_mat(F, F.one))
-    field = BlackBoxField(box, u, box.identity, lambda x: x, p, 1)
-    return box, be, SteinbergMorphism(box, field, n, lambda s: s, field.to_explicit())
+    n = be.encode(brute.n_mat(be.field, be.field.one))
+    field = _standard_field(box, n)
+    return box, be, SteinbergMorphism(box, field, n, field.to_explicit())
 
 
 def test_steinberg_morphism_is_identity_on_standard_frame(rng):
@@ -188,11 +197,10 @@ def test_steinberg_build_check_rejects_mismatched_weyl():
     box = make_matrix_blackbox(13, 1, opaque=False, seed=0)
     be = box.backend
     F = be.field
-    u = be.encode(brute.u_mat(F, F.one))
+    field = _standard_field(box, be.encode(brute.n_mat(F, F.one)))
     wrong = be.encode(brute.n_mat(F, 2))  # n(2) is not matched to u(1)
-    field = BlackBoxField(box, u, box.identity, lambda x: x, 13, 1)
     with pytest.raises(ContractViolation):
-        SteinbergMorphism(box, field, wrong, lambda s: s, field.to_explicit())
+        SteinbergMorphism(box, field, wrong, field.to_explicit())
 
 
 def test_recover_psl2_image_generates_whole_group(rng):
@@ -214,7 +222,8 @@ def test_recover_psl2_full_run_sl(rng):
     assert v["phi_homomorphism_checks"] == {"trials": 60, "passes": 60}
     assert v["gram_det_nonzero"] and v["ring_iso_to_standard"]
     assert not v["is_center_quotient"]
-    assert res.params == {"p": 13, "k": 1, "q": 13}
+    assert box.compare(res.field.to_box(res.field.one), res.frame.u)
+    assert (res.explicit.p, res.explicit.k, res.explicit.order) == (13, 1, 13)
     assert [s.ok for s in res.stages] == [True] * len(res.stages)
     assert res.explicit.to_dict() == ExplicitField(13, 1, res.explicit.c).to_dict()
 
