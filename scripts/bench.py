@@ -6,11 +6,15 @@ Oracle counts are complete base-box totals from
 ``SubgroupBox``, the Frobenius tuple group among them. Times are the best of five
 rounds unless said otherwise. The sections:
 
-- ``meta``: the Python version, ``os.cpu_count()``, ``src_lines``, the
-  line count of the package, as ``cat src/bbsl2/*.py src/bbsl2/*.json | wc -l``,
-  and ``max_module_tokens``, the parser tokens (all but comments and blank
-  lines) of its largest module, which compiling without a bytecode cache
-  holds in memory at once.
+- ``meta``: the Python version, ``os.cpu_count()``, ``cpu_model``, the
+  first "model name" of ``/proc/cpuinfo`` (null where there is none),
+  ``src_lines``, the line count of the package, as
+  ``cat src/bbsl2/*.py src/bbsl2/*.json | wc -l``, ``max_module_tokens``,
+  the parser tokens (all but comments and blank lines) of its largest
+  module, which compiling without a bytecode cache holds in memory at
+  once, and ``ref_loop_ms``, the ms of a fixed pure-Python loop, best of
+  _ROUNDS, timed ``before`` and ``after`` the rest: divide a wall time by
+  it to compare hosts.
 - ``per_op``: us per backend op over 200 calls, on opaque and transparent
   strings: mul, inv, compare and encode on strings the backend made,
   which are handles; decode of such a string (``decode``) and of a copy
@@ -268,9 +272,31 @@ def _meta() -> dict:
     return {
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
+        "cpu_model": _cpu_model(),
         "src_lines": sum(f.read_bytes().count(b"\n") for f in files),
         "max_module_tokens": max(map(_parser_tokens, src.glob("*.py"))),
+        "ref_loop_ms": {"before": _ref_loop_ms()},
     }
+
+
+def _cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
+def _ref_loop_ms() -> float:
+    """ms of a fixed pure-Python loop, the best of _ROUNDS."""
+    best = float("inf")
+    for _ in range(_ROUNDS):
+        t0 = time.perf_counter()
+        acc = 0
+        for i in range(100_000):
+            acc = (acc * 31 + i) & 0xFFFF
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
 
 
 def _parser_tokens(path: Path) -> int:
@@ -301,6 +327,7 @@ def main() -> int:
         "cold_start": _cold_start(),
         "runs": [_run(g, seed, ns.trials) for g in grid for seed in range(ns.seeds)],
     }
+    doc["meta"]["ref_loop_ms"]["after"] = _ref_loop_ms()
     print(json.dumps(doc, indent=1))
     return int(any(not r["exact"] or not r.get("identical", True) for r in doc["runs"]))
 

@@ -1,41 +1,15 @@
-"""Integer helpers: primality, factorization, p-parts, and the one
+"""Integer helpers: factorization, p-parts, and the one
 square-and-multiply, shared by box, field and polynomial powers.
 
 Factorization is trial division by every d with d^2 at most the
 cofactor left. The inputs are the global exponents p(q^2 - 1) of groups
 over fields of at most 2^20 elements, their divisors, and p^n - 1 for
 such fields: every prime factor is at most q + 1, so d never passes
-2^20 + 1. Primality is Miller-Rabin, which rejects a huge p at once.
+2^20 + 1. ``field.check_field`` tests primality by it, for p <= 2^20 only.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set covers all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @lru_cache(maxsize=4096)

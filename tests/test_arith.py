@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbsl2 import arith
-from bbsl2.arith import coprime_part, factorint, is_prime, p_part
+from bbsl2.arith import coprime_part, factorint, p_part
+from bbsl2.errors import InputError
+from bbsl2.field import MAX_ORDER, check_field
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # primes just above 1,000, whose products and powers have no factor
@@ -34,9 +37,7 @@ def _trial_division(n: int) -> dict[int, int]:
 
 def _assert_factorization(n: int, f: dict[int, int]) -> None:
     assert math.prod(p**e for p, e in f.items()) == n
-    assert all(is_prime(p) for p in f)
-    if n < 10**6:
-        assert f == _trial_division(n)
+    assert f == _trial_division(n)
 
 
 def test_factorint_frozen_group_orders():
@@ -105,10 +106,35 @@ def test_cold_start_memory_is_sized_to_the_input():
     assert int(proc.stdout) < 1 << 20
 
 
-@given(st.integers(min_value=2, max_value=200_000))
+def _check_field_message(p: int, k: int = 1) -> str | None:
+    try:
+        check_field(p, k)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.integers(min_value=2, max_value=MAX_ORDER + 2**10))
 @settings(max_examples=200, deadline=None)
 def test_is_prime_matches_trial_division(n):
-    assert is_prime(n) == (_trial_division(n) == {n: 1})
+    # check_field makes the one primality decision, and only up to the bound
+    msg = _check_field_message(n)
+    if n > MAX_ORDER:
+        assert "out of scope" in msg
+    elif _trial_division(n) == {n: 1}:
+        assert msg is None
+    else:
+        assert msg == f"p = {n} is not a prime"
+
+
+def test_check_field_edge_cases():
+    assert check_field(1_048_573, 1) == 1_048_573  # the largest prime below 2^20
+    for p in (1_048_583, 10**30):  # a prime above the bound, and a huge composite
+        start = time.perf_counter()
+        assert "out of scope" in _check_field_message(p)
+        assert time.perf_counter() - start < 0.01
+    for p in (-3, 0, 1, 9, 21):
+        assert _check_field_message(p) == f"p = {p} is not a prime"
 
 
 @given(st.integers(min_value=1, max_value=10**9), st.sampled_from([2, 3, 5, 13]))

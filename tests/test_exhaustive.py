@@ -9,7 +9,9 @@ import random
 
 import pytest
 
-from bbsl2 import make_matrix_blackbox, recognize
+from bbsl2 import make_matrix_blackbox, oracle, recognize
+from bbsl2.backend import MatrixBackend
+from bbsl2.field import ExplicitField
 from bbsl2.sl2odd import SteinbergMorphism
 
 import brute
@@ -66,3 +68,31 @@ def test_weyl_fault_fails_the_exhaustive_check(recognized):
     phi.weyl_inv = box.inv(phi.weyl)
     with pytest.raises(AssertionError):
         brute.exhaustive_check(res, box)
+
+
+# the inputs beyond the standard generators over the standard field: a
+# random generating pair, and the standard generators over two scrambled
+# presentations; they stay out of the mutation tests above
+_OTHER_GROUPS = [(3, 2, False), (3, 2, True), (13, 1, False), (13, 1, True), (2, 3, False)]
+
+
+def _random_pair(F: ExplicitField, rng: random.Random):
+    """Two uniform matrices of SL2 over F, redrawn until they generate it."""
+    order = F.order * (F.order**2 - 1)
+    while True:
+        gens = [oracle.random_sl2(F, rng) for _ in range(2)]
+        if len(brute.closure(F, gens)) == order:
+            return gens
+
+
+@pytest.mark.parametrize("scramble", [None, 3, 19], ids=["random-pair", "scrambled-3", "scrambled-19"])
+@pytest.mark.parametrize("group", _OTHER_GROUPS, ids=_name)
+def test_exhaustive_check_beyond_the_standard_generators(group, scramble):
+    p, k, cq = group
+    F = ExplicitField.polynomial_field(p, k)
+    if scramble is None:
+        box = MatrixBackend(F, center_quotient=cq, seed=1000).blackbox(_random_pair(F, random.Random(1)))
+    else:
+        box = MatrixBackend(brute.scrambled(F, seed=scramble), center_quotient=cq, seed=1000).blackbox()
+    res = recognize(box, p, k, random.Random(0), trials=10)
+    brute.exhaustive_check(res, box)

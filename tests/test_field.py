@@ -392,6 +392,12 @@ def test_tables_match_a_walk_by_the_definition():
         assert F._tables == (log, exp * 3 + [0] * (Z + 1), zech), F.c
 
 
+def test_isomorphism_maps_the_unity_to_the_unity():
+    # no check tests M(1) = 1: row 0 of both power matrices is the unity
+    for F in _walked_presentations():
+        assert explicit_isomorphism(F, ExplicitField.polynomial_field(F.p, F.k))(F.one) == 1, F.c
+
+
 def test_standard_field_and_its_tables_are_built_once_per_process(monkeypatch):
     assert ExplicitField.polynomial_field(3, 4) is ExplicitField.polynomial_field(3, 4)
     ExplicitField.polynomial_field.cache_clear()

@@ -32,12 +32,26 @@ def test_bench_meta(bench):
     # and max_module_tokens the largest module's count under the token limit
     src = ROOT / "src" / "bbsl2"
     lines = sum(f.read_bytes().count(b"\n") for f in [*src.glob("*.py"), *src.glob("*.json")])
-    assert bench["meta"] == {
+    meta = dict(bench["meta"])
+    ref = meta.pop("ref_loop_ms")
+    assert meta == {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "cpu_model": _cpu_model(),
         "src_lines": lines,
         "max_module_tokens": max(map(parser_tokens, src.glob("*.py"))),
     }
+    # the yardstick loop, timed before and after the run
+    assert ref.keys() == {"before", "after"}
+    assert all(0 < ms < 10_000 for ms in ref.values()), ref
+
+
+def _cpu_model():
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return None
+    return next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")), None)
 
 
 def test_bench_measurements(bench):

@@ -19,6 +19,7 @@ from bbsl2.sl2char2 import (
 )
 
 import brute
+from counting import count_base_ops
 
 
 def test_involution_sample(sl2_8, rng):
@@ -41,21 +42,33 @@ def test_involution_sample_tests_x_only_on_a_hit():
     assert box.stats["compares"] - compares == draws + 1
 
 
-def test_dihedral_frame_relations(sl2_8, rng):
-    r = involution_sample(sl2_8, rng)
-    theta = find_order3_inverted(sl2_8, r, rng)
-    frame = dihedral_frame(sl2_8, r, theta)
-    assert element_order(sl2_8, frame.weyl) == 2
-    assert element_order(sl2_8, frame.v1) == 2
-    assert not sl2_8.commutes(frame.r, frame.weyl)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_dihedral_frame_relations(n, seed):
+    # dihedral_frame checks nothing: the relations below hold in every
+    # group for an order-3 theta inverted by r, and here they are shown
+    box = make_matrix_blackbox(2, n, opaque=True, seed=50 + n)
+    rng = random.Random(seed)
+    r = involution_sample(box, rng)
+    theta = find_order3_inverted(box, r, rng)
+    assert element_order(box, theta) == 3
+    assert box.compare(box.conj(theta, r), box.inv(theta))
+    frame = dihedral_frame(box, r, theta)
+    assert element_order(box, frame.weyl) == 2
+    assert element_order(box, frame.v1) == 2
+    assert not box.commutes(frame.r, frame.weyl)
     # conjugation by the Weyl candidate swaps r onto the opposite unipotent
-    assert sl2_8.compare(sl2_8.conj(frame.r, frame.weyl), frame.v1)
+    assert box.compare(box.conj(frame.r, frame.weyl), frame.v1)
 
 
-def test_dihedral_frame_rejects_commuting_theta(sl2_8, rng):
-    r = involution_sample(sl2_8, rng)
-    with pytest.raises(ContractViolation):
-        dihedral_frame(sl2_8, r, sl2_8.identity)
+def test_dihedral_frame_costs_three_muls():
+    box = make_matrix_blackbox(2, 4, opaque=True, seed=5)
+    rng = random.Random(1)
+    r = involution_sample(box, rng)
+    theta = find_order3_inverted(box, r, rng)
+    ops = count_base_ops(box)
+    dihedral_frame(box, r, theta)
+    assert ops.snapshot() == (3, 0, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
