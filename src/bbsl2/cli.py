@@ -111,8 +111,6 @@ def _box_from_args(args, params: dict, desc: dict | None):
         if not isinstance(mats, list) or not mats:
             raise InputError("group description file needs a nonempty 'generators' list")
         p, k = desc.get("p"), desc.get("k", 1)
-        if type(p) is not int or type(k) is not int:
-            raise InputError("group description file needs an integer 'p' and 'k'")
         cq = desc.get("center_quotient", False)
         if not isinstance(cq, bool):
             raise InputError("'center_quotient' must be true or false")

@@ -12,38 +12,38 @@ order, of its minimal polynomial in the second; ``find_root`` finds it
 by one Horner scan over the second field's elements.
 
 For p = 2 an element already is its coordinate bit vector, so the
-ring sum ``add`` is an XOR, the definition ``_mul_raw`` XORs the
-precomputed products of basis elements over the set bits of both
-factors, and every F_2-linear map (multiplication by a fixed element,
-an isomorphism) reads its input a byte at a time, each byte indexing a
-table of the XOR sums of 8 images of basis elements. For odd p a linear
-map adds digit multiples of its rows, packed into slots of ints.
+ring sum ``add`` is an XOR, and every F_2-linear map (multiplication by
+a fixed element, an isomorphism) reads its input a byte at a time, each
+byte indexing a table of the XOR sums of 8 images of basis elements. For
+odd p a linear map adds digit multiples of its rows, packed into slots
+of ints.
 
 For k = 1, a stands for a * basis_0 and basis_0^2 = c[0][0][0] * basis_0,
 so the ring operations are integer arithmetic mod p. For k > 1 they are
 lookups in one set of log, power and Zech tables (``_tables``), built on
 first use, once per field, by walking the powers of a primitive element
-with the linear map "times it", whose rows come from the definition
-``_mul_raw``. The backend and the verify stage take their 2x2 matrix
-product, ``matmul``, and the rule for a matrix, ``check_matrix``, from
-here. ``polynomial_field(p, k)`` is one object per (p, k) per process,
-so its tables and its ``matmul`` are built once per process.
+with the linear map "times it", whose rows are read from ``c``. The
+digit-wise product ``_mul_raw`` is the definition that the tests compare
+against; no program path calls it. The backend and the verify stage
+take their 2x2 matrix product, ``matmul``, and the rule for a matrix,
+``check_matrix``, from here. ``polynomial_field(p, k)`` is one object
+per (p, k) per process, so its tables and ``matmul`` are built once.
 
 ``validate`` proves a presentation to be F_q, with no sampling. Any
 tables make a field with the coordinate sum: g^i * g^j = g^(i+j), on the
 q - 1 images of the unity under the powers of a linear map R, is the
 product of the field F_p[R]. So the map M onto the standard field that
-``explicit_isomorphism`` builds from them is invertible. The definition
-``_mul_raw`` and the standard product are bilinear, so M(b_i * b_j) =
-M(b_i) * M(b_j) on the k^2 ordered basis pairs makes M a field
-isomorphism (M(1) = 1 by construction), and the tables compute the
-definition. For k = 1 the ring operations are the definitions, and M is
-a nonzero scalar.
+``explicit_isomorphism`` builds from them is invertible. The product
+by structure constants and the standard product are bilinear, so
+M(c[i][j]) = M(b_i) * M(b_j) on the k^2 ordered basis pairs, with the
+basis products read from ``c``, makes M a field isomorphism (M(1) = 1
+by construction), and the tables compute the definition. For k = 1 the
+ring operations are the definitions, and M is a nonzero scalar.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 
 from . import modp
 from .arith import factorint, power
@@ -56,7 +56,9 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def check_field(p: int, k: int) -> int:
     """q = p^k for p prime, k >= 1 and q <= MAX_ORDER; else InputError, before any large power.
-    In order: p < 2, trial division for p <= MAX_ORDER only, k >= 1, the bound."""
+    In order: int p and k, p < 2, trial division for p <= MAX_ORDER only, k >= 1, the bound."""
+    if type(p) is not int or type(k) is not int:  # no bool, float or str
+        raise InputError("p and k must be integers")
     if p < 2 or p <= MAX_ORDER and factorint(p) != {p: 1}:
         raise InputError(f"p = {p} is not a prime")
     if k < 1:
@@ -78,31 +80,22 @@ def check_matrix(F: ExplicitField, m) -> Matrix:
     return ((a, b), (c, d))
 
 
-def _xor_rows(rows, x: int) -> int:
-    """The XOR of rows[i] over the set bits i of x: x times a matrix over F_2."""
-    out = 0
-    for r in rows:
-        if x & 1:
-            out ^= r
-        x >>= 1
-    return out
-
-
 class ExplicitField:
     def __init__(self, p: int, k: int, c):
-        # no bool, float or str: int() would truncate or parse it
-        if any(type(x) is not int for x in (p, k, *(x for plane in c for row in plane for x in row))):
-            raise InputError("p, k and the structure constants must be integers")
         self.order = check_field(p, k)
-        c = tuple(tuple(tuple(x % p for x in row) for row in plane) for plane in c)
-        if len(c) != k or any(len(pl) != k or any(len(r) != k for r in pl) for pl in c):
+        try:
+            shaped = len(c) == k and all(len(pl) == k and all(len(r) == k for r in pl) for pl in c)
+        except TypeError:  # c, a plane or a row with no length: an int or None
+            shaped = False
+        if not shaped:
             raise InputError("structure constants must form a k*k*k array")
+        # no bool, float or str: x % p would accept or parse it
+        if any(type(x) is not int for pl in c for r in pl for x in r):
+            raise InputError("the structure constants must be integers")
         self.p = p
         self.k = k
-        self.c = c
+        self.c = c = tuple(tuple(tuple(x % p for x in r) for r in pl) for pl in c)
         self._c00 = c[0][0][0]
-        # for p = 2, basis_i * basis_j as a bit vector: the packed product XORs these
-        self._rows = tuple(tuple(self.element(r) for r in plane) for plane in c) if p == 2 else None
 
     # -- coordinates ----------------------------------------------------
     def coords(self, a: int) -> tuple[int, ...]:
@@ -123,15 +116,6 @@ class ExplicitField:
 
     # -- the definition: product by structure constants
     def _mul_raw(self, a: int, b: int) -> int:
-        if self.p == 2:
-            out = 0
-            for row in self._rows:
-                if not a:
-                    break
-                if a & 1:
-                    out ^= _xor_rows(row, b)
-                a >>= 1
-            return out
         av, bv, c, p = self.coords(a), self.coords(b), self.c, self.p
         out = [0] * self.k
         for i, x in enumerate(av):
@@ -148,8 +132,12 @@ class ExplicitField:
         return self.element(v % p for v in out)
 
     def _times(self, g: int):
-        """x -> x * g as an F_p-linear map: row i is basis_i * g by the definition."""
-        rows = [self.coords(self._mul_raw(self.p**i, g)) for i in range(self.k)]
+        """x -> x * g as an F_p-linear map: row i is basis_i * g, the sum of
+        g_j * c[i][j] over the nonzero digits g_j of g (``_linear_map`` reduces mod p)."""
+        rows = [(0,) * self.k] * self.k
+        for j, d in enumerate(self.coords(g)):
+            if d:
+                rows = [[r + d * x for r, x in zip(row, ci[j])] for row, ci in zip(rows, self.c)]
         return _linear_map(self, self, rows)
 
     @cached_property
@@ -351,7 +339,7 @@ class ExplicitField:
             raise InputError(f"bad field JSON: {e}") from e
 
     @classmethod
-    @cache
+    @lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True are not the ints 2 and 1
     def polynomial_field(cls, p: int, k: int) -> "ExplicitField":
         """Standard presentation on the power basis of the smallest irreducible.
 
@@ -459,12 +447,13 @@ def _power_matrix(F: ExplicitField, g: int) -> modp.Mat:
 
 
 def _check_basis_products(iso: FieldIsomorphism) -> None:
-    """M(b_i * b_j) = M(b_i) * M(b_j) on all k^2 ordered basis pairs, the source
-    product by its definition: by bilinearity, M is then multiplicative
-    everywhere. M(1) = 1 untested: row 0 of each ``_power_matrix`` is the unity."""
+    """M(c[i][j]) = M(b_i) * M(b_j) on all k^2 ordered basis pairs, the source
+    products read from its structure constants: by bilinearity, M is then
+    multiplicative everywhere. M(1) = 1 untested: row 0 of each
+    ``_power_matrix`` is the unity."""
     A, B = iso.src, iso.dst
     basis = [A.p**i for i in range(A.k)]
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
-            if iso(A._mul_raw(x, y)) != B.mul(iso(x), iso(y)):
+            if iso(A.element(A.c[i][j])) != B.mul(iso(x), iso(y)):
                 raise ContractViolation(f"isomorphism not multiplicative on basis pair ({i}, {j})")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsl2 import make_matrix_blackbox, modp
+from bbsl2 import make_matrix_blackbox, modp, recognize
 from bbsl2.errors import ContractViolation, InputError
 from bbsl2.field import ExplicitField, explicit_isomorphism, find_root
 
@@ -142,6 +142,24 @@ def test_box_above_2_20_elements_rejected_before_a_polynomial_search(monkeypatch
         make_matrix_blackbox(3, 14)
 
 
+def test_p_and_k_must_be_ints():
+    # a float, str or bool p or k, or a c that is not a k*k*k nest, is rejected input
+    box = make_matrix_blackbox(13, 1, seed=1)
+    make_matrix_blackbox(3, 2)  # so a cache that took 2.0 for 2 would answer
+    calls = [
+        lambda: make_matrix_blackbox(3, 2.0),
+        lambda: make_matrix_blackbox(3, True),
+        lambda: recognize(box, "13", 1, random.Random(0)),
+        lambda: recognize(box, 13, 1.0, random.Random(0)),
+        lambda: ExplicitField(3, 2, 5),
+        lambda: ExplicitField(3, 1, None),
+        lambda: ExplicitField(3, 2, ((1, 0), (0, 1))),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
 def test_isomorphism_rejects_mismatched_orders():
     with pytest.raises(InputError):
         explicit_isomorphism(
@@ -222,31 +240,12 @@ def test_prime_kernel_matches_reference(p, c):
     F.validate()
 
 
-def _digitwise_times(F: ExplicitField, a: int):
-    """Coordinates of b -> a * b by the structure constants, on digit tuples."""
-    av, k = F.coords(a), F.k
-    # row j: a * basis_j
-    rows = [[sum(av[i] * F.c[i][j][l] for i in range(k)) for l in range(k)] for j in range(k)]
-
-    def times(bv) -> int:
-        out = [0] * k
-        for y, row in zip(bv, rows):
-            if y:
-                out = [o + y * r for o, r in zip(out, row)]
-        return F.element(out)
-
-    return times
-
-
 @pytest.mark.parametrize("k", range(1, 9))
 def test_packed_gf2_ops_match_digitwise(k):
     F = ExplicitField.polynomial_field(2, k)
     for E in (F, scrambled(F, seed=40 + k)):
-        coords = [E.coords(b) for b in E.elements()]
         for a in E.elements():
-            times = _digitwise_times(E, a)
-            for b, bv in enumerate(coords):
-                assert E._mul_raw(a, b) == times(bv)
+            for b in E.elements():
                 assert E.add(a, b) == digit_add(E, a, b)
 
 
@@ -396,6 +395,21 @@ def test_isomorphism_maps_the_unity_to_the_unity():
     # no check tests M(1) = 1: row 0 of both power matrices is the unity
     for F in _walked_presentations():
         assert explicit_isomorphism(F, ExplicitField.polynomial_field(F.p, F.k))(F.one) == 1, F.c
+
+
+def test_no_program_path_needs_the_digitwise_product(monkeypatch):
+    # _mul_raw is the reference the tests compare against: tables, validate
+    # and whole recognitions must run without it
+    def no_mul_raw(self, a, b):
+        raise AssertionError("called the digit-wise product")
+
+    monkeypatch.setattr(ExplicitField, "_mul_raw", no_mul_raw)
+    for pk in [(2, 8), (2, 9), (3, 4), (13, 2)]:
+        ExplicitField.polynomial_field.__wrapped__(ExplicitField, *pk)._tables  # a fresh, uncached build
+        scrambled(ExplicitField.polynomial_field(*pk), seed=7).validate()
+    for p, k in [(2, 4), (3, 2)]:
+        res = recognize(make_matrix_blackbox(p, k, seed=1000), p, k, random.Random(0))
+        assert res.explicit.order == p**k
 
 
 def test_standard_field_and_its_tables_are_built_once_per_process(monkeypatch):

@@ -84,9 +84,9 @@ def test_bench_measurements(bench):
     rows = bench["off_box"]
     assert [r["field"] for r in rows] == ["GF(2^4)", "GF(2^8)", "GF(2^12)", "GF(3^4)", "GF(13^2)"]
     assert all(r["tables_ms"] > 0 and r["validate_ms"] > 0 for r in rows), rows
-    # ms of the irreducible search, presentation and tables of standard fields
+    # ms of the irreducible search, presentation, tables and constructor of standard fields
     rows = bench["standard_fields"]
-    steps = ("smallest_irreducible_ms", "polynomial_field_ms", "tables_ms")
+    steps = ("smallest_irreducible_ms", "polynomial_field_ms", "tables_ms", "constructor_ms")
     assert [r["field"] for r in rows] == ["GF(2^8)", "GF(2^12)", "GF(2^16)", "GF(3^6)"]
     for r in rows:
         assert r.keys() == {"field", *steps}, r
