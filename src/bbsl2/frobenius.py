@@ -16,6 +16,7 @@ import random
 
 from .blackbox import BlackBoxGroup, ElementString, SubgroupBox
 from .errors import ContractViolation, InputError
+from .field import check_field
 
 
 class FrobeniusMap(SubgroupBox):
@@ -56,8 +57,7 @@ def frobenius_on_sl2(
     the torus tuple depends on the group, and is checked: the order of h
     must divide p^k - 1, else the torus tuple is not a twisted diagonal.
     """
-    if k < 1:
-        raise InputError("need k >= 1")
+    check_field(p, k)
     if box.is_identity(u) or not box.is_identity(box.power(u, p)):
         raise InputError("u is not a nontrivial element of order p")
     if not box.commutes(box.conj(u, h), u):

@@ -222,9 +222,9 @@ def check_trials(trials: int) -> None:
 def check_params(p: int, k: int) -> int:
     """q = p^k if (P)SL2(q) is in scope: p prime, k >= 1 (k >= 2 at p = 2),
     q at most 2^20, and q = 1 mod 4 at odd p; InputError otherwise."""
+    q = check_field(p, k)
     if p == 2 and k < 2:
         raise InputError("the degree must be at least 2: SL2(2) is solvable and out of scope")
-    q = check_field(p, k)
     if p > 2 and q % 4 != 1:
         raise InputError("q must be 1 mod 4")
     return q

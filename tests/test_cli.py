@@ -157,6 +157,8 @@ def test_rejected_inputs_exit_1(tmp_path, capsys):
         ("field-report", {"p": 3, "k": 1, "c": [[[True]]]}),
         ("recognize", {"p": 13, "k": 1, "center_quotient": "false", "generators": gens}),
         ("recognize", {"p": 13, "k": True, "generators": gens}),
+        ("recognize", {"p": 2, "k": "4", "generators": gens}),
+        ("recognize", {"p": 2, "k": None, "generators": gens}),
         ("recognize", {"p": 13, "k": 1, "generators": [[[True, 1], [0, 1]], gens[1]]}),
     ]
     for n, (mode, desc) in enumerate(bad_files):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bbsl2 import make_matrix_blackbox, modp, recognize
 from bbsl2.errors import ContractViolation, InputError
 from bbsl2.field import ExplicitField, explicit_isomorphism, find_root
+from bbsl2.frobenius import frobenius_on_sl2
 
 from brute import digit_add, frobenius, scrambled, trace
 
@@ -151,6 +152,8 @@ def test_p_and_k_must_be_ints():
         lambda: make_matrix_blackbox(3, True),
         lambda: recognize(box, "13", 1, random.Random(0)),
         lambda: recognize(box, 13, 1.0, random.Random(0)),
+        lambda: recognize(box, 2, "4", random.Random(0)),  # p = 2 compares k with 2
+        lambda: frobenius_on_sl2(box, *[box.identity] * 3, 13, "1", random.Random(0)),
         lambda: ExplicitField(3, 2, 5),
         lambda: ExplicitField(3, 1, None),
         lambda: ExplicitField(3, 2, ((1, 0), (0, 1))),
