@@ -37,6 +37,11 @@ rounds unless said otherwise. The sections:
 - ``cold_start``: ms and peak RSS (MB) of a fresh interpreter's import of
   bbsl2, then of its building the ten odd-grid boxes, then the four
   char2-grid boxes, whose fields the odd ones do not share; best of three.
+- ``detection``: per cost-table group, recognized once, how many of
+  ``faults`` one-point faults pass all ``trials`` homomorphism checks
+  (``escaped``). Fault i replaces the cached image of one unipotent u(t0)
+  by u(t0)·u(1), so the map is wrong at one field element; t0 is the first
+  draw of ``Random(i)`` in [2, q), the verify loop's pairs its next draws.
 - ``runs``: per group of the grid and seed, the stage samples,
   verification, base-box counts and seconds of a run on opaque strings.
   Seed 0 also runs on transparent strings, each kind timed after a
@@ -75,6 +80,9 @@ _IMAGE_GROUPS = [(13, 1, True), (3, 4, False), (2, 4, False)]
 _LIFT_GROUPS = [(2, 4, False), (2, 8, False)]
 _FIELDS = [(2, 4), (2, 8), (2, 12), (3, 4), (13, 2)]
 _STANDARD_FIELDS = [(2, 8), (2, 12), (2, 16), (3, 6)]
+_DETECTION_GROUPS = [(13, 1, False), (3, 4, False), (13, 2, False), (5, 4, False), (3, 6, False),
+                     (2, 8, False), (2, 12, False)]
+_FAULTS = 40
 # run in a fresh interpreter: import bbsl2, build the odd-grid boxes (q = 9,
 # 13, 29, 81, 169, as SL2 and PSL2), then the char2-grid boxes (2^2, 2^3,
 # 2^4, 2^8); prints ms and peak MB of each step. The peak is VmHWM, the high
@@ -243,6 +251,20 @@ def _cold_start() -> list:
             for step, (ms, mb) in zip(("import", "boxes", "char2-boxes"), (zip(*s) for s in zip(*runs)))]
 
 
+def _detection(group, trials: int) -> dict:
+    res, _, _ = _recognize(group, 0, True, trials)
+    phi, box, q = res.morphism, res.morphism.box, res.explicit.order
+    escaped = 0
+    for i in range(_FAULTS):
+        rng = random.Random(i)
+        t0 = rng.randrange(2, q)
+        true_u = phi._u_int(t0)
+        phi._unipotents[t0] = box.mul(true_u, phi._u_int(res.explicit.one))
+        escaped += phi.homomorphism_passes(trials, rng) == trials
+        phi._unipotents[t0] = true_u
+    return {"group": _label(*group), "trials": trials, "faults": _FAULTS, "escaped": escaped}
+
+
 def _stats(res, ops, seconds: float) -> dict:
     """What a run on one kind of string gave; all but ``s`` must match across kinds."""
     return {"samples": {s.name: s.samples_used for s in res.stages},
@@ -328,6 +350,7 @@ def main() -> int:
         "off_box": [_off_box(p, k, ns.trials) for p, k in _FIELDS],
         "standard_fields": [_standard_field(p, k) for p, k in _STANDARD_FIELDS],
         "cold_start": _cold_start(),
+        "detection": [_detection(g, ns.trials) for g in _DETECTION_GROUPS],
         "runs": [_run(g, seed, ns.trials) for g in grid for seed in range(ns.seeds)],
     }
     doc["meta"]["ref_loop_ms"]["after"] = _ref_loop_ms()

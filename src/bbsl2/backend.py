@@ -262,18 +262,11 @@ class MatrixBlackBox(BlackBoxGroup):
 def make_matrix_blackbox(
     p: int,
     k: int,
-    special: bool = True,
     center_quotient: bool = False,
     opaque: bool = True,
     seed: int = 0,
 ) -> MatrixBlackBox:
-    """Convenience constructor over the standard polynomial field."""
+    """(P)SL2(p^k) over the standard polynomial field; GL2 boxes come
+    from ``MatrixBackend(F, special=False)``."""
     field = ExplicitField.polynomial_field(p, k)
-    backend = MatrixBackend(
-        field,
-        special=special,
-        center_quotient=center_quotient,
-        opaque=opaque,
-        seed=seed,
-    )
-    return backend.blackbox()
+    return MatrixBackend(field, center_quotient=center_quotient, opaque=opaque, seed=seed).blackbox()

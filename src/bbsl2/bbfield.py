@@ -41,15 +41,14 @@ def trace_form(T, p: int, k: int):
     T[m] = Tr(gamma^m) for m = 1..3k (T[0] is unused). The Gram matrix
     is G[i][j] = T[i+j]; the coordinates of an element x are
     (Tr(x gamma^j))_j G^-1, so those of gamma^(i+j) are the structure
-    constants (T[i+j+l])_l G^-1. Returns (det G, G^-1, structure), the
-    last two None when G is singular, that is when gamma generates a
-    proper subfield.
+    constants (T[i+j+l])_l G^-1. Returns (G^-1, structure), or None
+    when G is singular, that is when gamma generates a proper subfield.
     """
     gram = tuple(tuple(T[i + j] for j in range(1, k + 1)) for i in range(1, k + 1))
-    det = modp.mat_det(gram, p)
-    if det == 0:
-        return det, None, None
-    ginv = modp.mat_inv(gram, p)
+    try:
+        ginv = modp.mat_inv(gram, p)
+    except ZeroDivisionError:
+        return None
     structure = tuple(
         tuple(
             modp.vec_mat(tuple(T[i + j + l] for l in range(1, k + 1)), ginv, p)
@@ -57,7 +56,7 @@ def trace_form(T, p: int, k: int):
         )
         for i in range(1, k + 1)
     )
-    return det, ginv, structure
+    return ginv, structure
 
 
 def combine(box: BlackBoxGroup, s, coords, p: int) -> ElementString:
@@ -111,9 +110,9 @@ class BlackBoxField:
 
         # power traces T_m = read(trace(s_m)), m = 1..3k
         self._T = [None] + [self._read(self.trace(self._s[m])) for m in range(1, 3 * k + 1)]
-        self.gram_det, self._gram_inv, self.structure = trace_form(self._T, p, k)
-        if self.gram_det == 0:
+        if (form := trace_form(self._T, p, k)) is None:
             raise ContractViolation("degenerate trace form: basis does not span the field")
+        self._gram_inv, self.structure = form
         self.unity_coords = modp.vec_mat(
             tuple(self._T[j] for j in range(1, k + 1)), self._gram_inv, p
         )

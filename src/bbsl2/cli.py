@@ -152,7 +152,7 @@ def _mode_field_report(args, params: dict, desc: dict) -> dict:
     explicit = ExplicitField.from_dict(desc)
     params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
     iso = explicit.validate()
-    verification = {"ring_iso_to_standard": True, "iso_matrix": iso.matrix}
+    verification = {"iso_matrix": iso.matrix}
     return _report(args, params, (), verification, explicit)
 
 

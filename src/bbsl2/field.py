@@ -312,10 +312,9 @@ class ExplicitField:
         return tuple(-s % p for s in sol) + (1,)
 
     def field_generator(self) -> int:
-        for a in range(1, self.order):
-            if len(self.minimal_polynomial(a)) == self.k + 1:
-                return a
-        raise ContractViolation("no generating element: not a degree-k field")
+        # some a qualifies: minimal_polynomial needs the unity and, at k > 1, the
+        # tables, which prove this a field of order p^k, and so one with a degree-k element
+        return next(a for a in range(1, self.order) if len(self.minimal_polynomial(a)) == self.k + 1)
 
     def primitive_element(self) -> int:
         """The first element, in integer order, of multiplicative order p^k - 1."""

@@ -186,14 +186,14 @@ class Char2Field:
             for _ in range(3 * n - 1):
                 cpow.append(box.mul(cpow[-1], c))
             T = self._power_traces(cpow)
-            self.gram_det, self._gram_inv, self.structure = trace_form(T, 2, n)
-            if self.gram_det:
+            if (form := trace_form(T, 2, n)) is not None:
                 break
         else:
             raise ContractViolation(
                 f"no conjugator generated the field in {_CONJUGATOR_BUDGET} draws, which a "
                 f"true SL2(2^{n}) allows with probability at most 2^-{_CONJUGATOR_BUDGET}"
             )
+        self._gram_inv, self.structure = form
         self._cpow = cpow
         self._s = [frame.r] + [box.conj(frame.r, w) for w in cpow[1 : 2 * n + 1]]
         check_structure(box, self._s, self.structure, 2)

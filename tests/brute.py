@@ -149,6 +149,13 @@ def find_order3_inverted_reference(box, r, rng, budget: int = 600):
     raise AssertionError("no candidate of order divisible by 3")
 
 
+def gram_det(field) -> int:
+    """det G mod p of a ``BlackBoxField``'s trace form, G[i][j] = T[i+j],
+    rebuilt from its power traces ``_T``."""
+    k = field.k
+    return modp.mat_det([[field._T[i + j] for j in range(1, k + 1)] for i in range(1, k + 1)], field.p)
+
+
 def random_element(field, rng: random.Random):
     """A uniform element of a recovered field: a ``BlackBoxField`` from k
     coordinate draws in [0, p), a ``Char2Field`` from one index draw in

@@ -81,7 +81,7 @@ def criterion1_runs():
                 checks = res.verification["phi_homomorphism_checks"]
                 entry.update(
                     success=checks == {"trials": _VERIFY_TRIALS, "passes": _VERIFY_TRIALS},
-                    gram_ok=res.verification["gram_det_nonzero"],
+                    gram_ok=brute.gram_det(res.field) != 0,
                     iso_ok=_iso_to_standard_checked(
                         res.explicit, 500 if q > 81 else q * q, rng
                     ),

@@ -1,14 +1,17 @@
 """Field recovery on the unipotent subgroup and primitive prime divisors."""
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbsl2 import modp
 from bbsl2.arith import factorint
 from bbsl2.backend import make_matrix_blackbox
-from bbsl2.bbfield import ppd_prime
+from bbsl2.bbfield import ppd_prime, trace_form
 from bbsl2.errors import InputError
+from bbsl2.field import ExplicitField
 from bbsl2.sl2odd import recover_psl2
 
 import brute
@@ -94,7 +97,7 @@ def test_field_addition_is_box_multiplication(recovered, rng):
 
 
 def test_gram_determinant_nonzero(recovered):
-    assert recovered.field.gram_det % recovered.field.p != 0
+    assert brute.gram_det(recovered.field) != 0
 
 
 def test_explicit_presentation_validates(recovered):
@@ -107,3 +110,21 @@ def test_structure_constants_prime_case_is_unit():
     box = make_matrix_blackbox(13, 1, opaque=True, seed=2)
     res = recover_psl2(box, 13, 1, random.Random(4), trials=10)
     assert res.field.structure == (((1,),),)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 4), (13, 2), (5, 3)])
+def test_trace_form_on_a_prime_field_element_and_a_generator(p, k):
+    F = ExplicitField.polynomial_field(p, k)
+
+    def power_traces(gamma):
+        return [None] + [brute.trace(F, F.pow(gamma, m)) for m in range(1, 3 * k + 1)]
+
+    assert trace_form(power_traces(F.scalar(p - 1)), p, k) is None  # gamma in F_p
+    gamma = F.field_generator()
+    ginv, structure = trace_form(power_traces(gamma), p, k)
+    gram = [[brute.trace(F, F.pow(gamma, i + j)) for j in range(1, k + 1)] for i in range(1, k + 1)]
+    assert modp.mat_mul(gram, ginv, p) == tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            terms = [F.mul(F.scalar(c), F.pow(gamma, l)) for l, c in enumerate(structure[i - 1][j - 1], 1)]
+            assert functools.reduce(F.add, terms, 0) == F.pow(gamma, i + j)

@@ -206,23 +206,26 @@ def test_isomorphism_maps_match_vec_mat(F):
 _KERNEL_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (3, 4), (13, 2), (2, 8)]
 
 
-def _digitwise_add(F: ExplicitField, a: int, b: int) -> int:
-    return F.element(x + y for x, y in zip(F.coords(a), F.coords(b)))
-
-
-def _digitwise_neg(F: ExplicitField, a: int) -> int:
-    return F.element(-x for x in F.coords(a))
-
-
 def _check_kernel(F: ExplicitField) -> None:
-    """Every product, sum, negation and inverse against the reference definitions."""
-    one = F.one
-    for a in F.elements():
-        for b in F.elements():
-            assert F.mul(a, b) == F._mul_raw(a, b)
-            assert F.add(a, b) == _digitwise_add(F, a, b)
-            assert F.sub(a, b) == _digitwise_add(F, a, _digitwise_neg(F, b))
-        assert F.neg(a) == _digitwise_neg(F, a)
+    """Every product, sum, difference, negation and inverse against the
+    digit-wise definitions, each element's coordinates read once. The
+    reference product is linear in b: with j the place of b's lowest
+    nonzero digit and e_j = p^j, a * b is the digit-wise sum of
+    a * (b - e_j), met earlier, and a * e_j, one of the k products taken
+    from the definition ``_mul_raw``."""
+    p, k, one = F.p, F.k, F.one
+    coords = [F.coords(a) for a in F.elements()]
+    for a, av in enumerate(coords):
+        a_e = [coords[F._mul_raw(a, p**j)] for j in range(k)]
+        ref = [coords[0]]  # ref[b]: the coordinates of a * b
+        for b, bv in enumerate(coords):
+            if b:
+                j = next(j for j, d in enumerate(bv) if d)
+                ref.append(tuple((x + y) % p for x, y in zip(ref[b - p**j], a_e[j])))
+            assert F.mul(a, b) == F.element(ref[b])
+            assert F.add(a, b) == F.element(x + y for x, y in zip(av, bv))
+            assert F.sub(a, b) == F.element(x - y for x, y in zip(av, bv))
+        assert F.neg(a) == F.element(-x for x in av)
         if a:
             assert F.mul(F.inv(a), a) == one
 

@@ -91,6 +91,14 @@ def test_bench_measurements(bench):
     for r in rows:
         assert r.keys() == {"field", *steps}, r
         assert all(r[s] > 0 for s in steps), r
+    # one-point faults that pass all --trials checks, per cost-table group
+    rows = bench["detection"]
+    assert [r["group"] for r in rows] == [
+        "SL2(13)", "SL2(81)", "SL2(169)", "SL2(625)", "SL2(729)", "SL2(2^8)", "SL2(2^12)"
+    ]
+    for r in rows:
+        assert r.keys() == {"group", "trials", "faults", "escaped"}, r
+        assert (r["trials"], r["faults"]) == (5, 40) and 0 <= r["escaped"] <= r["faults"], r
     # ms and peak MB of a fresh interpreter's import, then of its odd and char-2 boxes
     rows = bench["cold_start"]
     assert [r["step"] for r in rows] == ["import", "boxes", "char2-boxes"]

@@ -120,7 +120,7 @@ def test_rejects_even_characteristic(rng):
         recover_psl2(box, 2, 3, rng)
 
 
-@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("trials", [0, -5, 2.5, True, "3", None])
 def test_recover_psl2_rejects_trials_below_one(trials, sl2_13, rng):
     with pytest.raises(InputError):
         recover_psl2(sl2_13, 13, 1, rng, trials=trials)
@@ -220,8 +220,8 @@ def test_recover_psl2_full_run_sl(rng):
     res = recover_psl2(box, 13, 1, rng, trials=60)
     v = res.verification
     assert v["phi_homomorphism_checks"] == {"trials": 60, "passes": 60}
-    assert v["gram_det_nonzero"] and v["ring_iso_to_standard"]
-    assert not v["is_center_quotient"]
+    assert set(v) == {"phi_homomorphism_checks", "is_center_quotient", "torus_order"}
+    assert not v["is_center_quotient"] and res.extras["iso_matrix"] == ((1,),)
     assert box.compare(res.field.to_box(res.field.one), res.frame.u)
     assert (res.explicit.p, res.explicit.k, res.explicit.order) == (13, 1, 13)
     assert [s.ok for s in res.stages] == [True] * len(res.stages)
