@@ -12,7 +12,8 @@ rounds unless said otherwise. The sections:
   ``cat src/bbsl2/*.py src/bbsl2/*.json | wc -l``, ``max_module_tokens``,
   the parser tokens (all but comments and blank lines) of its largest
   module, which compiling without a bytecode cache holds in memory at
-  once, and ``ref_loop_ms``, the ms of a fixed pure-Python loop, best of
+  once, ``exports``, the number of names in ``bbsl2.__all__``, and
+  ``ref_loop_ms``, the ms of a fixed pure-Python loop, best of
   _ROUNDS, timed ``before`` and ``after`` the rest: divide a wall time by
   it to compare hosts.
 - ``per_op``: us per backend op over 200 calls, on opaque and transparent
@@ -300,6 +301,7 @@ def _meta() -> dict:
         "cpu_model": _cpu_model(),
         "src_lines": sum(f.read_bytes().count(b"\n") for f in files),
         "max_module_tokens": max(map(_parser_tokens, src.glob("*.py"))),
+        "exports": len(bbsl2.__all__),
         "ref_loop_ms": {"before": _ref_loop_ms()},
     }
 

@@ -9,7 +9,7 @@ from .backend import MatrixBackend, MatrixBlackBox, make_matrix_blackbox
 from .bbfield import BlackBoxField, build_field_on_U, ppd_prime
 from .blackbox import BlackBoxGroup, ElementString, SubgroupBox, element_order
 from .errors import ContractViolation, InputError, MonteCarloFailure
-from .field import ExplicitField, FieldIsomorphism, explicit_isomorphism
+from .field import ExplicitField, explicit_isomorphism
 from .frobenius import FrobeniusMap, frobenius_on_sl2
 from .involutions import to_involution
 from .sl2char2 import Char2Field, recognize, recover_char2
@@ -23,7 +23,6 @@ __all__ = [
     "ContractViolation",
     "ElementString",
     "ExplicitField",
-    "FieldIsomorphism",
     "FrobeniusMap",
     "InputError",
     "MatrixBackend",

@@ -13,8 +13,9 @@ nested 2x2 matrices whose entries are ints, read as prime-field scalars,
 or length-k coordinate vectors over the prime field in the polynomial
 basis; any other key is rejected.
 field-report takes only --input, a field serialization {"p", "k", "c"}
-such as the structure_constants object of a recognition report, and
---out. selftest takes only --seed and --out. A seed below 0 is rejected.
+such as the structure_constants object of a recognition report (any
+other key is rejected), and --out. selftest takes only --seed and
+--out. A seed below 0 is rejected.
 
 Reports are JSON: {"mode", "seed", "params", "stages": [{name,
 samples_used, elapsed_ms, ok}], "verification": {...}} plus optional
@@ -64,7 +65,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json(path: str) -> dict:
+# the keys an --input file may hold: a misspelled key is named, not ignored
+_GROUP_KEYS = ("p", "k", "center_quotient", "generators")
+_FIELD_KEYS = ("p", "k", "c")
+
+
+def _load_json(path: str, keys: tuple) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -72,6 +78,9 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise InputError(f"input file has unknown key {unknown[0]!r}; its keys are {', '.join(keys)}")
     return data
 
 
@@ -91,9 +100,6 @@ def _parse_matrix(field: ExplicitField, mat):
     return tuple(tuple(_entry_to_element(field, e) for e in row) for row in mat)
 
 
-_GROUP_KEYS = ("p", "k", "center_quotient", "generators")
-
-
 def _box_from_args(args, params: dict, desc: dict | None):
     """Build the black box, recording p, k, and input details in params."""
     if desc is None:
@@ -103,10 +109,6 @@ def _box_from_args(args, params: dict, desc: dict | None):
     else:
         if args.p is not None or args.k is not None:
             raise InputError("--input gives p and k; drop --p and --k")
-        unknown = [key for key in desc if key not in _GROUP_KEYS]
-        if unknown:
-            raise InputError(f"group description file has unknown key {unknown[0]!r}; "
-                             f"its keys are {', '.join(_GROUP_KEYS)}")
         mats = desc.get("generators")
         if not isinstance(mats, list) or not mats:
             raise InputError("group description file needs a nonempty 'generators' list")
@@ -151,9 +153,7 @@ def _recognize(args, params: dict, desc: dict | None) -> dict:
 def _mode_field_report(args, params: dict, desc: dict) -> dict:
     explicit = ExplicitField.from_dict(desc)
     params.update({"p": explicit.p, "k": explicit.k, "q": explicit.order})
-    iso = explicit.validate()
-    verification = {"iso_matrix": iso.matrix}
-    return _report(args, params, (), verification, explicit)
+    return _report(args, params, (), {"iso_matrix": explicit.validate()}, explicit)
 
 
 # one box per kernel: integers mod p, log/Zech tables with the PSL
@@ -243,7 +243,8 @@ def main(argv=None) -> int:
             raise InputError(f"--seed must be at least 0, got {args.seed}")
         if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise InputError(f"--out is a directory or in a missing one: {args.out}")
-        desc = _load_json(args.input) if getattr(args, "input", None) else None
+        keys = _GROUP_KEYS if args.mode == "recognize" else _FIELD_KEYS
+        desc = _load_json(args.input, keys) if getattr(args, "input", None) else None
         report = _MODES[args.mode](args, params, desc)
     except InputError as exc:
         sys.stderr.write(f"bbsl2: rejected input: {exc}\n")

@@ -29,20 +29,19 @@ take their 2x2 matrix product, ``matmul``, and the rule for a matrix,
 ``check_matrix``, from here. ``polynomial_field(p, k)`` is one object
 per (p, k) per process, so its tables and ``matmul`` are built once.
 
-``validate`` proves a presentation to be F_q, with no sampling. Any
-tables make a field with the coordinate sum: g^i * g^j = g^(i+j), on the
-q - 1 images of the unity under the powers of a linear map R, is the
-product of the field F_p[R]. So the map M onto the standard field that
-``explicit_isomorphism`` builds from them is invertible. The product
-by structure constants and the standard product are bilinear, so
-M(c[i][j]) = M(b_i) * M(b_j) on the k^2 ordered basis pairs, with the
-basis products read from ``c``, makes M a field isomorphism (M(1) = 1
-by construction), and the tables compute the definition. For k = 1 the
-ring operations are the definitions, and M is a nonzero scalar.
+``validate`` proves a presentation to be F_q, with no sampling, and
+returns the matrix M of its isomorphism phi onto the standard field,
+coords(phi(a)) = coords(a) @ M. Any tables make a field with the
+coordinate sum: g^i * g^j = g^(i+j), on the q - 1 images of the unity
+under the powers of a linear map R, is the product of the field F_p[R],
+so the M that ``explicit_isomorphism`` builds from them is invertible.
+Both products are bilinear, so phi(c[i][j]) = phi(b_i) * phi(b_j) on the
+k^2 ordered basis pairs makes phi a field isomorphism (phi(1) = 1 by
+construction), and the tables compute the definition. For k = 1 the ring
+operations are the definitions, and M is a nonzero scalar.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import modp
@@ -320,10 +319,10 @@ class ExplicitField:
         """The first element, in integer order, of multiplicative order p^k - 1."""
         return self._tables[1][1]
 
-    def validate(self) -> "FieldIsomorphism":
-        """The structure-constants step: the isomorphism onto
-        ``polynomial_field(p, k)``, proved exact on the basis products;
-        raises ContractViolation if the presentation is not F_q."""
+    def validate(self) -> modp.Mat:
+        """The structure-constants step: the matrix M, coords(phi(a)) = coords(a) @ M,
+        of the isomorphism phi onto ``polynomial_field(p, k)``, proved exact on the
+        basis products; raises ContractViolation if the presentation is not F_q."""
         return explicit_isomorphism(self, ExplicitField.polynomial_field(self.p, self.k))
 
     # -- serialization: the dict {"p", "k", "c"} -----------------------------
@@ -355,19 +354,6 @@ class ExplicitField:
         fld = cls(p, k, tuple(tuple(powers[i + j] for j in range(k)) for i in range(k)))
         fld.one = 1  # basis vector 0 is the polynomial 1
         return fld
-
-
-@dataclass
-class FieldIsomorphism:
-    src: ExplicitField
-    dst: ExplicitField
-    matrix: modp.Mat
-
-    def __post_init__(self):
-        self._fwd = _linear_map(self.src, self.dst, self.matrix)
-
-    def __call__(self, a: int) -> int:
-        return self._fwd(a)
 
 
 def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
@@ -411,8 +397,9 @@ def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
     return apply
 
 
-def explicit_isomorphism(a_field: ExplicitField, b_field: ExplicitField) -> FieldIsomorphism:
-    """Field isomorphism between two presentations of the same finite field."""
+def explicit_isomorphism(a_field: ExplicitField, b_field: ExplicitField) -> modp.Mat:
+    """The matrix M of a field isomorphism phi between two presentations of
+    the same finite field: coords(phi(a)) = coords(a) @ M."""
     if a_field.order != b_field.order:
         raise InputError("fields have different orders")
     p = a_field.p
@@ -420,9 +407,9 @@ def explicit_isomorphism(a_field: ExplicitField, b_field: ExplicitField) -> Fiel
     root = find_root(a_field.minimal_polynomial(g), b_field)
     gmat = _power_matrix(a_field, g)
     rmat = _power_matrix(b_field, root)
-    iso = FieldIsomorphism(a_field, b_field, modp.mat_mul(modp.mat_inv(gmat, p), rmat, p))
-    _check_basis_products(iso)
-    return iso
+    m = modp.mat_mul(modp.mat_inv(gmat, p), rmat, p)
+    _check_basis_products(a_field, b_field, m)
+    return m
 
 
 def find_root(f_over_fp: modp.Poly, F: ExplicitField) -> int:
@@ -445,12 +432,12 @@ def _power_matrix(F: ExplicitField, g: int) -> modp.Mat:
     return tuple(rows)
 
 
-def _check_basis_products(iso: FieldIsomorphism) -> None:
-    """M(c[i][j]) = M(b_i) * M(b_j) on all k^2 ordered basis pairs, the source
-    products read from its structure constants: by bilinearity, M is then
-    multiplicative everywhere. M(1) = 1 untested: row 0 of each
-    ``_power_matrix`` is the unity."""
-    A, B = iso.src, iso.dst
+def _check_basis_products(A: ExplicitField, B: ExplicitField, m: modp.Mat) -> None:
+    """phi(c[i][j]) = phi(b_i) * phi(b_j) on all k^2 ordered basis pairs, phi
+    the map of m and the products in A read from its structure constants: by
+    bilinearity, phi is then multiplicative everywhere. phi(1) = 1 untested:
+    row 0 of each ``_power_matrix`` is the unity."""
+    iso = _linear_map(A, B, m)
     basis = [A.p**i for i in range(A.k)]
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):

@@ -259,7 +259,7 @@ def finish_recognition(
     """
     with rec.stage("structure-constants"):
         explicit = field.to_explicit()
-        iso = explicit.validate()
+        iso_matrix = explicit.validate()
 
     with rec.stage("steinberg"):
         morphism = SteinbergMorphism(box, field, frame.weyl, explicit)
@@ -278,7 +278,7 @@ def finish_recognition(
         morphism=morphism,
         stages=rec.stages,
         verification=verification,
-        extras={"iso_matrix": iso.matrix},
+        extras={"iso_matrix": iso_matrix},
     )
 
 

@@ -7,7 +7,8 @@ the upper unipotent group, computed on plain matrices with no black box
 in sight: the tests' independent ground truth at desk scale. They use
 only the reference ``mat_mul`` and ``mat_inv2``, never a backend kernel.
 Also the digit-wise sum, Frobenius map and absolute trace of an explicit
-field, and its presentation on a random new basis; reference copies of
+field, its presentation on a random new basis, and the table of the map
+that a field isomorphism's matrix defines; reference copies of
 box searches that the package now runs more cheaply; random elements
 of a recovered field; and ``exhaustive_check``, a recognition's morphism
 checked on every matrix of SL2(q).
@@ -24,6 +25,12 @@ from bbsl2.sl2char2 import Char2Field
 def digit_add(F: ExplicitField, a: int, b: int) -> int:
     """a + b by the definition: the coordinate-wise sum mod p."""
     return F.element(x + y for x, y in zip(F.coords(a), F.coords(b)))
+
+
+def iso_table(A: ExplicitField, B: ExplicitField, m) -> list[int]:
+    """phi(a) for every a in A, phi the map with coords(phi(a)) = coords(a) @ m,
+    one ``modp.vec_mat`` per element: the packed ``_linear_map`` is not used."""
+    return [B.element(modp.vec_mat(A.coords(a), m, A.p)) for a in A.elements()]
 
 
 def frobenius(F: ExplicitField, a: int) -> int:

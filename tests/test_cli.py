@@ -271,6 +271,16 @@ def test_group_file_with_an_unknown_key_names_it(key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_field_file_with_an_unknown_key_names_it(tmp_path, capsys):
+    # GF(9) on the standard basis with one key too many, as a group file is checked
+    path = tmp_path / "gf9.json"
+    path.write_text(json.dumps({**ExplicitField.polynomial_field(3, 2).to_dict(), "extra": 1}))
+    out = tmp_path / "report.json"
+    assert main(["field-report", "--input", str(path), "--out", str(out)]) == 1
+    assert "unknown key 'extra'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _char2_group_file(path, n: int, torus) -> Path:
     """u(1), h(t) for each t in ``torus(F)``, and n(1), over the standard GF(2^n)."""
     F = ExplicitField.polynomial_field(2, n)

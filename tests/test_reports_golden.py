@@ -9,6 +9,10 @@ samples_used, verification, structure constants.
 ``field-report-gf81-input`` reports the isomorphism from a recovered
 GF(3^4) presentation, the normal basis that ``recover_psl2`` finds for
 SL2(81), so the isomorphism search really runs.
+
+``recognize-odd-trivial-input`` is a failure report: the trivial group
+over F_13 has no element of order 13, so the unipotent stage spends its
+whole budget and the run exits 2.
 """
 import json
 from pathlib import Path
@@ -40,6 +44,9 @@ GF81 = {
     ],
 }
 
+# the trivial group over F_13, generated by the identity
+TRIVIAL13 = {"p": 13, "k": 1, "generators": [[[1, 0], [0, 1]]]}
+
 CASES = {
     "recognize-odd-13": ["recognize", "--p", "13", "--seed", "7", "--trials", "20"],
     "recognize-odd-9": ["recognize", "--p", "3", "--k", "2", "--seed", "1", "--trials", "20"],
@@ -47,16 +54,18 @@ CASES = {
     "recognize-char2-8": ["recognize", "--p", "2", "--k", "3", "--seed", "2", "--trials", "20"],
     "field-report-gf81-input": ["field-report", "--input", "{gf81}"],
     "selftest-1": ["selftest", "--seed", "1"],
+    "recognize-odd-trivial-input": ["recognize", "--input", "{trivial13}", "--seed", "0"],
 }
+EXIT_CODES = {"recognize-odd-trivial-input": 2}  # every other case exits 0
 
 
-def run_case(argv, tmp_path) -> dict:
-    psl13 = tmp_path / "psl13.json"
-    psl13.write_text(json.dumps(PSL13))
-    gf81 = tmp_path / "gf81.json"
-    gf81.write_text(json.dumps(GF81))
+def run_case(argv, tmp_path, code: int) -> dict:
+    paths = {}
+    for name, desc in {"psl13": PSL13, "gf81": GF81, "trivial13": TRIVIAL13}.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(desc))
     out = tmp_path / "report.json"
-    assert main([a.format(psl13=psl13, gf81=gf81) for a in argv] + ["--out", str(out)]) == 0
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == code
     report = json.loads(out.read_text())
     for stage in report["stages"]:
         del stage["elapsed_ms"]
@@ -65,5 +74,5 @@ def run_case(argv, tmp_path) -> dict:
 
 @pytest.mark.parametrize("name", CASES)
 def test_recognition_report_matches_golden(name, tmp_path):
-    assert run_case(CASES[name], tmp_path) == GOLDEN[name]
+    assert run_case(CASES[name], tmp_path, EXIT_CODES.get(name, 0)) == GOLDEN[name]
 

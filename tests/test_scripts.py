@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from test_source_size import parser_tokens
 
+import bbsl2
+
 ROOT = Path(__file__).resolve().parents[1]
 _ARGS = ["--odd", "13,1", "29,1", "3,4", "13,2", "--char2", "3", "8", "--seeds", "1", "--trials", "5"]
 
@@ -29,7 +31,8 @@ def bench():
 
 def test_bench_meta(bench):
     # src_lines is what `cat src/bbsl2/*.py src/bbsl2/*.json | wc -l` prints,
-    # and max_module_tokens the largest module's count under the token limit
+    # max_module_tokens the largest module's count under the token limit, and
+    # exports the size of the public API
     src = ROOT / "src" / "bbsl2"
     lines = sum(f.read_bytes().count(b"\n") for f in [*src.glob("*.py"), *src.glob("*.json")])
     meta = dict(bench["meta"])
@@ -40,6 +43,7 @@ def test_bench_meta(bench):
         "cpu_model": _cpu_model(),
         "src_lines": lines,
         "max_module_tokens": max(map(parser_tokens, src.glob("*.py"))),
+        "exports": len(bbsl2.__all__),
     }
     # the yardstick loop, timed before and after the run
     assert ref.keys() == {"before", "after"}
