@@ -247,6 +247,15 @@ def test_prime_kernel_matches_reference(p, c):
     F.validate()
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_packed_gf2_ops_match_digitwise(k):
+    F = ExplicitField.polynomial_field(2, k)
+    for E in (F, scrambled(F, seed=40 + k)):
+        for a in E.elements():
+            for b in E.elements():
+                assert E.add(a, b) == digit_add(E, a, b)
+
+
 # primitive_element() of the standard presentations; it fixes the torus
 # generator of every standard box, so these values must never move
 _PRIMITIVE = {
