@@ -43,6 +43,10 @@ rounds unless said otherwise. The sections:
   (``escaped``). Fault i replaces the cached image of one unipotent u(t0)
   by u(t0)·u(1), so the map is wrong at one field element; t0 is the first
   draw of ``Random(i)`` in [2, q), the verify loop's pairs its next draws.
+  ``lifts_per_trial`` is λ, the mean number of distinct nonzero t that
+  one trial lifts through ``SteinbergMorphism._u_int``, over ``trials``
+  trials drawn from ``Random("lifts")`` after the faults, and
+  ``predicted`` the escapes that the law faults·exp(−λ·trials/q) expects.
 - ``runs``: per group of the grid and seed, the stage samples,
   verification, base-box counts and seconds of a run on opaque strings.
   Seed 0 also runs on transparent strings, each kind timed after a
@@ -54,6 +58,7 @@ rounds unless said otherwise. The sections:
 """
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -263,7 +268,23 @@ def _detection(group, trials: int) -> dict:
         phi._unipotents[t0] = box.mul(true_u, phi._u_int(res.explicit.one))
         escaped += phi.homomorphism_passes(trials, rng) == trials
         phi._unipotents[t0] = true_u
-    return {"group": _label(*group), "trials": trials, "faults": _FAULTS, "escaped": escaped}
+    lam = _lifts_per_trial(phi, trials)
+    return {"group": _label(*group), "trials": trials, "faults": _FAULTS, "escaped": escaped,
+            "lifts_per_trial": lam, "predicted": _FAULTS * math.exp(-lam * trials / q)}
+
+
+def _lifts_per_trial(phi, trials: int) -> float:
+    """The mean number of distinct nonzero t whose u(t) one verify trial
+    lifts through ``_u_int``, over ``trials`` trials of its own rng."""
+    rng, lifted, total = random.Random("lifts"), set(), 0
+    lift = phi._u_int
+    phi._u_int = lambda t: lifted.add(t) or lift(t)
+    for _ in range(trials):
+        lifted.clear()
+        phi.homomorphism_passes(1, rng)
+        total += len(lifted - {0})
+    del phi._u_int
+    return total / trials
 
 
 def _stats(res, ops, seconds: float) -> dict:

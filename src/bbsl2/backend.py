@@ -23,9 +23,9 @@ The hashes are BLAKE2b from ``_blake2``, which ``hashlib`` re-exports:
 importing ``hashlib`` would also load OpenSSL's libcrypto, which the
 codec never calls, and add about 3.6 MB to every process's peak memory.
 
-The module functions ``mat_mul``, ``mat_neg`` and ``mat_inv2`` are the
-reference definitions over ``ExplicitField``. A backend multiplies with
-its field's ``ExplicitField.matmul``, built once per field.
+A backend multiplies with its field's ``ExplicitField.matmul``, built
+once per field, and inverts in GL2 with ``mat_inv2``. The reference
+product and negation, which only tests read, are in ``tests/brute.py``.
 """
 from __future__ import annotations
 
@@ -38,16 +38,6 @@ from .errors import InputError
 from .field import ExplicitField, Matrix, check_matrix
 
 _NONCE_BYTES = 8
-
-
-def mat_mul(F: ExplicitField, a: Matrix, b: Matrix) -> Matrix:
-    add, mul = F.add, F.mul
-    (a00, a01), (a10, a11) = a
-    (b00, b01), (b10, b11) = b
-    return (
-        (add(mul(a00, b00), mul(a01, b10)), add(mul(a00, b01), mul(a01, b11))),
-        (add(mul(a10, b00), mul(a11, b10)), add(mul(a10, b01), mul(a11, b11))),
-    )
 
 
 def mat_identity(F: ExplicitField) -> Matrix:
@@ -69,20 +59,14 @@ def mat_inv2(F: ExplicitField, m: Matrix) -> Matrix:
     )
 
 
-def mat_neg(F: ExplicitField, m: Matrix) -> Matrix:
-    neg = F.neg
-    (a, b), (c, d) = m
-    return ((neg(a), neg(b)), (neg(c), neg(d)))
-
-
 class MatrixBackend:
     """Encoder/decoder between 2x2 matrices and black box strings.
 
-    ``mul``, ``neg`` and ``inv`` act on matrices: ``mat_mul``,
-    ``mat_neg`` and ``mat_inv2`` over the backend's field; on a special
-    group ``inv`` is the adjugate. ``encode``, which makes handles, and
-    ``decode``, with the steps ``_parse`` and ``_decrypt`` of its bytes
-    path, are closures built once per instance (see ``_bind_codec``).
+    ``mul``, ``neg`` and ``inv`` act on matrices: the field's
+    ``matmul``, entry-wise negation, and ``mat_inv2`` or, on a special
+    group, the adjugate. ``encode``, which makes handles, and ``decode``,
+    with the steps ``_parse`` and ``_decrypt`` of its bytes path, are
+    closures built once per instance (see ``_bind_codec``).
     """
 
     def __init__(

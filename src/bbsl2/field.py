@@ -215,9 +215,10 @@ class ExplicitField:
 
     @cached_property
     def matmul(self):
-        """The product of two 2x2 matrices over this field, ``backend.mat_mul``
-        inlined for its representation: integers mod p for k = 1, else a
-        read of ``_tables`` as laid out there, with XOR sums for p = 2."""
+        """The product of two 2x2 matrices over this field: the reference
+        product of ``tests/brute.py`` inlined for its representation,
+        integers mod p for k = 1, else a read of ``_tables`` as laid out
+        there, with XOR sums for p = 2."""
         p = self.p
         if self.k == 1:
             c = self._c00

@@ -27,24 +27,19 @@ def vec_mat(v: Vec, m: Mat, p: int) -> Vec:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(len(m[0])))
 
 
-def _reduce(m: list[list[int]], ncols: int, p: int) -> tuple[list[int], int]:
+def _reduce(m: list[list[int]], ncols: int, p: int) -> list[int]:
     """Gauss-Jordan on the rows m, entries in [0, p), over their first ncols columns.
 
-    Returns the pivot columns in order and the determinant of the first
-    ncols columns, which is 0 once a column has no pivot. The pivot rows
-    come first and are scaled to a leading 1.
+    Returns the pivot columns in order. The pivot rows come first and
+    are scaled to a leading 1.
     """
-    pivots, det = [], 1
+    pivots = []
     for col in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
-            det = 0
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det = det * m[r][col] % p
+        m[r], m[piv] = m[piv], m[r]
         inv = pow(m[r][col], -1, p)
         m[r] = [x * inv % p for x in m[r]]
         for i in range(len(m)):
@@ -52,17 +47,13 @@ def _reduce(m: list[list[int]], ncols: int, p: int) -> tuple[list[int], int]:
                 f = m[i][col]
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
         pivots.append(col)
-    return pivots, det % p
-
-
-def mat_det(a: Mat, p: int) -> int:
-    return _reduce([[x % p for x in row] for row in a], len(a), p)[1]
+    return pivots
 
 
 def mat_inv(a: Mat, p: int) -> Mat:
     k = len(a)
     m = [[x % p for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(a)]
-    if len(_reduce(m, k, p)[0]) < k:
+    if len(_reduce(m, k, p)) < k:
         raise ZeroDivisionError("singular matrix mod %d" % p)
     return tuple(tuple(row[k:]) for row in m)
 
@@ -74,7 +65,7 @@ def solve_rectangular(rows, rhs, p: int) -> Vec | None:
     """
     m = [[x % p for x in r] + [b % p] for r, b in zip(rows, rhs)]
     ncols = len(rows[0]) if m else 0
-    pivots, _ = _reduce(m, ncols, p)
+    pivots = _reduce(m, ncols, p)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     x = [0] * ncols

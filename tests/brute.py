@@ -1,11 +1,20 @@
 """Brute-force matrices and sets in SL2 over an explicit field, for the tests.
 
+The reference definitions that the package's kernels are checked
+against live here and nowhere in ``src``: the 2x2 product ``mat_mul``
+and negation ``mat_neg`` over an explicit field, written with its
+``add``, ``mul`` and ``neg``, and ``det``, a determinant mod p by its own
+elimination, apart from the Gauss-Jordan of ``bbsl2.modp``. The
+digit-wise product ``ExplicitField._mul_raw`` stays in the package, where
+the benchmark's trace hooks it.
+
 The frame matrices u(t), v(t), h(t), n(t), conjugation, the center
 quotient's coset representatives, the subgroup generated by a set of
 matrices, element orders by repeated multiplication, centralizers and
 the upper unipotent group, computed on plain matrices with no black box
 in sight: the tests' independent ground truth at desk scale. They use
-only the reference ``mat_mul`` and ``mat_inv2``, never a backend kernel.
+only the reference ``mat_mul`` and the package's GL2 inverse
+``mat_inv2``, never a backend kernel.
 Also the digit-wise sum, Frobenius map and absolute trace of an explicit
 field, its presentation on a random new basis, and the table of the map
 that a field isomorphism's matrix defines; reference copies of
@@ -16,10 +25,46 @@ checked on every matrix of SL2(q).
 import random
 
 from bbsl2 import modp
-from bbsl2.backend import Matrix, mat_identity, mat_inv2, mat_mul, mat_neg
+from bbsl2.backend import Matrix, mat_identity, mat_inv2
 from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
 from bbsl2.sl2char2 import Char2Field
+
+
+def mat_mul(F: ExplicitField, a: Matrix, b: Matrix) -> Matrix:
+    add, mul = F.add, F.mul
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (add(mul(a00, b00), mul(a01, b10)), add(mul(a00, b01), mul(a01, b11))),
+        (add(mul(a10, b00), mul(a11, b10)), add(mul(a10, b01), mul(a11, b11))),
+    )
+
+
+def mat_neg(F: ExplicitField, m: Matrix) -> Matrix:
+    neg = F.neg
+    (a, b), (c, d) = m
+    return ((neg(a), neg(b)), (neg(c), neg(d)))
+
+
+def det(a, p: int) -> int:
+    """det a mod p for a square integer matrix, by Gaussian elimination
+    that tracks row swaps and pivots."""
+    m = [[x % p for x in row] for row in a]
+    d = 1
+    for c in range(len(m)):
+        r = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            d = -d
+        d = d * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for i in range(c + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return d % p
 
 
 def digit_add(F: ExplicitField, a: int, b: int) -> int:
@@ -53,7 +98,7 @@ def scrambled(F: ExplicitField, seed: int) -> ExplicitField:
     p, k = F.p, F.k
     while True:
         T = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
-        if modp.mat_det(T, p) != 0:
+        if det(T, p) != 0:
             break
     Tinv = modp.mat_inv(T, p)
     # new basis vectors are rows of T in old coordinates
@@ -160,7 +205,7 @@ def gram_det(field) -> int:
     """det G mod p of a ``BlackBoxField``'s trace form, G[i][j] = T[i+j],
     rebuilt from its power traces ``_T``."""
     k = field.k
-    return modp.mat_det([[field._T[i + j] for j in range(1, k + 1)] for i in range(1, k + 1)], field.p)
+    return det([[field._T[i + j] for j in range(1, k + 1)] for i in range(1, k + 1)], field.p)
 
 
 def random_element(field, rng: random.Random):

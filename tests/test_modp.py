@@ -1,9 +1,15 @@
 """Linear algebra and polynomial arithmetic over prime fields."""
+import itertools
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbsl2 import modp
+
+from brute import det
 
 _PRIMES = st.sampled_from([2, 3, 5, 13])
 
@@ -25,7 +31,7 @@ def _invertible(draw):
     k = draw(st.integers(min_value=1, max_value=4))
     for _ in range(40):
         m = _rand_mat(draw, p, k)
-        if modp.mat_det(m, p) != 0:
+        if det(m, p) != 0:
             return p, m
     # fall back to the identity rather than reject-loop forever
     return p, _identity(k)
@@ -38,6 +44,31 @@ def test_mat_inv_roundtrip(pm):
     k = len(m)
     assert modp.mat_mul(m, modp.mat_inv(m, p), p) == _identity(k)
     assert modp.mat_mul(modp.mat_inv(m, p), m, p) == _identity(k)
+
+
+def _leibniz(m, p):
+    """det m mod p as the signed sum over permutations; the sign is the
+    parity of the inversion count."""
+    k = len(m)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(k))
+    return total % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 13])
+def test_brute_det_matches_leibniz(p):
+    # the tests' determinant, which criterion 7's Gram check and the
+    # basis draw of brute.scrambled rest on, against its definition
+    rng = random.Random(p)
+    singular = 0
+    for k in range(1, 5):
+        for _ in range(60):
+            m = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
+            assert det(m, p) == _leibniz(m, p), m
+            singular += not det(m, p)
+    assert singular  # both branches of the elimination ran
 
 
 def test_solve_rectangular_consistent_and_inconsistent():

@@ -101,8 +101,10 @@ def test_bench_measurements(bench):
         "SL2(13)", "SL2(81)", "SL2(169)", "SL2(625)", "SL2(729)", "SL2(2^8)", "SL2(2^12)"
     ]
     for r in rows:
-        assert r.keys() == {"group", "trials", "faults", "escaped"}, r
+        assert r.keys() == {"group", "trials", "faults", "escaped", "lifts_per_trial", "predicted"}, r
         assert (r["trials"], r["faults"]) == (5, 40) and 0 <= r["escaped"] <= r["faults"], r
+        # λ, the distinct unipotents a trial lifts, and the escapes the law predicts
+        assert r["lifts_per_trial"] > 0 and 0 <= r["predicted"] <= r["faults"], r
     # ms and peak MB of a fresh interpreter's import, then of its odd and char-2 boxes
     rows = bench["cold_start"]
     assert [r["step"] for r in rows] == ["import", "boxes", "char2-boxes"]
