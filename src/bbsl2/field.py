@@ -8,8 +8,10 @@ unity is recovered by linear algebra. Elements are plain ints in
 
 ``explicit_isomorphism`` connects two presentations of the same field by
 mapping a generator of the first onto the smallest root, in integer
-order, of its minimal polynomial in the second; ``find_root`` finds it
-by one Horner scan over the second field's elements.
+order, of its minimal polynomial in the second. One inverse, of the
+matrix of the generator's first k powers, gives both that polynomial and
+the isomorphism; ``find_root`` finds the root by one Horner scan over
+the second field's elements.
 
 For p = 2 an element already is its coordinate bit vector, so the
 ring sum ``add`` is an XOR, and every F_2-linear map (multiplication by
@@ -297,25 +299,6 @@ class ExplicitField:
         L, E, _ = self._tables
         return E[self.order - 1 - L[a]]
 
-    def minimal_polynomial(self, a: int) -> modp.Poly:
-        """Monic minimal polynomial of a over F_p, low degree first.
-
-        Its degree d is the least with a^(p^d) = a. The powers below a^d
-        are then independent, so ``modp.solve_rectangular`` finds the one
-        combination a^d = sum_(i<d) x_i * a^i, and the polynomial is
-        (-x_0, ..., -x_(d-1), 1).
-        """
-        p = self.p
-        d = next(d for d in range(1, self.k + 1) if self.pow(a, p**d) == a)
-        powers = [self.coords(self.pow(a, i)) for i in range(d + 1)]
-        sol = modp.solve_rectangular(list(zip(*powers[:d])), powers[d], p)
-        return tuple(-s % p for s in sol) + (1,)
-
-    def field_generator(self) -> int:
-        # some a qualifies: minimal_polynomial needs the unity and, at k > 1, the
-        # tables, which prove this a field of order p^k, and so one with a degree-k element
-        return next(a for a in range(1, self.order) if len(self.minimal_polynomial(a)) == self.k + 1)
-
     def primitive_element(self) -> int:
         """The first element, in integer order, of multiplicative order p^k - 1."""
         return self._tables[1][1]
@@ -400,15 +383,22 @@ def _linear_map(A: ExplicitField, B: ExplicitField, m: modp.Mat):
 
 def explicit_isomorphism(a_field: ExplicitField, b_field: ExplicitField) -> modp.Mat:
     """The matrix M of a field isomorphism phi between two presentations of
-    the same finite field: coords(phi(a)) = coords(a) @ M."""
+    the same finite field: coords(phi(a)) = coords(a) @ M. The generator g is
+    the first whose powers g^0..g^(k-1), the rows of G, are independent; then
+    g^k = x @ G, x = coords(g^k) @ G^-1, gives its minimal polynomial (-x, 1),
+    and M = G^-1 @ (the same powers of its smallest root in the second field)."""
     if a_field.order != b_field.order:
         raise InputError("fields have different orders")
-    p = a_field.p
-    g = a_field.field_generator()
-    root = find_root(a_field.minimal_polynomial(g), b_field)
-    gmat = _power_matrix(a_field, g)
-    rmat = _power_matrix(b_field, root)
-    m = modp.mat_mul(modp.mat_inv(gmat, p), rmat, p)
+    p, k = a_field.p, a_field.k
+    for g in range(1, a_field.order):
+        *gmat, top = _power_matrix(a_field, g)
+        try:
+            ginv = modp.mat_inv(gmat, p)
+            break
+        except ZeroDivisionError:  # g lies in a proper subfield
+            pass
+    f = tuple(-x % p for x in modp.vec_mat(top, ginv, p)) + (1,)
+    m = modp.mat_mul(ginv, _power_matrix(b_field, find_root(f, b_field))[:k], p)
     _check_basis_products(a_field, b_field, m)
     return m
 
@@ -426,8 +416,9 @@ def find_root(f_over_fp: modp.Poly, F: ExplicitField) -> int:
 
 
 def _power_matrix(F: ExplicitField, g: int) -> modp.Mat:
+    """The coordinates of g^0, ..., g^k: k + 1 rows."""
     rows, x = [], F.one
-    for _ in range(F.k):
+    for _ in range(F.k + 1):
         rows.append(F.coords(x))
         x = F.mul(x, g)
     return tuple(rows)

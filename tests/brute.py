@@ -17,7 +17,9 @@ only the reference ``mat_mul`` and the package's GL2 inverse
 ``mat_inv2``, never a backend kernel.
 Also the digit-wise sum, Frobenius map and absolute trace of an explicit
 field, its presentation on a random new basis, and the table of the map
-that a field isomorphism's matrix defines; reference copies of
+that a field isomorphism's matrix defines; the minimal polynomial and
+the first generator of an explicit field by their definitions, which
+``explicit_isomorphism`` reads off one elimination; reference copies of
 box searches that the package now runs more cheaply; random elements
 of a recovered field; and ``exhaustive_check``, a recognition's morphism
 checked on every matrix of SL2(q).
@@ -80,6 +82,26 @@ def iso_table(A: ExplicitField, B: ExplicitField, m) -> list[int]:
 
 def frobenius(F: ExplicitField, a: int) -> int:
     return F.pow(a, F.p)
+
+
+def minimal_polynomial(F: ExplicitField, a: int) -> modp.Poly:
+    """Monic minimal polynomial of a over F_p, low degree first.
+
+    Its degree d is the least with a^(p^d) = a. The powers below a^d
+    are then independent, so ``modp.solve_rectangular`` finds the one
+    combination a^d = sum_(i<d) x_i * a^i, and the polynomial is
+    (-x_0, ..., -x_(d-1), 1).
+    """
+    p = F.p
+    d = next(d for d in range(1, F.k + 1) if F.pow(a, p**d) == a)
+    powers = [F.coords(F.pow(a, i)) for i in range(d + 1)]
+    sol = modp.solve_rectangular(list(zip(*powers[:d])), powers[d], p)
+    return tuple(-s % p for s in sol) + (1,)
+
+
+def field_generator(F: ExplicitField) -> int:
+    """The first element, in integer order, whose minimal polynomial has degree k."""
+    return next(a for a in range(1, F.order) if len(minimal_polynomial(F, a)) == F.k + 1)
 
 
 def trace(F: ExplicitField, a: int) -> int:

@@ -120,7 +120,7 @@ def test_trace_form_on_a_prime_field_element_and_a_generator(p, k):
         return [None] + [brute.trace(F, F.pow(gamma, m)) for m in range(1, 3 * k + 1)]
 
     assert trace_form(power_traces(F.scalar(p - 1)), p, k) is None  # gamma in F_p
-    gamma = F.field_generator()
+    gamma = brute.field_generator(F)
     ginv, structure = trace_form(power_traces(gamma), p, k)
     gram = [[brute.trace(F, F.pow(gamma, i + j)) for j in range(1, k + 1)] for i in range(1, k + 1)]
     assert modp.mat_mul(gram, ginv, p) == tuple(tuple(int(i == j) for j in range(k)) for i in range(k))

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from bbsl2 import make_matrix_blackbox, modp, recognize
 from bbsl2.errors import ContractViolation, InputError
-from bbsl2.field import ExplicitField, _linear_map, explicit_isomorphism, find_root
+from bbsl2.field import ExplicitField, _linear_map, _power_matrix, explicit_isomorphism, find_root
 from bbsl2.frobenius import frobenius_on_sl2
 
-from brute import det, digit_add, frobenius, iso_table, scrambled, trace
+from brute import det, digit_add, field_generator, frobenius, iso_table, minimal_polynomial, scrambled, trace
 
 _SIZES = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (5, 1), (13, 1), (13, 2)]
 
@@ -96,10 +96,10 @@ def test_primitive_element_order(F):
 
 def test_minimal_polynomial_of_power_basis_generator(F):
     if F.k == 1:
-        assert F.minimal_polynomial(F.scalar(1)) == (F.p - 1, 1)
+        assert minimal_polynomial(F, F.scalar(1)) == (F.p - 1, 1)
         return
     # integer p has coordinates (0, 1, 0, ...): the polynomial x itself
-    assert F.minimal_polynomial(F.p) == modp.smallest_irreducible(F.p, F.k)
+    assert minimal_polynomial(F, F.p) == modp.smallest_irreducible(F.p, F.k)
 
 
 def test_isomorphism_to_scrambled_presentation(F):
@@ -185,7 +185,7 @@ def test_degenerate_presentations_rejected():
 
 def test_minimal_polynomial_is_irreducible_and_annihilates(F):
     for a in F.elements():
-        f = F.minimal_polynomial(a)
+        f = minimal_polynomial(F, a)
         assert f[-1] == 1 and modp.is_irreducible(f, F.p), (a, f)
         assert F.k % (len(f) - 1) == 0
         acc = 0
@@ -453,7 +453,7 @@ def test_find_root_is_the_smallest_root(p, k):
     rng = random.Random(p * 100 + k)
     polys = [[rng.randrange(p) for _ in range(rng.randrange(2 * k))] + [1] for _ in range(30)]
     polys += [[0] + f for f in polys[:5]]
-    polys += [F.minimal_polynomial(rng.randrange(1, F.order)) for _ in range(10)]
+    polys += [minimal_polynomial(F, rng.randrange(1, F.order)) for _ in range(10)]
     seen = set()
     for f in polys:
         roots = [a for a in F.elements() if _evaluate(F, f, a) == 0]
@@ -467,12 +467,30 @@ def test_find_root_is_the_smallest_root(p, k):
     assert seen == {"zero", "nonzero", "none"}
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_isomorphism_maps_the_generator_to_the_smallest_root(seed):
-    # q = 10,201: at every field size the generator goes to the smallest root
-    standard = ExplicitField.polynomial_field(101, 2)
-    G = scrambled(standard, seed=seed)
-    g = G.field_generator()
-    f = G.minimal_polynomial(g)
+# presentations whose first non-unity candidates lie in a proper subfield,
+# 1 in GF(4) and 2 to 12 in F_13: the generator and the degrees it skips
+_SUBFIELD_FIRST = {(2, 4, 6): (2, [2]), (13, 2, None): (13, [1] * 11)}
+
+
+@pytest.mark.parametrize(
+    "p, k, seed",
+    [pytest.param(p, k, None, id=f"q={p**k}") for p, k in _SIZES]
+    + [pytest.param(p, k, 6, id=f"q={p**k}-scrambled") for p, k in _SIZES]
+    + [pytest.param(101, 2, seed, id=str(seed)) for seed in (1, 2, 3)],
+)
+def test_isomorphism_maps_the_generator_to_the_smallest_root(p, k, seed):
+    # each standard presentation, a scrambled copy of each, and q = 10,201:
+    # the generator, the first element of degree k, goes to the smallest root
+    standard = ExplicitField.polynomial_field(p, k)
+    G = standard if seed is None else scrambled(standard, seed=seed)
+    g = field_generator(G)
+    f = minimal_polynomial(G, g)
+    # the scan skips every earlier candidate: its first k powers are dependent
+    for a in range(1, g):
+        with pytest.raises(ZeroDivisionError):
+            modp.mat_inv(_power_matrix(G, a)[:k], p)
+    if (p, k, seed) in _SUBFIELD_FIRST:
+        skipped = [len(minimal_polynomial(G, a)) - 1 for a in range(1, g) if a != G.one]
+        assert (g, skipped) == _SUBFIELD_FIRST[p, k, seed]
     smallest = next(a for a in standard.elements() if _evaluate(standard, f, a) == 0)
     assert iso_table(G, standard, explicit_isomorphism(G, standard))[g] == smallest

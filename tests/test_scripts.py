@@ -1,5 +1,6 @@
 """A smoke run of scripts/bench.py on the six groups of its opacity check."""
 import json
+import math
 import os
 import platform
 import subprocess
@@ -13,6 +14,18 @@ import bbsl2
 
 ROOT = Path(__file__).resolve().parents[1]
 _ARGS = ["--odd", "13,1", "29,1", "3,4", "13,2", "--char2", "3", "8", "--seeds", "1", "--trials", "5"]
+
+
+def binomial_band(n: int, p: float, alpha: float = 0.001) -> tuple[int, int]:
+    """The exact two-sided 1 - alpha band [lo, hi] of Binomial(n, p): lo the least x
+    with P(X <= x) > alpha / 2, hi the least with P(X <= x) >= 1 - alpha / 2."""
+    cdf, lo = 0.0, None
+    for x in range(n + 1):
+        cdf += math.comb(n, x) * p**x * (1 - p) ** (n - x)
+        if lo is None and cdf > alpha / 2:
+            lo = x
+        if cdf >= 1 - alpha / 2:
+            return lo, x
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +118,9 @@ def test_bench_measurements(bench):
         assert (r["trials"], r["faults"]) == (5, 40) and 0 <= r["escaped"] <= r["faults"], r
         # λ, the distinct unipotents a trial lifts, and the escapes the law predicts
         assert r["lifts_per_trial"] > 0 and 0 <= r["predicted"] <= r["faults"], r
+        # the escape law: the escapes lie in the 99.9 % band of the prediction
+        lo, hi = binomial_band(r["faults"], r["predicted"] / r["faults"])
+        assert lo <= r["escaped"] <= hi, (r, lo, hi)
     # ms and peak MB of a fresh interpreter's import, then of its odd and char-2 boxes
     rows = bench["cold_start"]
     assert [r["step"] for r in rows] == ["import", "boxes", "char2-boxes"]
