@@ -20,7 +20,8 @@ rounds unless said otherwise. The sections:
   strings: mul, inv, compare and encode on strings the backend made,
   which are handles; decode of such a string (``decode``) and of a copy
   given by its bytes (``decode_bytes``, which decrypts when opaque); and
-  ``seal``, the first read of a handle's ``data``.
+  ``seal``, the first read of a handle's ``data``, which draws the
+  string's nonce and encrypts when opaque.
 - ``images``: per morphism-apply group and kind of string, us per image of
   a recovered morphism, and the muls, invs and compares of ``images``
   images once the unipotents their inputs need are lifted.

@@ -15,9 +15,10 @@ from the caller's algorithm RNG: an algorithm run consumes exactly the
 same randomness against the opaque box as against the transparent one.
 
 Every string a backend makes is a handle that holds its canonical
-matrix and nonce and seals its bytes, ciphertext when opaque, on first
-read; decoding it reads the matrix, and any other string is decoded
-from its bytes. A box's raw operations are closures bound once per box.
+matrix and seals its bytes on first read, ciphertext under a nonce
+drawn then when opaque; decoding it reads the matrix, and any other
+string is decoded from its bytes. A box's raw operations are closures
+bound once per box.
 
 The hashes are BLAKE2b from ``_blake2``, which ``hashlib`` re-exports:
 importing ``hashlib`` would also load OpenSSL's libcrypto, which the
@@ -113,10 +114,11 @@ class MatrixBackend:
         or t changes r and with it the whole pad G(r), so a changed string
         decodes to unrelated entries.
 
-        ``encode`` makes a handle: the canonical matrix, the nonce drawn
-        now, and ``to_bytes``, which packs and encrypts only when the
-        string's ``data`` is first read. ``decode`` returns the matrix of
-        a handle of its own and decodes any other string from its bytes.
+        ``encode`` makes a handle: the canonical matrix and ``to_bytes``,
+        which packs, draws the nonce and encrypts only when the string's
+        ``data`` is first read, so opaque bytes follow the order of first
+        reads. ``decode`` returns the matrix of a handle of its own and
+        decodes any other string from its bytes.
         """
         neg, canonical, opaque = self.neg, self.center_quotient, self.opaque
         q, s, plain, size = self.field.order, 8 * self.width, 4 * self.width, self.string_bytes
@@ -148,12 +150,13 @@ class MatrixBackend:
             h.update(r.to_bytes(_NONCE_BYTES, "big"))
             return (from_bytes(sb, "big") ^ from_bytes(h.digest(), "big")).to_bytes(plain, "big")
 
-        def to_bytes(m: Matrix, r: int | None) -> bytes:
-            """The bytes of the string of canonical matrix ``m`` and nonce ``r``."""
+        def to_bytes(m: Matrix) -> bytes:
+            """The bytes of the string of canonical matrix ``m``; opaque ones under a nonce drawn now."""
             (a, b), (c, d) = m
             v = ((a << s | b) << s | c) << s | d
             if not opaque:
                 return v.to_bytes(plain, "big")
+            r = nonce(nonce_bits)
             h = pad()
             h.update(r.to_bytes(_NONCE_BYTES, "big"))
             sb = (v ^ from_bytes(h.digest(), "big")).to_bytes(plain, "big")
@@ -165,7 +168,7 @@ class MatrixBackend:
             if canonical:
                 m = min(m, neg(m))
             e = new(ElementString)
-            e._data, e._value, e._seal, e._nonce = None, m, to_bytes, nonce(nonce_bits) if opaque else None
+            e._data, e._value, e._seal = None, m, to_bytes
             return e
 
         def decode(e: ElementString) -> Matrix:

@@ -27,10 +27,16 @@ def ppd_prime(p: int, n: int) -> int | None:
     """Largest prime dividing p^n - 1 but no earlier p^i - 1, or None.
 
     Equivalently the largest prime r with multiplicative order of
-    p modulo r exactly n. None on the Zsigmondy exceptions.
+    p modulo r exactly n. None on the Zsigmondy exceptions. InputError
+    unless p is an int prime and n an int >= 1; n is not bounded, unlike
+    the k of ``field.check_field``.
     """
+    if type(p) is not int or type(n) is not int:  # no bool, float or str
+        raise InputError("p and n must be integers")
+    if p < 2 or factorint(p) != {p: 1}:
+        raise InputError(f"p = {p} is not a prime")
     if n < 1:
-        raise InputError("need n >= 1")
+        raise InputError(f"need n >= 1, not n = {n}")
     ppds = [r for r in factorint(p**n - 1) if all(pow(p, i, r) != 1 for i in range(1, n))]
     return max(ppds, default=None)
 
@@ -189,8 +195,8 @@ class BlackBoxField:
         return sum(d * self.p**i for i, d in enumerate(self.coords(x)))
 
     def lift_int(self, n: int) -> ElementString:
-        if not 0 <= n < self.p**self.k:
-            raise InputError(f"no field element with index {n}")
+        if type(n) is not int or not 0 <= n < self.p**self.k:  # no bool or float
+            raise InputError(f"no field element with index {n!r}")
         return self.from_coords([n // self.p**i % self.p for i in range(self.k)])
 
     def to_explicit(self) -> ExplicitField:

@@ -28,25 +28,26 @@ class ElementString:
     ``ElementString(data)`` is a string given by its bytes. A box makes
     its strings as handles instead (``MatrixBackend.encode`` fills their
     slots directly): ``value`` is what the box reads back (a canonical
-    matrix, or a tuple of parts), ``nonce`` was drawn when the string was
-    made, and ``seal(value, nonce)`` computes the bytes on the first read
-    of ``data``. Equality and hash are identity.
+    matrix, or a tuple of parts), and ``seal(value)`` computes the bytes
+    on the first read of ``data``, an opaque backend's under a nonce it
+    draws then. Equality and hash are identity, and ``repr`` shows the
+    bytes as they stand, so printing a handle never seals it.
     """
 
-    __slots__ = ("_data", "_value", "_nonce", "_seal")
+    __slots__ = ("_data", "_value", "_seal")
 
-    def __init__(self, data: bytes | None, value=None, seal=None, nonce=None):
-        self._data, self._value, self._seal, self._nonce = data, value, seal, nonce
+    def __init__(self, data: bytes | None, value=None, seal=None):
+        self._data, self._value, self._seal = data, value, seal
 
     @property
     def data(self) -> bytes:
         """The string's bytes, sealed on first read."""
         if self._data is None:
-            self._data = self._seal(self._value, self._nonce)
+            self._data = self._seal(self._value)
         return self._data
 
     def __repr__(self) -> str:
-        return f"ElementString(data={self.data!r})"
+        return f"ElementString(data={self._data!r})"
 
 
 class BlackBoxGroup:
@@ -163,7 +164,7 @@ def element_order(box: BlackBoxGroup, x: ElementString) -> int:
     return o
 
 
-def _join_bytes(parts, nonce) -> bytes:
+def _join_bytes(parts) -> bytes:
     return b"".join(p.data for p in parts)
 
 

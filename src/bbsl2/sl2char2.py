@@ -282,8 +282,8 @@ class Char2Field:
     def lift_int(self, j: int):
         """The marker of j: the product of the basis markers s_(i+1) over the
         set bits i of j, which costs popcount(j) - 1 muls."""
-        if not 0 <= j < 1 << self.k:
-            raise InputError(f"no field element with index {j}")
+        if type(j) is not int or not 0 <= j < 1 << self.k:  # no bool or float
+            raise InputError(f"no field element with index {j!r}")
         if j == 0:
             return self.zero
         factors = (self._s[i + 1] for i in range(self.k) if j >> i & 1)

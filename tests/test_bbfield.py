@@ -41,6 +41,17 @@ def test_ppd_exceptional_pairs_return_none():
         assert ppd_prime(p, 2) is None
 
 
+def test_ppd_rejects_bad_input():
+    # p an int prime and n an int >= 1, with no bool, float or str
+    bad = [(1, 2), (0, 2), (-3, 2), (4, 2), (91, 2), (2.0, 3), (True, 3), ("3", 2)]
+    bad += [(3, 0), (3, -1), (3, True), (3, 2.0), (3, "2")]
+    for p, n in bad:
+        with pytest.raises(InputError):
+            ppd_prime(p, n)
+    # n is not bounded as a field's k is: 2^21 - 1 = 7^2 * 127 * 337
+    assert ppd_prime(2, 21) == 337
+
+
 @given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 29]), st.integers(min_value=1, max_value=8))
 @settings(max_examples=120, deadline=None)
 def test_ppd_is_largest_new_order_prime(p, n):
@@ -68,10 +79,10 @@ def test_field_lift_read_roundtrip(recovered):
     f = recovered.field
     for j in range(min(f.p**f.k, 100)):
         assert f.read_int(f.lift_int(j)) == j
-    with pytest.raises(InputError):
-        f.lift_int(f.p**f.k)
-    with pytest.raises(InputError):
-        f.lift_int(-1)
+    # an index is an int: True and 1.0 are not the index 1
+    for j in (f.p**f.k, -1, True, 1.0, "1"):
+        with pytest.raises(InputError, match="no field element with index"):
+            f.lift_int(j)
 
 
 def test_field_ops_match_explicit_table(recovered, rng):

@@ -14,6 +14,7 @@ from bbsl2.blackbox import ElementString, SubgroupBox, element_order
 from bbsl2.backend import MatrixBackend, make_matrix_blackbox
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
+from bbsl2.sl2char2 import recognize
 
 import brute
 from brute import mat_mul, mat_neg
@@ -230,7 +231,7 @@ def test_codec_strings_pinned():
 
 
 def test_opaque_codec_strings_pinned():
-    assert _codec_digest(True) == "4eea3e5c9567cd77331575eb9abb74ef47e019821db8f7d0f2dfa8cf76ec0ac9"
+    assert _codec_digest(True) == "ea572098dbb69e21b433139fdc848f967109b9fb9dd17989387b1cb3fed38ffd"
 
 
 def test_decode_rejects_malformed_strings():
@@ -280,13 +281,14 @@ def test_foreign_strings_decode_from_their_bytes(pk, cq):
 @pytest.mark.parametrize("pk, cq", _CODEC_CASES)
 def test_strings_are_sealed_only_when_read(pk, cq):
     # a box's strings hold no bytes until ``data`` is read, and then hold the
-    # bytes a twin backend of the same seed makes from the same nonces
+    # bytes a twin backend of the same seed makes when it seals the same
+    # matrices in the same order; the box's own backend reads its handles'
+    # matrices without sealing them, so the two seal in lockstep
     p, k = pk
     for opaque in (True, False):
         box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=13)
-        assert all(x._data is None for x in (*box.generators, box.identity))
-        twin = MatrixBackend(box.backend.field, center_quotient=cq, opaque=opaque, seed=13)
-        twin.blackbox()
+        be = box.backend
+        twin = MatrixBackend(be.field, center_quotient=cq, opaque=opaque, seed=13)
         rng = random.Random(p * k + cq)
         xs = list(box.generators)
         for _ in range(50):
@@ -294,13 +296,14 @@ def test_strings_are_sealed_only_when_read(pk, cq):
             if rng.random() < 0.25:
                 z = box.inv(x)
                 assert z._data is None
-                want = twin.encode(twin.inv(twin.decode(x)))
+                want = twin.encode(twin.inv(be.decode(x)))
             else:
                 z = box.mul(x, y)
                 assert z._data is None
-                want = twin.encode(twin.mul(twin.decode(x), twin.decode(y)))
+                want = twin.encode(twin.mul(be.decode(x), be.decode(y)))
             assert z.data == want.data
             xs.append(z)
+        assert all(x._data is None for x in (*box.generators, box.identity))
 
 
 @pytest.mark.parametrize("pk, cq", _CODEC_CASES)
@@ -504,9 +507,11 @@ def test_raw_ops_read_other_strings_from_their_bytes(p, k, cq, opaque):
 @pytest.mark.parametrize("opaque", (True, False))
 def test_bytes_copies_act_as_the_handles(p, k, cq, opaque):
     # a twin box of the same seed, given bytes copies of the box's handles,
-    # makes the same product bytes: both draw one nonce per op in one order
+    # makes the same product bytes: once the generators are read on both
+    # sides, each side seals one product per op, in one order
     box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=11)
     twin = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=11)
+    assert [x.data for x in twin.generators] == [x.data for x in box.generators]
     rng = random.Random(p * k + cq)
     xs = list(box.generators)
     for _ in range(300):
@@ -519,6 +524,19 @@ def test_bytes_copies_act_as_the_handles(p, k, cq, opaque):
             z, w = box._mul(x, y), twin._mul(cx, cy)
         assert z.data == w.data
         xs.append(z)
+
+
+def test_a_recognition_that_reads_no_bytes_seals_nothing():
+    # a recognition of SL2(2^4) reads the bytes of no string, so its opaque
+    # box seals none and draws no nonce: a fresh handle then seals to the
+    # bytes that a fresh twin backend gives for the same matrix as its first
+    box = make_matrix_blackbox(2, 4, opaque=True, seed=7)
+    res = recognize(box, 2, 4, random.Random(0), trials=20)
+    assert res.verification["phi_homomorphism_checks"] == {"trials": 20, "passes": 20}
+    be = box.backend
+    m = brute.u_mat(be.field, 3)
+    twin = MatrixBackend(be.field, opaque=True, seed=7)
+    assert be.encode(m).data == twin.encode(m).data
 
 
 def test_import_loads_no_openssl():

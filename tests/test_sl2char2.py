@@ -105,8 +105,10 @@ def field8():
 def test_char2field_lift_read_roundtrip(field8):
     for j in range(8):
         assert field8.read_int(field8.lift_int(j)) == j
-    with pytest.raises(InputError):
-        field8.lift_int(8)
+    # an index is an int: True and 1.0 are not the index 1
+    for j in (8, -1, True, 1.0, "1"):
+        with pytest.raises(InputError, match="no field element with index"):
+            field8.lift_int(j)
 
 
 def test_char2field_addition_is_xor_of_indices(field8):
