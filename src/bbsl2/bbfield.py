@@ -28,15 +28,12 @@ def ppd_prime(p: int, n: int) -> int | None:
 
     Equivalently the largest prime r with multiplicative order of
     p modulo r exactly n. None on the Zsigmondy exceptions. InputError
-    unless p is an int prime and n an int >= 1; n is not bounded, unlike
-    the k of ``field.check_field``.
+    unless p is an int prime, n an int >= 1 and p^n <= 2^40 (n = 2k over
+    a field of at most 2^20 elements), so trial division stays at 2^20 + 1.
     """
-    if type(p) is not int or type(n) is not int:  # no bool, float or str
-        raise InputError("p and n must be integers")
-    if p < 2 or factorint(p) != {p: 1}:
-        raise InputError(f"p = {p} is not a prime")
-    if n < 1:
-        raise InputError(f"need n >= 1, not n = {n}")
+    ints = type(p) is int and type(n) is int  # no bool, float or str
+    if not ints or not 1 <= n <= 40 or p < 2 or p**n > 1 << 40 or factorint(p) != {p: 1}:
+        raise InputError(f"need a prime p and n >= 1 with p^n <= 2^40, not p = {p!r}, n = {n!r}")
     ppds = [r for r in factorint(p**n - 1) if all(pow(p, i, r) != 1 for i in range(1, n))]
     return max(ppds, default=None)
 

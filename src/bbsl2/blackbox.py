@@ -7,10 +7,10 @@ never compare strings directly; everything goes through ``compare``.
 Each box also carries a known multiple ``exponent`` of every element
 order, which is what makes order computations possible at all.
 
-``SubgroupBox`` is the one wrapper: a subgroup of the direct power
-base^k, whose strings concatenate k base strings. With k = 1 it is a
-subgroup of the base box. The Frobenius construction uses it at every
-degree k, k = 1 included.
+A box makes its strings as handles, sealed only when their bytes are
+read; ``ElementString(data)`` is a string given by its bytes. The one
+wrapper, ``SubgroupBox``, is a subgroup of base^k whose strings join k
+base strings; the Frobenius construction uses it at every k, k = 1 too.
 """
 from __future__ import annotations
 
@@ -25,19 +25,19 @@ _BURN_IN = 100
 class ElementString:
     """Opaque handle for one group element. Compare only via the box.
 
-    ``ElementString(data)`` is a string given by its bytes. A box makes
-    its strings as handles instead (``MatrixBackend.encode`` fills their
-    slots directly): ``value`` is what the box reads back (a canonical
-    matrix, or a tuple of parts), and ``seal(value)`` computes the bytes
-    on the first read of ``data``, an opaque backend's under a nonce it
-    draws then. Equality and hash are identity, and ``repr`` shows the
-    bytes as they stand, so printing a handle never seals it.
+    ``ElementString(data)`` is a string given by its bytes. Boxes make
+    handles, filling the slots themselves (``MatrixBackend.encode``,
+    ``SubgroupBox.join``): ``_seal(_value)`` makes the bytes of what the
+    box reads back (a matrix, or a tuple of parts) on the first read of
+    ``data``, an opaque backend's under a nonce drawn then. Equality and
+    hash are identity; ``repr`` shows the bytes as they stand, never sealing.
     """
 
     __slots__ = ("_data", "_value", "_seal")
 
-    def __init__(self, data: bytes | None, value=None, seal=None):
-        self._data, self._value, self._seal = data, value, seal
+    def __init__(self, data: bytes):
+        self._data = data
+        self._value = self._seal = None
 
     @property
     def data(self) -> bytes:
@@ -115,7 +115,6 @@ class ProductReplacer:
     """Product replacement walk with an accumulator ('rattle') per sample."""
 
     def __init__(self, box: BlackBoxGroup, gens, rng: random.Random):
-        gens = tuple(gens)
         if not gens:
             raise InputError("product replacement needs at least one generator")
         self.box = box
@@ -126,26 +125,19 @@ class ProductReplacer:
             self._step(rng)
 
     def _step(self, rng: random.Random) -> None:
-        box = self.box
-        n = len(self.slots)
+        box, slots = self.box, self.slots
+        n = len(slots)
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        t = self.slots[j]
+        t = slots[j]
         if rng.getrandbits(1):
             t = box.inv(t)
-        if rng.getrandbits(1):
-            self.slots[i] = box.mul(self.slots[i], t)
-        else:
-            self.slots[i] = box.mul(t, self.slots[i])
-        s = self.slots[i]
+        s = slots[i] = box.mul(slots[i], t) if rng.getrandbits(1) else box.mul(t, slots[i])
         if rng.getrandbits(1):
             s = box.inv(s)
-        if rng.getrandbits(1):
-            self.acc = box.mul(self.acc, s)
-        else:
-            self.acc = box.mul(s, self.acc)
+        self.acc = box.mul(self.acc, s) if rng.getrandbits(1) else box.mul(s, self.acc)
 
     def sample(self, rng: random.Random) -> ElementString:
         self._step(rng)
@@ -171,10 +163,12 @@ def _join_bytes(parts) -> bytes:
 class SubgroupBox(BlackBoxGroup):
     """The subgroup generated by ``gens`` inside base^k, with its own sampler.
 
-    A string is a handle over k base strings, its bytes theirs joined; a
-    string given by its bytes is sliced into k. A string of another length,
-    or a handle over another number of parts, is an InputError. k is read
-    from the generators' length; k = 1 is a plain subgroup of ``base``.
+    A string is a handle over k base strings, whose bytes are theirs
+    joined, or bytes sliced into k. At k = 1, a plain subgroup of ``base``,
+    any other string goes to ``base`` as it is. k is read off the generators
+    without sealing one: a handle over parts counts them, a string with no
+    bytes yet is one base string, and bytes count by their length. No
+    generators, or counts that differ or are not whole, are an InputError.
     The raw operations act on each coordinate through the base box's raw
     ones, looked up per call, so a counter rebinding them on the base
     instance sees every oracle call. Each draw counts once here and once
@@ -182,12 +176,12 @@ class SubgroupBox(BlackBoxGroup):
     """
 
     def __init__(self, base: BlackBoxGroup, gens, rng: random.Random):
-        gens = tuple(gens)
-        n = len(gens[0].data) if gens else 0
-        if not n or n % base.string_bytes or any(len(g.data) != n for g in gens):
+        gens, w = tuple(gens), base.string_bytes
+        sizes = {w * len(g._value) if g._seal is _join_bytes else w if g._data is None else len(g._data)
+                 for g in gens}
+        if len(sizes) != 1 or (n := sizes.pop()) % w or not n:
             raise InputError("generators must be tuples of base strings of one length")
-        self.base = base
-        self.k = n // base.string_bytes
+        self.base, self.k = base, n // w
         super().__init__(n, base.exponent, gens, self.join([base.identity] * self.k))
         self._pr = ProductReplacer(self, self.generators, rng)
 
@@ -195,6 +189,8 @@ class SubgroupBox(BlackBoxGroup):
         if x._seal is _join_bytes:
             if len(x._value) == self.k:
                 return x._value
+        elif self.k == 1:
+            return (x,)
         elif len(d := x.data) == self.string_bytes:
             w = self.base.string_bytes
             return tuple(ElementString(d[i : i + w]) for i in range(0, len(d), w))
@@ -202,7 +198,9 @@ class SubgroupBox(BlackBoxGroup):
 
     @staticmethod
     def join(parts) -> ElementString:
-        return ElementString(None, tuple(parts), _join_bytes)
+        e = object.__new__(ElementString)
+        e._data, e._value, e._seal = None, tuple(parts), _join_bytes
+        return e
 
     def _mul(self, a, b):
         return self.join(map(self.base._mul, self.split(a), self.split(b)))

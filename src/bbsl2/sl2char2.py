@@ -40,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
+from math import isqrt
 
 from . import modp
 from .bbfield import check_structure, trace_form
@@ -60,16 +61,14 @@ class Char2Frame:
     v1: ElementString
 
 
-def involution_sample(
-    box: BlackBoxGroup, rng: random.Random, budget: int = 4000
-) -> ElementString:
-    """A random involution, by direct search.
+def involution_sample(box: BlackBoxGroup, rng: random.Random) -> ElementString:
+    """A random involution, by direct search over max(4000, 40q) samples.
 
-    In SL2(2^n) all even-order elements already are involutions, so
-    power tricks buy nothing; the hit rate is about 1/q per sample. A
+    All even-order elements of SL2(2^n) are involutions, so power tricks buy
+    nothing; about 1 sample in q hits, q read off the exponent 2(q^2 - 1). A
     miss costs one mul and one compare: x != 1 is tested only when x^2 = 1.
     """
-    for _ in range(budget):
+    for _ in range(max(4000, 40 * isqrt(box.exponent // 2 + 1))):
         x = box.sample(rng)
         if is_involution(box, x):
             return x
@@ -298,11 +297,11 @@ def recover_char2(
 ) -> RecognitionResult:
     """Full recognition run for SL2(2^n); see the module docstring."""
     check_trials(trials)
-    q = check_params(2, n)
+    check_params(2, n)
     rec = StageRecorder(box)
 
     with rec.stage("involution"):
-        r = involution_sample(box, rng, budget=max(4000, 40 * q))
+        r = involution_sample(box, rng)
     with rec.stage("weyl"):
         theta = find_order3_inverted(box, r, rng)
         frame = dihedral_frame(box, r, theta)

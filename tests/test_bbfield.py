@@ -45,11 +45,15 @@ def test_ppd_rejects_bad_input():
     # p an int prime and n an int >= 1, with no bool, float or str
     bad = [(1, 2), (0, 2), (-3, 2), (4, 2), (91, 2), (2.0, 3), (True, 3), ("3", 2)]
     bad += [(3, 0), (3, -1), (3, True), (3, 2.0), (3, "2")]
+    # p^n above 2^40: trial division of 3^43 - 1 would run for hours
+    bad += [(3, 43), (2, 41), (2**40 + 15, 1)]
     for p, n in bad:
         with pytest.raises(InputError):
             ppd_prime(p, n)
-    # n is not bounded as a field's k is: 2^21 - 1 = 7^2 * 127 * 337
+    # n is bounded by p^n <= 2^40, not as a field's k is: 2^21 - 1 = 7^2 * 127 * 337
     assert ppd_prime(2, 21) == 337
+    # 2^40 - 1 = 3 * 5^2 * 11 * 17 * 31 * 41 * 61681, 3^25 - 1 = 2 * 11^2 * 8951 * 391151
+    assert (ppd_prime(2, 40), ppd_prime(3, 25)) == (61681, 391151)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 29]), st.integers(min_value=1, max_value=8))

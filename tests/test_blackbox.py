@@ -539,6 +539,39 @@ def test_a_recognition_that_reads_no_bytes_seals_nothing():
     assert be.encode(m).data == twin.encode(m).data
 
 
+@pytest.mark.parametrize(
+    "p, k, cq", [(13, 1, False), (3, 4, False), (3, 4, True), (13, 2, True), (3, 6, False), (2, 8, False)],
+    ids=["SL2(13)", "SL2(81)", "PSL2(81)", "PSL2(169)", "SL2(729)", "SL2(256)"],
+)
+def test_a_recognition_seals_no_string(p, k, cq, monkeypatch):
+    # boxes read their handles' matrices and parts, and a tuple box reads its
+    # degree off its generators' parts, so no recognition reads the bytes of
+    # a string that has none yet, in either characteristic
+    sealed, read = [], ElementString.data.fget
+
+    def data(x):
+        if x._data is None:
+            sealed.append(x)
+        return read(x)
+
+    monkeypatch.setattr(ElementString, "data", property(data))
+    box = make_matrix_blackbox(p, k, center_quotient=cq, seed=1000)
+    recognize(box, p, k, random.Random(0), trials=200)
+    assert sealed == []
+
+
+def test_a_plain_subgroup_box_seals_none_of_its_generators(rng):
+    # at k = 1 a handle of the base box is one base string: reading the degree
+    # and the sampler's burn-in leave it unsealed
+    box = make_matrix_blackbox(13, 1, opaque=True, seed=2)
+    gens = box.generators
+    sub = SubgroupBox(box, gens, rng)
+    assert sub.k == 1
+    for _ in range(5):
+        sub.compare(sub.sample(rng), gens[0])
+    assert all(g._data is None for g in gens)
+
+
 def test_import_loads_no_openssl():
     # the codec's BLAKE2b is CPython's own _blake2 module; hashlib would also
     # load _hashlib and OpenSSL's libcrypto, which nothing here calls

@@ -33,7 +33,11 @@ UNENTERED = {
         "backend.MatrixBackend._bind_codec.decrypt",
         "backend.MatrixBackend._bind_codec.decode",
         "backend.mat_inv2",
+        "blackbox.ElementString.__init__",
         "blackbox.ElementString.__repr__",
+    ],
+    "a tuple string's bytes, made only when read; no run reads them": [
+        "blackbox._join_bytes",
     ],
     "abstract: each box binds its own raw operations": [
         "blackbox.BlackBoxGroup._mul",

@@ -29,6 +29,15 @@ def test_involution_sample(sl2_8, rng):
         assert sl2_8.is_identity(sl2_8.power(r, 2))
 
 
+def test_involution_sample_budget_grows_with_q():
+    # about 1 sample in q is an involution, so a fixed 4000 samples miss at
+    # SL2(2^12) with probability about exp(-4000/4096); 40q samples do not
+    for seed in range(10):
+        box = make_matrix_blackbox(2, 12, seed=seed)
+        r = involution_sample(box, random.Random(seed))
+        assert not box.is_identity(r) and box.is_identity(box.mul(r, r))
+
+
 def test_involution_sample_tests_x_only_on_a_hit():
     # a miss costs one mul and one compare (x^2 = 1?); only a hit also
     # compares x with the identity
