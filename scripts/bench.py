@@ -49,10 +49,12 @@ rounds unless said otherwise. The sections:
   trials drawn from ``Random("lifts")`` after the faults, and
   ``predicted`` the escapes that the law faults·exp(−λ·trials/q) expects.
 - ``runs``: per group of the grid and seed, the stage samples,
-  verification, base-box counts and seconds of a run on opaque strings.
-  Seed 0 also runs on transparent strings, each kind timed after a
-  warm-up as the fastest of three runs, and all but the seconds must
-  match (``identical``): else an algorithm peeked at string internals.
+  verification, base-box counts, ``stage_ops`` (the base-box muls, invs
+  and compares of each stage, which sum to the counts) and seconds of a
+  run on opaque strings. Seed 0 also runs on transparent strings, each
+  kind timed after a warm-up as the fastest of three runs, and all but
+  the seconds must match (``identical``), stage by stage: else an
+  algorithm peeked at string internals.
   A failed, inexact or not identical run makes the script exit 1.
 
     python3 scripts/bench.py --odd 13,1 29,1 --char2 3 4 --seeds 10 --center-quotient
@@ -66,6 +68,7 @@ import subprocess
 import sys
 import time
 import tokenize
+from contextlib import contextmanager
 from pathlib import Path
 
 import bbsl2
@@ -73,6 +76,7 @@ from bbsl2 import make_matrix_blackbox, modp, oracle, recognize
 from bbsl2.blackbox import ElementString
 from bbsl2.errors import ContractViolation, MonteCarloFailure
 from bbsl2.field import ExplicitField
+from bbsl2.stages import StageRecorder
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from counting import count_base_ops  # noqa: E402
@@ -125,21 +129,50 @@ def _pair(text: str) -> tuple:
 
 
 def _recognize(group, seed: int, opaque: bool, trials: int):
-    """The result, live base-box counter and seconds of a recognition on a fresh box."""
+    """The result, live base-box counter, seconds and per-stage counts
+    (``_stage_counts``) of a recognition on a fresh box."""
     p, k, cq = group
     box = make_matrix_blackbox(p, k, center_quotient=cq, opaque=opaque, seed=seed)
     ops = count_base_ops(box)
     rng = random.Random(seed)
-    t0 = time.perf_counter()
-    res = recognize(box, p, k, rng, trials=trials)
-    return res, ops, time.perf_counter() - t0
+    stage_ops = {}
+    with _stage_counts(ops, stage_ops):
+        t0 = time.perf_counter()
+        res = recognize(box, p, k, rng, trials=trials)
+        seconds = time.perf_counter() - t0
+    return res, ops, seconds, stage_ops
+
+
+@contextmanager
+def _stage_counts(ops, into: dict):
+    """Within it, each ``StageRecorder`` stage also records into ``into``, by
+    name, the base-box muls, invs and compares made inside it."""
+    stage = StageRecorder.stage
+
+    @contextmanager
+    def counted(rec, name):
+        before = ops.snapshot()
+        with stage(rec, name):
+            yield
+        into[name] = _since(ops, before)
+
+    StageRecorder.stage = counted
+    try:
+        yield
+    finally:
+        StageRecorder.stage = stage
+
+
+def _since(ops, before) -> dict:
+    """The base-box muls, invs and compares made since the snapshot ``before``."""
+    return dict(zip(_OPS, (b - a for a, b in zip(before, ops.snapshot()))))
 
 
 def _cost(ops, work) -> dict:
     """The base-box muls, invs and compares that ``work()`` makes."""
     before = ops.snapshot()
     work()
-    return dict(zip(_OPS, (b - a for a, b in zip(before, ops.snapshot()))))
+    return _since(ops, before)
 
 
 def _best_us(run, fresh=lambda: None) -> float:
@@ -196,7 +229,7 @@ def _per_op(group, opaque: bool) -> dict:
 
 
 def _images(group, opaque: bool, trials: int) -> dict:
-    res, ops, _ = _recognize(group, 0, opaque, trials)
+    res, ops, *_ = _recognize(group, 0, opaque, trials)
     rng = random.Random(1)
     mats = [oracle.random_sl2(res.explicit, rng) for _ in range(_CALLS)]
 
@@ -210,7 +243,7 @@ def _images(group, opaque: bool, trials: int) -> dict:
 
 
 def _lifts(group, trials: int) -> dict:
-    res, ops, _ = _recognize(group, 0, True, trials)
+    res, ops, *_ = _recognize(group, 0, True, trials)
     lifts = range(1, 1 << group[1])
     cost = _cost(ops, lambda: [res.field.lift_int(j) for j in lifts])
     return {"group": _label(*group), "lifts": len(lifts), **cost}
@@ -259,7 +292,7 @@ def _cold_start() -> list:
 
 
 def _detection(group, trials: int) -> dict:
-    res, _, _ = _recognize(group, 0, True, trials)
+    res = _recognize(group, 0, True, trials)[0]
     phi, box, q = res.morphism, res.morphism.box, res.explicit.order
     escaped = 0
     for i in range(_FAULTS):
@@ -288,10 +321,11 @@ def _lifts_per_trial(phi, trials: int) -> float:
     return total / trials
 
 
-def _stats(res, ops, seconds: float) -> dict:
+def _stats(res, ops, seconds: float, stage_ops: dict) -> dict:
     """What a run on one kind of string gave; all but ``s`` must match across kinds."""
     return {"samples": {s.name: s.samples_used for s in res.stages},
-            "verification": res.verification, **dict(zip(_OPS, ops.snapshot())), "s": seconds}
+            "verification": res.verification, **dict(zip(_OPS, ops.snapshot())),
+            "stage_ops": stage_ops, "s": seconds}
 
 
 def _run(group, seed: int, trials: int) -> dict:
@@ -299,13 +333,13 @@ def _run(group, seed: int, trials: int) -> dict:
     record = {"group": _label(*group), "seed": seed}
     for opaque in (True, False) if seed == 0 else (True,):
         try:
-            res, ops, seconds = _recognize(group, seed, opaque, trials)
+            res, ops, seconds, stage_ops = _recognize(group, seed, opaque, trials)
             if seed == 0:
                 seconds = min(_recognize(group, seed, opaque, trials)[2] for _ in range(3))
         except (MonteCarloFailure, ContractViolation) as exc:
             record.update(exact=False, error=f"{type(exc).__name__}: {exc}")
             return record
-        record[_STRINGS[opaque]] = _stats(res, ops, seconds)
+        record[_STRINGS[opaque]] = _stats(res, ops, seconds, stage_ops)
     checks = record["opaque"]["verification"]["phi_homomorphism_checks"]
     record["exact"] = checks["passes"] == checks["trials"]
     if seed == 0:

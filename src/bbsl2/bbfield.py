@@ -7,7 +7,8 @@ of a torus element, and a Frobenius map turns the field trace into a
 computable functional. Reading traces of basis products yields the Gram
 matrix of the trace form, and with it coordinates, structure constants,
 and inverses, all by small linear algebra over F_p. ``trace_form`` and
-``check_structure`` serve the characteristic-2 field of ``sl2char2`` too.
+``check_structure`` serve the characteristic-2 field of ``sl2char2`` too,
+and the check builds each row as its field builds any element, by ``lift_int``.
 
 Elements of the recovered field are strings of the Frobenius box, and
 ``to_box`` maps one to the base-box string carrying it; all equality
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from . import modp
 from .arith import factorint, p_part
-from .blackbox import BlackBoxGroup, ElementString, element_order
+from .blackbox import ElementString, element_order
 from .errors import ContractViolation, InputError
 from .field import ExplicitField
 from .frobenius import FrobeniusMap
@@ -62,20 +63,11 @@ def trace_form(T, p: int, k: int):
     return ginv, structure
 
 
-def combine(box: BlackBoxGroup, s, coords, p: int) -> ElementString:
-    """The box element sum_l coords[l-1] * gamma^l, with gamma^l carried by s[l]."""
-    out = box.identity
-    for l, a in enumerate(coords, start=1):
-        if a % p:
-            out = box.mul(out, box.power(s[l], a % p))
-    return out
-
-
-def check_structure(box: BlackBoxGroup, s, structure, p: int) -> None:
+def check_structure(field, s) -> None:
     """Cross-check every row against the box: gamma^i * gamma^j is s[i+j]."""
-    for i, plane in enumerate(structure, start=1):
+    for i, plane in enumerate(field.structure, start=1):
         for j, row in enumerate(plane, start=1):
-            if not box.compare(s[i + j], combine(box, s, row, p)):
+            if not field.eq(s[i + j], field.lift_int(sum(a * field.p**l for l, a in enumerate(row)))):
                 raise ContractViolation(
                     "structure constants disagree with the box on a basis product"
                 )
@@ -119,7 +111,7 @@ class BlackBoxField:
         self.unity_coords = modp.vec_mat(
             tuple(self._T[j] for j in range(1, k + 1)), self._gram_inv, p
         )
-        check_structure(box, self._s, self.structure, p)
+        check_structure(self, self._s)
 
     # -- additive layer ---------------------------------------------------
     @property
@@ -156,17 +148,22 @@ class BlackBoxField:
         )
         return modp.vec_mat(beta, self._gram_inv, self.p)
 
+    def _sum(self, coords, term) -> ElementString:
+        """sum_l coords[l-1] * term(l), calling term only where the coordinate is nonzero."""
+        out = self.box.identity
+        for l, a in enumerate(coords, start=1):
+            if a % self.p:
+                out = self.box.mul(out, self.box.power(term(l), a % self.p))
+        return out
+
     def from_coords(self, coords) -> ElementString:
-        return combine(self.box, self._s, coords, self.p)
+        """sum_l coords[l-1] * gamma^l, with gamma^l carried by s_l."""
+        return self._sum(coords, self._s.__getitem__)
 
     # -- multiplicative layer -----------------------------------------------
     def mul(self, x: ElementString, y: ElementString) -> ElementString:
         """Bilinear: x*y = sum_l y_l (x conjugated by the l-th twist)."""
-        out = self.box.identity
-        for l, a in enumerate(self.coords(y), start=1):
-            if a:
-                out = self.box.mul(out, self.box.power(self.box.conj(x, self._cpow[l]), a))
-        return out
+        return self._sum(self.coords(y), lambda l: self.box.conj(x, self._cpow[l]))
 
     def inv(self, x: ElementString) -> ElementString:
         if self.is_zero(x):

@@ -89,7 +89,7 @@ class BlackBoxGroup:
 
     def sample(self, rng: random.Random) -> ElementString:
         if self._pr is None:
-            self._pr = ProductReplacer(self, self.generators, rng)
+            self._pr = ProductReplacer(self, rng)
         return self._pr.sample(rng)
 
     def _count_sample(self) -> None:
@@ -112,9 +112,10 @@ class BlackBoxGroup:
 
 
 class ProductReplacer:
-    """Product replacement walk with an accumulator ('rattle') per sample."""
+    """Product replacement walk on the box's generators, with an accumulator ('rattle') per sample."""
 
-    def __init__(self, box: BlackBoxGroup, gens, rng: random.Random):
+    def __init__(self, box: BlackBoxGroup, rng: random.Random):
+        gens = box.generators
         if not gens:
             raise InputError("product replacement needs at least one generator")
         self.box = box
@@ -183,7 +184,7 @@ class SubgroupBox(BlackBoxGroup):
             raise InputError("generators must be tuples of base strings of one length")
         self.base, self.k = base, n // w
         super().__init__(n, base.exponent, gens, self.join([base.identity] * self.k))
-        self._pr = ProductReplacer(self, self.generators, rng)
+        self._pr = ProductReplacer(self, rng)
 
     def split(self, x: ElementString) -> tuple[ElementString, ...]:
         if x._seal is _join_bytes:

@@ -195,7 +195,8 @@ class Char2Field:
         self._gram_inv, self.structure = form
         self._cpow = cpow
         self._s = [frame.r] + [box.conj(frame.r, w) for w in cpow[1 : 2 * n + 1]]
-        check_structure(box, self._s, self.structure, 2)
+        # the basis as field elements: witness c^m, marker s_m
+        check_structure(self, [*zip(cpow, self._s)])
 
     def _witness(self, marker: ElementString) -> ElementString:
         """A group element conjugating r onto the given nonzero marker.
@@ -253,19 +254,19 @@ class Char2Field:
         return self._witness(a[1]) if a[0] is None else a[0]
 
     def add(self, a, b):
-        return (None, self.box.mul(a[1], b[1]))
+        return None, self.box.mul(a[1], b[1])
 
     def mul(self, a, b):
         if self.is_zero(a) or self.is_zero(b):
             return self.zero
         wb = self._witness_of(b)
-        return (self.box.mul(self._witness_of(a), wb), self.box.conj(a[1], wb))
+        return self.box.mul(self._witness_of(a), wb), self.box.conj(a[1], wb)
 
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("zero has no multiplicative inverse")
         t = self.box.inv(self._witness_of(a))
-        return (t, self.box.conj(self.r, t))
+        return t, self.box.conj(self.r, t)
 
     def to_box(self, a) -> ElementString:
         return a[1]
@@ -286,7 +287,7 @@ class Char2Field:
         if j == 0:
             return self.zero
         factors = (self._s[i + 1] for i in range(self.k) if j >> i & 1)
-        return (None, reduce(self.box.mul, factors))
+        return None, reduce(self.box.mul, factors)
 
     def to_explicit(self) -> ExplicitField:
         return ExplicitField(2, self.k, self.structure)

@@ -20,9 +20,10 @@ field, its presentation on a random new basis, and the table of the map
 that a field isomorphism's matrix defines; the minimal polynomial and
 the first generator of an explicit field by their definitions, which
 ``explicit_isomorphism`` reads off one elimination; reference copies of
-box searches that the package now runs more cheaply; random elements
-of a recovered field; and ``exhaustive_check``, a recognition's morphism
-checked on every matrix of SL2(q).
+box searches that the package now runs more cheaply; the marker of an
+index in the characteristic-2 field; random elements of a recovered
+field; and ``exhaustive_check``, a recognition's morphism checked on
+every matrix of SL2(q).
 """
 import random
 
@@ -228,6 +229,17 @@ def gram_det(field) -> int:
     rebuilt from its power traces ``_T``."""
     k = field.k
     return det([[field._T[i + j] for j in range(1, k + 1)] for i in range(1, k + 1)], field.p)
+
+
+def char2_marker(field: Char2Field, j: int):
+    """The marker of j in a ``Char2Field`` by its definition: the product,
+    multiplied up from the identity, of the basis markers s_(i+1) over the
+    set bits i of j."""
+    box, out = field.box, field.box.identity
+    for i in range(field.k):
+        if j >> i & 1:
+            out = box.mul(out, field._s[i + 1])
+    return out
 
 
 def random_element(field, rng: random.Random):

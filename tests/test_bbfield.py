@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsl2 import modp
+from bbsl2 import bbfield, modp, sl2char2
 from bbsl2.arith import factorint
 from bbsl2.backend import make_matrix_blackbox
 from bbsl2.bbfield import ppd_prime, trace_form
-from bbsl2.errors import InputError
+from bbsl2.errors import ContractViolation, InputError
 from bbsl2.field import ExplicitField
 from bbsl2.sl2odd import recover_psl2
 
@@ -119,6 +119,40 @@ def test_explicit_presentation_validates(recovered):
     E = recovered.explicit
     E.validate()
     assert E.to_dict() == recovered.field.to_explicit().to_dict()
+
+
+@pytest.fixture
+def shifted_constant(monkeypatch):
+    """Both fields read a trace form whose first structure constant, the
+    first coordinate of gamma^1 * gamma^1, is shifted by 1 mod p."""
+    real = bbfield.trace_form
+
+    def shifted(T, p, k):
+        if (form := real(T, p, k)) is None:
+            return None
+        ginv, ((row, *rows), *planes) = form
+        row = ((row[0] + 1) % p, *row[1:])
+        return ginv, ((row, *rows), *planes)
+
+    monkeypatch.setattr(bbfield, "trace_form", shifted)
+    monkeypatch.setattr(sl2char2, "trace_form", shifted)
+
+
+_DISAGREE = "structure constants disagree with the box on a basis product"
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 4)], ids=["q=9", "q=81"])
+def test_black_box_field_rejects_a_wrong_structure_constant(shifted_constant, p, k):
+    box = make_matrix_blackbox(p, k, opaque=True, seed=21)
+    with pytest.raises(ContractViolation, match=_DISAGREE):
+        recover_psl2(box, p, k, random.Random(13), trials=20)
+
+
+@pytest.mark.parametrize("n", [3, 8], ids=lambda n: f"n={n}")
+def test_char2_field_rejects_a_wrong_structure_constant(shifted_constant, n):
+    box = make_matrix_blackbox(2, n, opaque=True, seed=41)
+    with pytest.raises(ContractViolation, match=_DISAGREE):
+        sl2char2.recover_char2(box, n, random.Random(n), trials=20)
 
 
 def test_structure_constants_prime_case_is_unit():

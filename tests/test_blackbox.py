@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from bbsl2 import backend, oracle
-from bbsl2.blackbox import ElementString, SubgroupBox, element_order
+from bbsl2.blackbox import BlackBoxGroup, ElementString, SubgroupBox, element_order
 from bbsl2.backend import MatrixBackend, make_matrix_blackbox
 from bbsl2.errors import InputError
 from bbsl2.field import ExplicitField
@@ -91,6 +91,13 @@ def test_sampling_is_spread_out(rng):
         closure = brute.closure(be.field, be.standard_generators())
         assert len(closure) == order
         assert seen <= closure
+
+
+def test_sampling_needs_a_generator(rng):
+    # the product replacement walk reads the box's generators itself
+    box = BlackBoxGroup(1, 2, [], ElementString(b"\x00"))
+    with pytest.raises(InputError, match="at least one generator"):
+        box.sample(rng)
 
 
 def test_element_order_vs_direct_powering(rng):

@@ -48,7 +48,6 @@ UNENTERED = {
         "bbfield.BlackBoxField.zero",
         "bbfield.BlackBoxField.add",
         "bbfield.BlackBoxField.read_int",
-        "sl2char2.Char2Field.eq",
         "sl2char2.Char2Field.add",
         "sl2char2.Char2Field.mul",
         "sl2char2.Char2Field.read_int",

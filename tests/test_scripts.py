@@ -129,7 +129,8 @@ def test_bench_measurements(bench):
 
 def test_bench_runs_are_exact_and_identical(bench):
     # seed 0 runs on both kinds of string, which must agree in everything
-    # but time: stage samples, verification and complete base-box counts
+    # but time: stage samples, verification and complete base-box counts,
+    # in total and per stage
     runs = bench["runs"]
     assert [(r["group"], r["seed"]) for r in runs] == [
         (g, 0) for g in ("SL2(13)", "SL2(29)", "SL2(81)", "SL2(169)", "SL2(2^3)", "SL2(2^8)")
@@ -139,7 +140,12 @@ def test_bench_runs_are_exact_and_identical(bench):
         opaque, transparent = r["opaque"], r["transparent"]
         assert opaque["s"] > 0 and transparent["s"] > 0, r
         assert opaque.keys() == transparent.keys()
-        assert {"samples", "verification", "muls", "invs", "compares"} < opaque.keys()
+        assert {"samples", "verification", "muls", "invs", "compares", "stage_ops"} < opaque.keys()
         assert all(opaque[key] == transparent[key] for key in opaque if key != "s"), r
         assert opaque["verification"]["phi_homomorphism_checks"] == {"trials": 5, "passes": 5}, r
         assert opaque["muls"] > 0 and opaque["compares"] > 0, r
+        # every base-box call falls in one stage, so the stages sum to the totals
+        stages = opaque["stage_ops"]
+        assert stages.keys() == opaque["samples"].keys(), r
+        for op in ("muls", "invs", "compares"):
+            assert sum(counts[op] for counts in stages.values()) == opaque[op], (op, r)

@@ -5,7 +5,6 @@ import pytest
 
 from bbsl2 import oracle
 from bbsl2.backend import make_matrix_blackbox
-from bbsl2.bbfield import combine
 from bbsl2.blackbox import element_order
 from bbsl2.errors import ContractViolation, InputError
 from bbsl2.involutions import bray_element, find_order3_inverted
@@ -243,8 +242,8 @@ def field_n(request):
 
 
 def test_char2field_lift_is_the_product_of_its_basis_markers(field_n):
-    # the marker of j is combine() of the bits of j, built from its first
-    # factor: popcount(j) - 1 muls, and no inverse or compare
+    # the marker of j is the product of the basis markers at the bits of j,
+    # built from its first factor: popcount(j) - 1 muls, and no inverse or compare
     box, n = field_n.box, field_n.k
     for j in range(1, 1 << n):
         before = _ops(box)
@@ -252,7 +251,7 @@ def test_char2field_lift_is_the_product_of_its_basis_markers(field_n):
         cost = tuple(b - a for a, b in zip(before, _ops(box)))
         assert witness is None
         assert cost == (bin(j).count("1") - 1, 0, 0), j
-        assert box.compare(marker, combine(box, field_n._s, [j >> i & 1 for i in range(n)], 2)), j
+        assert box.compare(marker, brute.char2_marker(field_n, j)), j
 
 
 def test_bray_step_is_bray_element(field_n):
