@@ -78,6 +78,11 @@ class MatrixBackend:
         opaque: bool = True,
         seed: int = 0,
     ):
+        if type(seed) is not int:  # the codec key is f"{seed}", so "3" would be 3
+            raise InputError(f"seed must be an int, not {seed!r}")
+        for name, flag in (("special", special), ("center_quotient", center_quotient), ("opaque", opaque)):
+            if type(flag) is not bool:
+                raise InputError(f"{name} must be a bool, not {flag!r}")
         if center_quotient and not special:
             raise InputError("center quotient is only supported over the special group")
         self.field = field

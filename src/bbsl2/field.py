@@ -90,12 +90,12 @@ class ExplicitField:
             shaped = False
         if not shaped:
             raise InputError("structure constants must form a k*k*k array")
-        # no bool, float or str: x % p would accept or parse it
-        if any(type(x) is not int for pl in c for r in pl for x in r):
-            raise InputError("the structure constants must be integers")
+        # no bool, float, str or value outside [0, p), as ``check_matrix`` takes entries
+        if any(type(x) is not int or not 0 <= x < p for pl in c for r in pl for x in r):
+            raise InputError(f"the structure constants must be integers in [0, {p})")
         self.p = p
         self.k = k
-        self.c = c = tuple(tuple(tuple(x % p for x in r) for r in pl) for pl in c)
+        self.c = c = tuple(tuple(tuple(r) for r in pl) for pl in c)
         self._c00 = c[0][0][0]
 
     # -- coordinates ----------------------------------------------------

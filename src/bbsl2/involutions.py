@@ -3,8 +3,9 @@
 Random involutions by powering, Bray's construction, which turns random
 group elements into centralizer elements of a given involution, and the
 search for an order-3 element inverted by an involution, which closes
-the dihedral frame in characteristic 2; that search rejects candidates
-by one power each, and computes the order of the accepted one alone.
+the dihedral frame in characteristic 2; that search rejects a candidate
+by one power and cubes the power of the accepted one down to order 3,
+so it computes no element order.
 """
 from __future__ import annotations
 
@@ -71,21 +72,30 @@ def bray_centralizer(
 def find_order3_inverted(box: BlackBoxGroup, r: ElementString, rng: random.Random) -> ElementString:
     """An element of order 3 inverted by the involution r.
 
-    Products r^x * r are inverted by r for free, so powering one to its
-    3-part gives the result whenever 3 divides the order; a constant
-    fraction of samples does at desk scale. A candidate whose order is
-    prime to 3 (the identity included) is rejected by one power, s^e = 1
-    for e the box exponent without its factors of 3; only the accepted
-    candidate pays for ``element_order``.
+    Products r^x * r are inverted by r for free, and so is every power
+    of one; a constant fraction of samples has order divisible by 3 at
+    desk scale. With e the box exponent without its factors of 3, the
+    power t = s^e is the identity exactly when 3 does not divide the
+    order of s, which rejects the candidate. Otherwise t has order 3^a,
+    the 3-part of the order of s, and cubing t while t^3 != 1 leaves
+    s^(e * 3^(a-1)), of order 3. No element order is computed. The
+    exponent bounds the cubings: a t still above order 3 after as many
+    cubings as the exponent has factors 3 shows that the box breaks its
+    exponent.
     """
     if box.is_identity(r):
         raise InputError("need a nontrivial involution")
-    e = box.exponent
+    e, cubings = box.exponent, 0
     while e % 3 == 0:
-        e //= 3
+        e, cubings = e // 3, cubings + 1
     for _ in range(_ORDER3_SAMPLES):
-        s = box.mul(box.conj(r, box.sample(rng)), r)
-        if box.is_identity(box.power(s, e)):
+        t = box.power(box.mul(box.conj(r, box.sample(rng)), r), e)
+        if box.is_identity(t):
             continue
-        return box.power(s, element_order(box, s) // 3)
+        for _ in range(cubings):
+            t3 = box.power(t, 3)
+            if box.is_identity(t3):
+                return t
+            t = t3
+        raise ContractViolation("element does not satisfy the advertised exponent")
     raise MonteCarloFailure("order-3 companion", "no conjugate product with order divisible by 3")

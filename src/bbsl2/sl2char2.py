@@ -16,13 +16,13 @@ relations then hold in every group, so none is tested.
 Field structure rides on the unipotent subgroup U through r. Addition
 is the group operation of U. For multiplication, note that every group
 element conjugating r into U normalizes U and acts on it as
-multiplication by a fixed field scalar; a field element is therefore
-carried as a pair (witness, marker) with marker = r^witness in U.
-Witnesses compose under multiplication. Addition multiplies markers,
-and a sum or a lifted element carries no witness until multiplication,
-inversion or a coordinate read needs one; the Steinberg morphism uses
-markers only, so its lifts never pay for one: the lift of j multiplies
-the basis markers at the set bits of j, popcount(j) - 1 muls. A witness
+multiplication by a fixed field scalar. A field element is therefore
+its marker, a string of U: zero is the identity and one is r. Addition
+multiplies markers, and the lift of j multiplies the basis markers at
+the set bits of j, popcount(j) - 1 muls. Multiplication, inversion and
+a coordinate read need a witness, a group element conjugating r onto
+a marker, and derive one for the one marker they need; the Steinberg
+morphism lifts markers only, so its lifts never pay for one. A witness
 is derived deterministically: marker times the opposite unipotent
 always has odd order, so a two-step bridge of square roots (obtained by
 squaring, no search) conjugates r onto any nonzero marker.
@@ -48,7 +48,14 @@ from .blackbox import BlackBoxGroup, ElementString
 from .errors import ContractViolation, InputError, MonteCarloFailure
 from .field import ExplicitField
 from .involutions import bray_centralizer, find_order3_inverted, is_involution
-from .sl2odd import check_params, check_trials, finish_recognition, recover_psl2
+from .sl2odd import (
+    check_exponent,
+    check_params,
+    check_rng,
+    check_trials,
+    finish_recognition,
+    recover_psl2,
+)
 from .stages import RecognitionResult, StageRecorder
 
 
@@ -153,15 +160,14 @@ _CONJUGATOR_BUDGET = 40
 class Char2Field:
     """Field of order 2^n carried on the unipotent subgroup through r.
 
-    Elements are pairs (witness, marker) with marker = r^witness; zero
-    is (None, identity), or any pair whose marker is the identity, and
-    one is (identity, r). Equality and addition look only at markers;
-    multiplication composes witnesses. ``add`` and ``lift_int`` leave
-    the witness None, and ``mul``, ``inv`` and ``read_int`` derive a
-    missing one from the marker (``_witness``), so a witness is made
-    only where it is used. Any valid witness works: witnesses for the
-    same marker differ by a centralizer element of r, which lies in U
-    and acts trivially there.
+    An element is its marker, a base-box string of U, as a
+    ``BlackBoxField`` element is one string of the Frobenius box: zero
+    is the identity and one is r. Equality, addition and lifts act on
+    markers; ``mul``, ``inv`` and ``read_int`` each derive the witness of
+    the one marker they need (``_witness``), so a witness is made only
+    where it is used. Any valid witness works: witnesses for the same
+    marker differ by a centralizer element of r, which lies in U and
+    acts trivially there.
 
     Coordinates come from the trace form, as in ``BlackBoxField``, over
     the basis s_m = r^(c^m), m = 1..n, of a conjugator c drawn from U.
@@ -174,8 +180,8 @@ class Char2Field:
         self.p = 2
         self.k = n
         self._bridge_tail = _sqrt(box, box.mul(frame.v1, frame.r), n)
-        self.zero = (None, box.identity)
-        self.one = (box.identity, frame.r)
+        self.zero = box.identity
+        self.one = frame.r
         for _ in range(_CONJUGATOR_BUDGET):
             z = _bray_step(box, frame.r, box.sample(rng), n)
             if box.is_identity(z):
@@ -195,8 +201,7 @@ class Char2Field:
         self._gram_inv, self.structure = form
         self._cpow = cpow
         self._s = [frame.r] + [box.conj(frame.r, w) for w in cpow[1 : 2 * n + 1]]
-        # the basis as field elements: witness c^m, marker s_m
-        check_structure(self, [*zip(cpow, self._s)])
+        check_structure(self, self._s)
 
     def _witness(self, marker: ElementString) -> ElementString:
         """A group element conjugating r onto the given nonzero marker.
@@ -243,51 +248,44 @@ class Char2Field:
             return 1
         raise ContractViolation("trace value is neither the identity nor r")
 
-    def is_zero(self, a) -> bool:
-        return self.box.is_identity(a[1])
+    def is_zero(self, a: ElementString) -> bool:
+        return self.box.is_identity(a)
 
-    def eq(self, a, b) -> bool:
-        return self.box.compare(a[1], b[1])
+    def eq(self, a: ElementString, b: ElementString) -> bool:
+        return self.box.compare(a, b)
 
-    def _witness_of(self, a) -> ElementString:
-        """The witness of the nonzero element a, made from its marker if it has none."""
-        return self._witness(a[1]) if a[0] is None else a[0]
+    def add(self, a: ElementString, b: ElementString) -> ElementString:
+        return self.box.mul(a, b)
 
-    def add(self, a, b):
-        return None, self.box.mul(a[1], b[1])
-
-    def mul(self, a, b):
+    def mul(self, a: ElementString, b: ElementString) -> ElementString:
         if self.is_zero(a) or self.is_zero(b):
             return self.zero
-        wb = self._witness_of(b)
-        return self.box.mul(self._witness_of(a), wb), self.box.conj(a[1], wb)
+        return self.box.conj(a, self._witness(b))
 
-    def inv(self, a):
+    def inv(self, a: ElementString) -> ElementString:
         if self.is_zero(a):
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        t = self.box.inv(self._witness_of(a))
-        return t, self.box.conj(self.r, t)
+        return self.box.conj(self.r, self.box.inv(self._witness(a)))
 
-    def to_box(self, a) -> ElementString:
-        return a[1]
+    def to_box(self, a: ElementString) -> ElementString:
+        return a
 
-    def read_int(self, a) -> int:
+    def read_int(self, a: ElementString) -> int:
         """Coordinates over s_1..s_n from the traces Tr(a * s_j), as bits."""
         if self.is_zero(a):
             return 0
-        w = self._witness_of(a)
+        w = self._witness(a)
         beta = tuple(self._trace(self.box.mul(w, self._cpow[j])) for j in range(1, self.k + 1))
         return sum(d << i for i, d in enumerate(modp.vec_mat(beta, self._gram_inv, 2)))
 
-    def lift_int(self, j: int):
+    def lift_int(self, j: int) -> ElementString:
         """The marker of j: the product of the basis markers s_(i+1) over the
         set bits i of j, which costs popcount(j) - 1 muls."""
         if type(j) is not int or not 0 <= j < 1 << self.k:  # no bool or float
             raise InputError(f"no field element with index {j!r}")
         if j == 0:
             return self.zero
-        factors = (self._s[i + 1] for i in range(self.k) if j >> i & 1)
-        return None, reduce(self.box.mul, factors)
+        return reduce(self.box.mul, (self._s[i + 1] for i in range(self.k) if j >> i & 1))
 
     def to_explicit(self) -> ExplicitField:
         return ExplicitField(2, self.k, self.structure)
@@ -298,7 +296,8 @@ def recover_char2(
 ) -> RecognitionResult:
     """Full recognition run for SL2(2^n); see the module docstring."""
     check_trials(trials)
-    check_params(2, n)
+    check_rng(rng)
+    check_exponent(box, 2, check_params(2, n))
     rec = StageRecorder(box)
 
     with rec.stage("involution"):

@@ -147,7 +147,9 @@ def find_standard_generators(
     """The frame (u, h, weyl), one recorded stage per step."""
     if p == 2:
         raise InputError("this pipeline wants odd characteristic")
+    check_rng(rng)
     q = check_params(p, k)
+    check_exponent(box, p, q)
     with rec.stage("unipotent"):
         u = unipotent_element(box, p, rng)
     with rec.stage("classify"):
@@ -228,6 +230,11 @@ def check_trials(trials: int) -> None:
         raise InputError(f"need at least one verification trial as an int, got {trials!r}")
 
 
+def check_rng(rng: random.Random) -> None:
+    if not isinstance(rng, random.Random):
+        raise InputError(f"rng must be a random.Random, not {rng!r}")
+
+
 def check_params(p: int, k: int) -> int:
     """q = p^k if (P)SL2(q) is in scope: p prime, k >= 1 (k >= 2 at p = 2),
     q at most 2^20, and q = 1 mod 4 at odd p; InputError otherwise."""
@@ -237,6 +244,21 @@ def check_params(p: int, k: int) -> int:
     if p > 2 and q % 4 != 1:
         raise InputError("q must be 1 mod 4")
     return q
+
+
+def check_exponent(box: BlackBoxGroup, p: int, q: int) -> None:
+    """ContractViolation unless the element-order lcm L of the declared group
+    divides ``box.exponent``: L = p(q^2 - 1)/4 for odd q, the lcm of
+    PSL2(q), which divides that of SL2(q), and 2(q^2 - 1) for q = 2^n. A box
+    whose exponent L does not divide breaks its contract or is another
+    group, so no sample is drawn. The gate is one-sided: any multiple of L
+    passes."""
+    lcm = 2 * (q * q - 1) if p == 2 else p * (q * q - 1) // 4
+    if box.exponent % lcm:
+        raise ContractViolation(
+            f"box exponent {box.exponent} is not a multiple of {lcm}, the element-order "
+            f"lcm of the declared group over GF({q})"
+        )
 
 
 def finish_recognition(

@@ -28,6 +28,7 @@ every matrix of SL2(q).
 import random
 
 from bbsl2 import modp
+from bbsl2.arith import p_part
 from bbsl2.backend import Matrix, mat_identity, mat_inv2
 from bbsl2.blackbox import element_order
 from bbsl2.field import ExplicitField
@@ -211,8 +212,13 @@ def find_order3_inverted_reference(box, r, rng, budget: int = 600):
     """The order-3 search with an order computation for every candidate.
 
     ``bbsl2.involutions.find_order3_inverted`` must accept the same
-    candidate from the same samples and return the same element.
+    candidate from the same samples and return the same element,
+    s^(e * 3^(a-1)) for e the box exponent without its factors of 3
+    and 3^a the 3-part of the order of s.
     """
+    e = box.exponent
+    while e % 3 == 0:
+        e //= 3
     for _ in range(budget):
         s = box.mul(box.conj(r, box.sample(rng)), r)
         if box.is_identity(s):
@@ -220,7 +226,7 @@ def find_order3_inverted_reference(box, r, rng, budget: int = 600):
         o = element_order(box, s)
         if o % 3:
             continue
-        return box.power(s, o // 3)
+        return box.power(s, e * p_part(o, 3) // 3)
     raise AssertionError("no candidate of order divisible by 3")
 
 

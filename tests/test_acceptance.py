@@ -169,10 +169,9 @@ def test_criterion_3_char2_recognition():
         carrier_ok = True
         if n <= 4:
             # enumerate U through the lift: 2^n distinct markers, each read back
-            lifts = [f.lift_int(j) for j in range(2**n)]
-            markers = [m for _, m in lifts]
+            markers = [f.lift_int(j) for j in range(2**n)]
             carrier_ok = (
-                all(f.read_int(a) == j for j, a in enumerate(lifts))
+                all(f.read_int(a) == j for j, a in enumerate(markers))
                 and all(box.commutes(m, f.r) and box.is_identity(box.mul(m, m)) for m in markers)
                 and all(
                     not box.compare(markers[i], markers[j])

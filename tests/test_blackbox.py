@@ -207,6 +207,28 @@ def test_backend_rejects_bad_generators():
         MatrixBackend(F, special=False, center_quotient=True)
 
 
+@pytest.mark.parametrize("seed", ["3", None, 2.0, True], ids=repr)
+def test_backend_seed_is_an_int(seed):
+    # the codec key is f"{seed}", so seed="3" made the strings of seed=3
+    F = ExplicitField.polynomial_field(5, 1)
+    with pytest.raises(InputError, match="seed must be an int"):
+        MatrixBackend(F, seed=seed)
+    with pytest.raises(InputError, match="seed must be an int"):
+        make_matrix_blackbox(5, 1, seed=seed)
+
+
+@pytest.mark.parametrize("value", ["yes", 0, 1, None], ids=repr)
+@pytest.mark.parametrize("flag", ["special", "center_quotient", "opaque"])
+def test_backend_flags_are_bools(flag, value):
+    # "yes", 0 and None would each be read by truth value
+    F = ExplicitField.polynomial_field(5, 1)
+    with pytest.raises(InputError, match=f"{flag} must be a bool"):
+        MatrixBackend(F, **{flag: value})
+    if flag != "special":
+        with pytest.raises(InputError, match=f"{flag} must be a bool"):
+            make_matrix_blackbox(5, 1, **{flag: value})
+
+
 def test_psl_canonicalization():
     box = make_matrix_blackbox(13, 1, center_quotient=True, opaque=True, seed=0)
     be = box.backend

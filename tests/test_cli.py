@@ -198,6 +198,16 @@ def test_negative_seed_exit_1(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c", [14, -1])
+def test_structure_constant_outside_the_prime_field_exit_1(c, tmp_path, capsys):
+    # a structure constant is a digit in [0, p), as a matrix entry is an
+    # element in [0, q); 14 at p = 13 was read, and reported, as 1
+    path = tmp_path / "f13.json"
+    path.write_text(json.dumps({"p": 13, "k": 1, "c": [[[c]]]}))
+    assert main(["field-report", "--input", str(path)]) == 1
+    assert "integers in [0, 13)" in capsys.readouterr().err
+
+
 def test_composite_p_exit_1(tmp_path, capsys):
     # a composite p is bad input, not a contract violation
     assert main(["recognize", "--p", "9", "--k", "1"]) == 1

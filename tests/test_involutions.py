@@ -6,7 +6,7 @@ import pytest
 from bbsl2 import involutions
 from bbsl2.blackbox import element_order
 from bbsl2.backend import make_matrix_blackbox
-from bbsl2.errors import InputError
+from bbsl2.errors import ContractViolation, InputError
 from bbsl2.involutions import (
     bray_centralizer,
     bray_element,
@@ -110,7 +110,7 @@ def test_find_order3_inverted_span(rng):
 def test_find_order3_inverted_matches_the_reference_search(n, monkeypatch):
     # two boxes from one seed draw the same samples from the same rng; the
     # search rejects by one power whatever the reference rejects by its
-    # order, and computes the order of the accepted candidate alone
+    # order, and cubes the power of the accepted candidate, computing no order
     boxes = [make_matrix_blackbox(2, n, opaque=True, seed=23) for _ in range(2)]
     rngs = [random.Random(n), random.Random(n)]
     rs = [random_involution(box, g) for box, g in zip(boxes, rngs)]
@@ -122,7 +122,18 @@ def test_find_order3_inverted_matches_the_reference_search(n, monkeypatch):
     got = find_order3_inverted(boxes[1], rs[1], rngs[1])
     assert boxes[1].backend.decode(got) == boxes[0].backend.decode(want)
     assert boxes[1].stats["samples"] == boxes[0].stats["samples"]
-    assert len(orders) == 1
+    assert not orders
+
+
+def test_find_order3_inverted_catches_a_broken_exponent(monkeypatch):
+    # SL2(8) advertising 14, its exponent 126 without the factor 9: a
+    # candidate of order 3 or 9 survives the power, and no cubing is allowed
+    box = make_matrix_blackbox(2, 3, seed=5)
+    rng = random.Random(1)
+    r = random_involution(box, rng)
+    monkeypatch.setattr(box, "exponent", 14)
+    with pytest.raises(ContractViolation, match="advertised exponent"):
+        find_order3_inverted(box, r, rng)
 
 
 def test_find_order3_inverted_rejects_identity(sl2_8, rng):

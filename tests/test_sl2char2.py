@@ -1,8 +1,11 @@
-"""Recognition of SL2(2^n) and the pair-carried field."""
+"""Recognition of SL2(2^n) and the field carried on markers."""
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import bbsl2
 from bbsl2 import oracle
 from bbsl2.backend import make_matrix_blackbox
 from bbsl2.blackbox import element_order
@@ -14,8 +17,11 @@ from bbsl2.sl2char2 import (
     dihedral_frame,
     enumerate_unipotent,
     involution_sample,
+    recognize,
     recover_char2,
 )
+from bbsl2.sl2odd import find_standard_generators, recover_psl2
+from bbsl2.stages import StageRecorder
 
 import brute
 from counting import count_base_ops
@@ -163,7 +169,6 @@ def test_char2field_lift_and_add_make_no_witness(field8):
     sums = [field8.add(a, b) for a in elements for b in elements]
     muls, invs, compares = (b - a for a, b in zip(before, _ops(box)))
     assert (invs, compares) == (0, 0) and muls > 0
-    assert all(a[0] is None for a in elements[1:] + sums)
 
 
 def test_char2field_witnesses_on_demand_give_field_results(field8):
@@ -247,9 +252,8 @@ def test_char2field_lift_is_the_product_of_its_basis_markers(field_n):
     box, n = field_n.box, field_n.k
     for j in range(1, 1 << n):
         before = _ops(box)
-        witness, marker = field_n.lift_int(j)
+        marker = field_n.lift_int(j)
         cost = tuple(b - a for a, b in zip(before, _ops(box)))
-        assert witness is None
         assert cost == (bin(j).count("1") - 1, 0, 0), j
         assert box.compare(marker, brute.char2_marker(field_n, j)), j
 
@@ -260,7 +264,7 @@ def test_bray_step_is_bray_element(field_n):
     # almost every random g
     box, r, n = field_n.box, field_n.r, field_n.k
     rng = random.Random(5)
-    gs = [box.identity, r, field_n.lift_int(3)[1], field_n._cpow[1]]
+    gs = [box.identity, r, field_n.lift_int(3), field_n._cpow[1]]
     gs += [box.sample(rng) for _ in range(8)]
     kinds = set()
     for g in gs:
@@ -271,6 +275,46 @@ def test_bray_step_is_bray_element(field_n):
             kinds.add("involution" if box.is_identity(box.mul(w, w)) else "odd")
         assert box.compare(_bray_step(box, r, g, n), bray_element(box, r, g))
     assert kinds == {"identity", "involution", "odd"}
+
+
+@pytest.mark.parametrize("rng", [None, 0, "0"], ids=repr)
+def test_recognition_takes_a_random_instance(rng):
+    # the sampler was the first to use rng, and raised AttributeError
+    odd, char2 = make_matrix_blackbox(13, 1, seed=1), make_matrix_blackbox(2, 3, seed=1)
+    runs = [
+        lambda: recognize(odd, 13, 1, rng),
+        lambda: recover_psl2(odd, 13, 1, rng),
+        lambda: find_standard_generators(odd, 13, 1, rng, StageRecorder(odd)),
+        lambda: recognize(char2, 2, 3, rng),
+        lambda: recover_char2(char2, 3, rng),
+    ]
+    for run in runs:
+        with pytest.raises(InputError, match="rng must be a random.Random"):
+            run()
+    assert odd.stats["samples"] == char2.stats["samples"] == 0
+
+
+# an SL2(13) box (exponent 13 * 168 = 2,184) declared as another group, and
+# the element-order lcm of that group; without the gate these runs exited 2
+# after 6,000, 40,005 or 660 samples
+_WRONG_DECLARATIONS = [(29, 1, 6090), (3, 4, 4920), (2, 2, 30), (2, 4, 510)]
+
+
+@pytest.mark.parametrize("p, k, lcm", _WRONG_DECLARATIONS, ids=["SL2(29)", "SL2(3^4)", "SL2(2^2)", "SL2(2^4)"])
+def test_a_declared_group_the_exponent_rules_out_is_refused_before_sampling(p, k, lcm):
+    box = make_matrix_blackbox(13, 1, seed=1000)
+    assert box.exponent == 2184
+    with pytest.raises(ContractViolation, match=f"box exponent 2184 is not a multiple of {lcm},"):
+        recognize(box, p, k, random.Random(0))
+    assert box.stats["samples"] == 0
+
+
+def test_the_exponent_gate_passes_the_true_group():
+    # L at q = 13 is 13 * 168 / 4 = 546, the element-order lcm of PSL2(13),
+    # and it divides the exponent 2,184
+    box = make_matrix_blackbox(13, 1, seed=1000)
+    res = recognize(box, 13, 1, random.Random(0), trials=20)
+    assert res.verification["phi_homomorphism_checks"] == {"trials": 20, "passes": 20}
 
 
 def test_recover_char2_rejects_small_n(rng):
@@ -296,6 +340,31 @@ def test_recover_char2_full_run(n, rng):
     assert not v["is_center_quotient"] and len(res.extras["iso_matrix"]) == n
     assert box.compare(res.field.to_box(res.field.one), res.frame.r)
     assert (res.explicit.p, res.explicit.k, res.explicit.order) == (2, n, 2**n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_recover_char2_computes_no_element_order(n, monkeypatch):
+    # involutions are found by squaring, Bray steps take square roots by
+    # squaring, and the order-3 companion comes from cubing; every module's
+    # binding of element_order is counted, so no import path escapes
+    calls = []
+
+    def counted(box, x):
+        calls.append(x)
+        return element_order(box, x)
+
+    patched = {"bbsl2"}
+    monkeypatch.setattr(bbsl2, "element_order", counted)
+    for info in pkgutil.iter_modules(bbsl2.__path__):
+        module = importlib.import_module(f"bbsl2.{info.name}")
+        if hasattr(module, "element_order"):
+            monkeypatch.setattr(module, "element_order", counted)
+            patched.add(module.__name__)
+    assert {"bbsl2.blackbox", "bbsl2.involutions"} <= patched
+    box = make_matrix_blackbox(2, n, opaque=True, seed=60 + n)
+    res = recover_char2(box, n, random.Random(n), trials=20)
+    assert res.verification["phi_homomorphism_checks"] == {"trials": 20, "passes": 20}
+    assert not calls
 
 
 def test_recover_char2_image_generates_whole_group(rng):
